@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-scale bench-save bench-sim bench-sim-save bench-sim-guard bench-load bench-load-save bench-load-guard bench-handover-save fastpath-diff sched-diff shard-diff seed-diff mobility-diff chaos-check
+.PHONY: build test race vet check bench bench-quick bench-scale bench-save bench-sim bench-sim-save bench-sim-guard bench-load bench-load-save bench-load-guard bench-handover-save fastpath-diff sched-diff shard-diff seed-diff mobility-diff chaos-check
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,16 @@ vet:
 # race-enabled test suite.
 check: vet build race
 
+# bench runs the repository's one ruler (bench/README.md): six workloads
+# end to end, their traced reps and the per-layer drivers (~6 min).
+# bench-quick is its smoke run (1/50 sizes, one rep, no tracing). Both
+# exit non-zero when the golden transcript, an audit, or the identity of
+# a seed's reps on the virtual axis fails.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) run ./bench
+
+bench-quick:
+	$(GO) run ./bench -quick
 
 # bench-scale runs the wall-clock control-plane scale benchmarks: the
 # parallel packet-in throughput path and FlowMemory under a large
@@ -90,9 +98,9 @@ bench-load-save:
 # allocation-free on the wheel, one windowed shard-barrier round trip
 # (Send2 + merge + block/resume) must be allocation-free in steady
 # state, and one full 250k-flow / 500k-arrival open-loop run must hold
-# its measured ceiling sequential and sharded (9.21M and 9.24M allocs,
-# gated with headroom — telemetry and the barrier contribute none of
-# them), and one complete handover (link re-home, make-before-break
+# its measured ceiling sequential and sharded (6.14M allocs each with the
+# event-driven packet-in path, gated at +10 % — telemetry and the
+# barrier contribute none of them), and one complete handover (link re-home, make-before-break
 # re-steer, route convergence, and a verified session round) must stay
 # under 64 allocs (measured 42). The (-\d+)?$ tail keeps the gates
 # matching on multi-core
@@ -113,8 +121,8 @@ bench-load-guard:
 			-gate 'BenchmarkShardBarrier(-[0-9]+)?$$=0'
 	$(GO) test -bench='BenchmarkOpenLoopLoad' -benchtime=1x -benchmem -run=^$$ . | \
 		$(GO) run ./cmd/benchguard \
-			-gate 'BenchmarkOpenLoopLoad(-[0-9]+)?$$=11000000' \
-			-gate 'BenchmarkOpenLoopLoadSharded(-[0-9]+)?$$=11000000'
+			-gate 'BenchmarkOpenLoopLoad(-[0-9]+)?$$=6760000' \
+			-gate 'BenchmarkOpenLoopLoadSharded(-[0-9]+)?$$=6760000'
 	$(GO) test -bench='BenchmarkHandover$$' -benchtime=200x -benchmem -run=^$$ . | \
 		$(GO) run ./cmd/benchguard \
 			-gate 'BenchmarkHandover(-[0-9]+)?$$=64'

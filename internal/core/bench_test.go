@@ -95,20 +95,26 @@ func BenchmarkPacketInThroughput(b *testing.B) {
 	})
 	b.StopTimer()
 	s := ctrl.Stats()
-	// Released packets occasionally punt back: if the goroutine is
-	// descheduled longer than SwitchFlowIdle between InstallFlow and
-	// PacketOut, the fresh redirect idles out before the held packet
-	// traverses it — the same FlowMod-vs-PacketOut race a slow OpenFlow
-	// controller sees in production. The packet is not lost (it re-enters
-	// the control plane and is re-dispatched or deduplicated), so the
-	// warm-path check tolerates a hit deficit bounded by the punt count.
+	// A packet-in that is not a memory hit is one of two things. Two
+	// stripes can meet on one client while its punt is still in flight —
+	// on a wall clock every control message of a punt fires on its own
+	// timer goroutine, so a punt is in flight for tens of microseconds —
+	// and the second packet-in is deduplicated: it never reaches the
+	// memory, and never leaves the warm path either. Or a released packet
+	// punted back: if the goroutine is descheduled longer than
+	// SwitchFlowIdle between the flow-mod and the packet-out, the fresh
+	// redirect idles out before the held packet traverses it — the same
+	// FlowMod-vs-PacketOut race a slow OpenFlow controller sees in
+	// production. That packet is not lost (it re-enters the control plane
+	// and is served again), so the warm-path check only bounds what went
+	// through the Scheduler by the punt count.
 	var punted int64
 	for _, sw := range sws {
 		p, _, _ := sw.Counters()
 		punted += p
 	}
-	if s.PacketIns-s.MemoryHits > punted {
-		b.Fatalf("benchmark left the warm path: %d hits of %d packet-ins (%d punts)", s.MemoryHits, s.PacketIns, punted)
+	if s.ScheduleCalls > punted {
+		b.Fatalf("benchmark left the warm path: %d dispatches and %d hits for %d packet-ins (%d punts)", s.ScheduleCalls, s.MemoryHits, s.PacketIns, punted)
 	}
 }
 

@@ -315,7 +315,6 @@ type Controller struct {
 	fm    *FlowMemory
 
 	switches []*openflow.Switch
-	conns    []switchConn
 
 	// svc is the copy-on-write service registry (see svcTables).
 	svc atomic.Pointer[svcTables]
@@ -351,13 +350,6 @@ type Controller struct {
 	handoverLat *metrics.Hist
 }
 
-// switchConn pairs one managed switch with its control channels.
-type switchConn struct {
-	sw        *openflow.Switch
-	packetIns *vclock.Mailbox[openflow.PacketIn]
-	removals  *vclock.Mailbox[openflow.FlowRemoved]
-}
-
 // ClientLocation is the Dispatcher's record of where a client was last
 // seen — "this component also tracks the clients' current location"
 // (§IV-B).
@@ -387,8 +379,9 @@ type deployState struct {
 	scaledDown bool
 }
 
-// New builds a controller. The switch is connected immediately; call
-// Start to begin processing.
+// New builds a controller. The switches are connected immediately, so
+// packet-ins and flow removals are handled from here on; Start launches
+// the background loops.
 func New(clk vclock.Clock, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Host == nil || cfg.Switch == nil {
@@ -419,8 +412,7 @@ func New(clk vclock.Clock, cfg Config) (*Controller, error) {
 	})
 	c.switches = append([]*openflow.Switch{cfg.Switch}, cfg.ExtraSwitches...)
 	for _, sw := range c.switches {
-		pins, rems := sw.Connect()
-		c.conns = append(c.conns, switchConn{sw: sw, packetIns: pins, removals: rems})
+		sw.Connect(c)
 	}
 	if cfg.ScaleDownIdle {
 		c.fm.OnServiceIdle = c.onServiceIdle
@@ -549,7 +541,10 @@ func (c *Controller) ServiceByName(name string) (*Service, bool) {
 	return svc, ok
 }
 
-// Start launches the packet-in and flow-removed processing loops.
+// Start launches the controller's background loops: one switch-restart
+// watcher per managed switch, the instance health prober, and the
+// reconciler. Packet-ins and flow removals need no loop — the switches
+// call PacketIn and FlowRemoved inline.
 func (c *Controller) Start() {
 	c.mu.Lock()
 	if c.started {
@@ -558,27 +553,8 @@ func (c *Controller) Start() {
 	}
 	c.started = true
 	c.mu.Unlock()
-	for _, conn := range c.conns {
-		conn := conn
-		c.clk.Go(func() {
-			for {
-				pin, ok := conn.packetIns.Recv()
-				if !ok {
-					return
-				}
-				c.clk.Go(func() { c.handlePacketIn(conn.sw, pin) })
-			}
-		})
-		c.clk.Go(func() {
-			for {
-				msg, ok := conn.removals.Recv()
-				if !ok {
-					return
-				}
-				c.handleFlowRemoved(msg)
-			}
-		})
-		sw := conn.sw
+	for _, sw := range c.switches {
+		sw := sw
 		c.clk.Go(func() { c.watchSwitch(sw) })
 	}
 	if c.cfg.HealthProbeInterval > 0 {
@@ -589,10 +565,10 @@ func (c *Controller) Start() {
 	}
 }
 
-// handleFlowRemoved refreshes the flow memory when switch flows expire:
-// the removal implies traffic existed until a moment ago, so the
-// memorized mapping stays warm a while longer.
-func (c *Controller) handleFlowRemoved(msg openflow.FlowRemoved) {
+// FlowRemoved implements openflow.Handler. It refreshes the flow memory
+// when switch flows expire: the removal implies traffic existed until a
+// moment ago, so the memorized mapping stays warm a while longer.
+func (c *Controller) FlowRemoved(_ *openflow.Switch, msg openflow.FlowRemoved) {
 	c.stats.flowRemovedMsgs.Add(1)
 	svc, ok := c.svc.Load().byCookie[msg.Cookie]
 	if !ok || !msg.IdleTimeout {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -11,84 +12,177 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// handlePacketIn is the dispatching algorithm of Fig. 7: flow memory
-// first, then candidate gathering, the Global Scheduler's FAST/BEST
-// decision, on-demand deployment of whichever choices need it, flow
-// installation, and finally the release of the held packet. sw is the
-// ingress switch the packet entered through.
+// punt is one packet-in on its way through the dispatching algorithm of
+// Fig. 7, from the claim of its flow key to the release of the held
+// packet. It is the operand of the continuations that carry the punt
+// from one control message to the next, where a handler goroutine would
+// keep the same state on its stack across sleeps. Records are pooled.
+type punt struct {
+	c   *Controller
+	sw  *openflow.Switch // ingress switch the packet entered through
+	pin openflow.PacketIn
+	// svc is the requested service; nil when the destination is not
+	// registered (the packet is forwarded like a plain switch would, and
+	// no flow key is claimed).
+	svc *Service
+	key flowKey
+	// specs[next:] are the redirect flow-mods still to send; actions are
+	// the packet-out's (nil: through the table).
+	specs   []openflow.FlowSpec
+	next    int
+	actions []openflow.Action
+	// done, when set, runs after the punt finished; tests wait on it.
+	done func()
+}
+
+var puntPool = sync.Pool{New: func() any { return new(punt) }}
+
+// forwardNormal is the packet-out action list for unregistered traffic.
+var forwardNormal = []openflow.Action{openflow.OutputNormal{}}
+
+// PacketIn implements openflow.Handler: the dispatching algorithm of
+// Fig. 7 — flow memory first, then candidate gathering, the Global
+// Scheduler's FAST/BEST decision, on-demand deployment of whichever
+// choices need it, flow installation, and finally the release of the
+// held packet.
+//
+// It runs to completion on the clock's event loop: the switch calls it
+// inline when the punt has crossed the control channel, and every later
+// step is a continuation the switch calls when the previous control
+// message has crossed it (puntStep). A goroutine is started only for a
+// dispatch that has to wait — see dispatch.
+func (c *Controller) PacketIn(sw *openflow.Switch, pin openflow.PacketIn) {
+	c.packetIn(sw, pin, nil)
+}
+
+// packetIn is PacketIn with a completion callback.
 //
 // The prologue is deliberately lock-light: the packet-in count is one
 // atomic add, the service lookup reads an immutable snapshot, and
 // client tracking plus SYN-retransmit dedup share a single shard lock
 // (trackAndClaim) — so the memorized-flow fast path takes at most one
 // shard lock besides the FlowMemory's own.
-func (c *Controller) handlePacketIn(sw *openflow.Switch, pin openflow.PacketIn) {
-	// The switch cloned the punted packet for the controller; release it
-	// exactly once when handling completes. Every exit path is covered:
-	// PacketOut clones synchronously before returning, so nothing
-	// retains pin.Pkt past this frame.
-	defer pin.Pkt.Release()
+func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done func()) {
 	c.stats.packetIns.Add(1)
+	p := puntPool.Get().(*punt)
+	p.c, p.sw, p.pin, p.done = c, sw, pin, done
 	svc, ok := c.ServiceByAddr(pin.Pkt.Dst)
 	if !ok {
 		// Not a registered service: behave like a plain switch.
-		sw.PacketOut(pin.Pkt, pin.InPort, []openflow.Action{openflow.OutputNormal{}})
+		p.actions = forwardNormal
+		puntStep(p)
 		return
 	}
 	client := pin.Pkt.Src.IP
-	key := flowKey{client: client, service: svc.Addr}
+	p.key = flowKey{client: client, service: svc.Addr}
 
 	// Track the client's ingress location and deduplicate concurrent
 	// packet-ins (e.g. SYN retransmissions while a deployment holds the
 	// first request) in one shard critical section.
-	if c.clients.trackAndClaim(key, ClientLocation{
+	if c.clients.trackAndClaim(p.key, ClientLocation{
 		Switch:   sw.DeviceName(),
 		InPort:   pin.InPort,
 		LastSeen: c.clk.Now(),
 	}) {
-		return // a packet-in for this flow is already being handled
+		p.finish() // a packet-in for this flow is already being handled
+		return
 	}
-	defer c.clients.release(key)
+	p.svc = svc // from here on the punt holds the claim
 
 	// Fast path: memorized flow — reinstall without calling the
 	// Scheduler.
 	if !c.cfg.DisableFlowMemory {
 		if inst, ok := c.fm.Lookup(client, svc.Addr); ok {
 			c.stats.memoryHits.Add(1)
-			c.installRedirect(sw, client, svc, inst)
-			sw.PacketOut(pin.Pkt, pin.InPort, nil)
+			p.redirect(inst)
 			return
 		}
 	}
 
-	inst, ok := c.dispatchBounded(sw, svc, client)
+	inst, ok, wait := c.dispatch(sw, svc, client)
+	if wait == nil {
+		p.serve(inst, ok)
+		return
+	}
+	c.clk.Go(func() { p.serve(c.holdBounded(svc, client, wait)) })
+}
+
+// serve ends a punt's dispatch — on the event loop or on the goroutine
+// that waited for it — and enters the install chain: the instance (or,
+// when deployment failed everywhere, the cloud origin) is memorized and
+// the redirect flows go out.
+func (p *punt) serve(inst cluster.Instance, ok bool) {
+	c := p.c
 	if !ok {
 		// Deployment failed everywhere: let the cloud origin serve.
 		c.stats.degradedToCloud.Add(1)
-		inst = cluster.Instance{Addr: svc.Addr, Cluster: "origin"}
+		inst = cluster.Instance{Addr: p.svc.Addr, Cluster: "origin"}
 	}
 	if !c.cfg.DisableFlowMemory {
-		c.fm.Remember(client, svc.Addr, svc.Name, inst)
+		c.fm.Remember(p.key.client, p.svc.Addr, p.svc.Name, inst)
 	}
-	c.installRedirect(sw, client, svc, inst)
-	sw.PacketOut(pin.Pkt, pin.InPort, nil)
+	p.redirect(inst)
 }
 
-// dispatchBounded runs dispatch, bounding the time the held packet may
-// wait when HoldTimeout is set. On timeout the request degrades to the
-// cloud origin — the client gets an answer instead of an indefinitely
-// held packet during a partition — while the dispatch keeps running in
-// the background; once it lands on an edge instance, the degraded
-// memory entry is dropped so the next packet-in re-dispatches there.
-func (c *Controller) dispatchBounded(sw *openflow.Switch, svc *Service, client netem.IP) (cluster.Instance, bool) {
+// redirect programs the ingress switch for (client, service, instance)
+// and releases the held packet through the new flows.
+func (p *punt) redirect(inst cluster.Instance) {
+	p.c.stats.flowsInstalled.Add(1)
+	p.specs = p.c.redirectSpecs(p.key.client, p.svc, inst)
+	puntStep(p)
+}
+
+// puntStep sends a punt's next control message: each redirect flow-mod
+// in turn, then the packet-out that releases the held packet. It is its
+// own continuation — the switch calls it again once the message has
+// crossed the control channel, the instant a blocking InstallFlow would
+// have returned — so the messages of one punt stay one channel latency
+// apart and in order.
+func puntStep(arg any) {
+	p := arg.(*punt)
+	if p.next < len(p.specs) {
+		p.next++
+		p.sw.PostInstallFlow(p.specs[p.next-1], puntStep, p)
+		return
+	}
+	p.sw.PostPacketOut(p.pin.Pkt, p.pin.InPort, p.actions, puntDone, p)
+}
+
+// puntDone runs when the packet-out has crossed the channel.
+func puntDone(arg any) { arg.(*punt).finish() }
+
+// finish drops the flow-key claim, if the punt holds it, and releases
+// the punted packet — the switch cloned it for the controller, and it
+// re-injected its own clone on packet-out — exactly once.
+func (p *punt) finish() {
+	if p.svc != nil {
+		p.c.clients.release(p.key)
+	}
+	p.pin.Pkt.Release()
+	done := p.done
+	*p = punt{}
+	puntPool.Put(p)
+	if done != nil {
+		done()
+	}
+}
+
+// holdBounded runs wait — the remainder of a dispatch that has to wait
+// — bounding the time the held packet may wait when HoldTimeout is set.
+// On timeout the request degrades to the cloud origin — the client gets
+// an answer instead of an indefinitely held packet during a partition —
+// while the dispatch keeps running in the background; once it lands on
+// an edge instance, the degraded memory entry is dropped so the next
+// packet-in re-dispatches there.
+func (c *Controller) holdBounded(svc *Service, client netem.IP, wait func() (cluster.Instance, bool)) (cluster.Instance, bool) {
 	if c.cfg.HoldTimeout <= 0 {
-		return c.dispatch(sw, svc, client)
+		return wait()
 	}
 	var inst cluster.Instance
 	var ok bool
 	done := vclock.NewGate()
 	c.clk.Go(func() {
-		inst, ok = c.dispatch(sw, svc, client)
+		inst, ok = wait()
 		done.Open()
 	})
 	if done.WaitTimeout(c.clk, c.cfg.HoldTimeout) {
@@ -105,20 +199,44 @@ func (c *Controller) dispatchBounded(sw *openflow.Switch, svc *Service, client n
 }
 
 // dispatch gathers candidates, consults the Global Scheduler, and
-// performs whatever deployments the FAST/BEST decision requires. It
-// returns the instance that serves the current request. Proximity is
+// performs whatever deployments the FAST/BEST decision requires,
+// yielding the instance that serves the current request. Proximity is
 // evaluated from the client's ingress zone (the switch the packet
 // entered through), so clients behind different gNBs get different
 // optimal edges.
+//
+// dispatch itself never waits, so the packet-in path can call it on the
+// event loop. With the candidate snapshot cached and an instance already
+// running (or nothing deployable: toward the cloud) it returns the
+// result and a nil wait. Otherwise it returns wait, the remainder that
+// takes virtual time — interrogating the clusters, or the on-demand
+// deployment the request is held for — for the caller to run on a
+// goroutine; wait's results are the dispatch's.
 //
 // Candidate gathering is memoized per (service, zone) for a short TTL:
 // under a packet-in storm the cluster answers are identical, so one
 // snapshot serves every miss in the window instead of four virtual
 // calls per cluster per request. Any deployment, scale-down, breaker
 // transition, health eviction, or registration invalidates the cache.
-func (c *Controller) dispatch(sw *openflow.Switch, svc *Service, client netem.IP) (cluster.Instance, bool) {
+func (c *Controller) dispatch(sw *openflow.Switch, svc *Service, client netem.IP) (inst cluster.Instance, ok bool, wait func() (cluster.Instance, bool)) {
 	c.stats.scheduleCalls.Add(1)
-	candidates := c.candidatesFor(svc, sw.DeviceName())
+	zone := sw.DeviceName()
+	candidates, cached := c.cachedCandidates(svc, zone)
+	if !cached {
+		return cluster.Instance{}, false, func() (cluster.Instance, bool) {
+			inst, ok, wait := c.decide(svc, client, c.gatherCandidates(svc, zone))
+			if wait != nil {
+				return wait()
+			}
+			return inst, ok
+		}
+	}
+	return c.decide(svc, client, candidates)
+}
+
+// decide is the second half of dispatch: the Global Scheduler's verdict
+// on a candidate snapshot and what it sets in motion.
+func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidate) (inst cluster.Instance, ok bool, wait func() (cluster.Instance, bool)) {
 	decision := c.sched.Schedule(svc, client, candidates)
 
 	// BEST ≠ FAST: deploy the optimal edge in the background and switch
@@ -141,53 +259,71 @@ func (c *Controller) dispatch(sw *openflow.Switch, svc *Service, client netem.IP
 
 	switch {
 	case decision.FastInstance != nil:
-		return *decision.FastInstance, true
+		return *decision.FastInstance, true, nil
 	case decision.Fast != nil:
-		// On-demand deployment with waiting: the client's request stays
-		// on hold until the new instance answers its port.
-		c.stats.deploysWaiting.Add(1)
-		inst, err := c.deploy(svc, decision.Fast)
+		return cluster.Instance{}, false, func() (cluster.Instance, bool) { return c.deployFast(svc, decision) }
+	default:
+		// Forward toward the cloud.
+		c.stats.cloudForwards.Add(1)
+		return cluster.Instance{Addr: svc.Addr, Cluster: "origin"}, true, nil
+	}
+}
+
+// deployFast is on-demand deployment with waiting: the client's request
+// stays on hold until the new instance answers its port.
+func (c *Controller) deployFast(svc *Service, decision Decision) (cluster.Instance, bool) {
+	c.stats.deploysWaiting.Add(1)
+	inst, err := c.deploy(svc, decision.Fast)
+	if err == nil {
+		return inst, true
+	}
+	c.stats.deployFailures.Add(1)
+	// The FAST choice failed even after per-phase retries: fail over
+	// to the next-best candidates from the scheduler's ranked list
+	// before surrendering to the cloud.
+	for _, fb := range decision.Fallbacks {
+		if fb == decision.Fast || !c.breakerAllows(fb.Name()) {
+			continue
+		}
+		c.stats.failovers.Add(1)
+		inst, err = c.deploy(svc, fb)
 		if err == nil {
 			return inst, true
 		}
 		c.stats.deployFailures.Add(1)
-		// The FAST choice failed even after per-phase retries: fail over
-		// to the next-best candidates from the scheduler's ranked list
-		// before surrendering to the cloud.
-		for _, fb := range decision.Fallbacks {
-			if fb == decision.Fast || !c.breakerAllows(fb.Name()) {
-				continue
-			}
-			c.stats.failovers.Add(1)
-			inst, err = c.deploy(svc, fb)
-			if err == nil {
-				return inst, true
-			}
-			c.stats.deployFailures.Add(1)
-		}
-		return cluster.Instance{}, false
-	default:
-		// Forward toward the cloud.
-		c.stats.cloudForwards.Add(1)
-		return cluster.Instance{Addr: svc.Addr, Cluster: "origin"}, true
 	}
+	return cluster.Instance{}, false
 }
 
-// candidatesFor gathers the scheduler candidates of one service as seen
+// candidatesFor returns the scheduler candidates of one service as seen
 // from one ingress zone, serving from the per-(service, zone) snapshot
-// cache when it is fresh. Both dispatch and the handover manager's
-// migration check go through here, so they agree on what the clusters
-// look like.
+// cache when it is fresh and interrogating the clusters — which takes
+// virtual time — when it is not. Both dispatch and the handover
+// manager's migration check see the clusters through the same cache, so
+// they agree on what the clusters look like.
 func (c *Controller) candidatesFor(svc *Service, zoneName string) []Candidate {
-	now := c.clk.Now()
-	candidates, cached := c.cands.get(svc.Name, zoneName, now)
-	if cached {
-		c.stats.candidateHits.Add(1)
+	if candidates, cached := c.cachedCandidates(svc, zoneName); cached {
 		return candidates
 	}
+	return c.gatherCandidates(svc, zoneName)
+}
+
+// cachedCandidates is the half of candidatesFor that never waits.
+func (c *Controller) cachedCandidates(svc *Service, zoneName string) ([]Candidate, bool) {
+	candidates, cached := c.cands.get(svc.Name, zoneName, c.clk.Now())
+	if cached {
+		c.stats.candidateHits.Add(1)
+	}
+	return candidates, cached
+}
+
+// gatherCandidates interrogates every cluster and caches the snapshot.
+// Its TTL counts from the start of the gather, not from its end.
+func (c *Controller) gatherCandidates(svc *Service, zoneName string) []Candidate {
+	now := c.clk.Now()
 	c.stats.candidateMisses.Add(1)
 	zone := c.cfg.ZoneLatency[zoneName]
-	candidates = make([]Candidate, 0, len(c.cfg.Clusters))
+	candidates := make([]Candidate, 0, len(c.cfg.Clusters))
 	for _, cl := range c.cfg.Clusters {
 		if !c.breakerAllows(cl.Name()) {
 			// Circuit open: the cluster keeps failing deployments, skip it
@@ -456,15 +592,6 @@ func (c *Controller) redirectSpecs(client netem.IP, svc *Service, inst cluster.I
 			IdleTimeout: c.cfg.SwitchFlowIdle,
 			Cookie:      svc.cookie,
 		},
-	}
-}
-
-// installRedirect programs the ingress switch for (client, service,
-// instance).
-func (c *Controller) installRedirect(sw *openflow.Switch, client netem.IP, svc *Service, inst cluster.Instance) {
-	c.stats.flowsInstalled.Add(1)
-	for _, spec := range c.redirectSpecs(client, svc, inst) {
-		sw.InstallFlow(spec)
 	}
 }
 

@@ -163,14 +163,19 @@ func (fm *FlowMemory) Remember(client netem.IP, service netem.HostPort, svcName 
 		// is always at or before every live deadline (deadlines only
 		// move later via touches), so it never needs re-arming here.
 		s.sweepArmed = true
-		fm.clk.AfterFunc(fm.Idle, func() { fm.sweep(s) })
+		fm.clk.Post2(fm.Idle, sweepShard, fm, s)
 	}
 	s.mu.Unlock()
 }
 
+// sweepShard is the shard timer's callback.
+func sweepShard(fm, s any) { fm.(*FlowMemory).sweep(s.(*fmShard)) }
+
 // sweep drops every expired entry of one shard, fires the service-idle
 // hooks of services whose last entry went, and re-arms the shard timer
-// for the earliest remaining deadline.
+// for the earliest remaining deadline. It runs on the clock's event
+// loop and never waits; the hooks scale services down, which takes
+// virtual time, so they get a goroutine — only when a service idled.
 func (fm *FlowMemory) sweep(s *fmShard) {
 	s.mu.Lock()
 	s.sweepArmed = false
@@ -202,14 +207,16 @@ func (fm *FlowMemory) sweep(s *fmShard) {
 	}
 	if len(s.entries) > 0 {
 		s.sweepArmed = true
-		fm.clk.AfterFunc(earliest.Sub(now), func() { fm.sweep(s) })
+		fm.clk.Post2(earliest.Sub(now), sweepShard, fm, s)
 	}
 	hook := fm.OnServiceIdle
 	s.mu.Unlock()
-	if hook != nil {
-		for _, name := range idled {
-			hook(name)
-		}
+	if hook != nil && len(idled) > 0 {
+		fm.clk.Go(func() {
+			for _, name := range idled {
+				hook(name)
+			}
+		})
 	}
 }
 

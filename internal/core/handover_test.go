@@ -80,7 +80,10 @@ func (rig *handoverRig) attach(client netem.IP, inst cluster.Instance) {
 	rig.ctrl.clients.track(client, ClientLocation{
 		Switch: rig.gnb1.DeviceName(), InPort: 9, LastSeen: rig.ctrl.clk.Now(),
 	})
-	rig.ctrl.installRedirect(rig.gnb1, client, rig.svc, inst)
+	rig.ctrl.stats.flowsInstalled.Add(1)
+	for _, spec := range rig.ctrl.redirectSpecs(client, rig.svc, inst) {
+		rig.gnb1.InstallFlow(spec)
+	}
 }
 
 // redirectCount counts per-client rewrite rules on a switch.

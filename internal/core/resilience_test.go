@@ -155,8 +155,9 @@ func (s *stubCluster) calls() (pulls, creates, scales int) {
 // resilienceRig wires stub clusters, a switch, and a controller into a
 // minimal emulated network where port probing is real.
 type resilienceRig struct {
+	net  *netem.Network
 	ctrl *Controller
-	sw   *openflow.Switch
+	sw   *openflow.Switch // its last port is left unconnected
 	svc  *Service
 }
 
@@ -200,7 +201,7 @@ func newResilienceRig(t *testing.T, clk vclock.Clock, mut func(*Config), stubs .
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &resilienceRig{ctrl: ctrl, sw: sw, svc: svc}
+	return &resilienceRig{net: n, ctrl: ctrl, sw: sw, svc: svc}
 }
 
 func TestRetryRecoversTransientFailures(t *testing.T) {
@@ -254,7 +255,7 @@ func TestFailoverToNextBestCluster(t *testing.T) {
 		rig := newResilienceRig(t, clk, func(cfg *Config) {
 			cfg.RetryMax = -1 // isolate failover from retry
 		}, near, far)
-		inst, ok := rig.ctrl.dispatch(rig.sw, rig.svc, netem.ParseIP("192.168.1.10"))
+		inst, ok := rig.ctrl.dispatchWait(rig.sw, rig.svc, netem.ParseIP("192.168.1.10"))
 		if !ok {
 			t.Fatal("dispatch fell through to the cloud despite a healthy fallback")
 		}
@@ -282,7 +283,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 		// Two consecutive failures trip the breaker.
 		for i := 0; i < 2; i++ {
-			if _, ok := rig.ctrl.dispatch(rig.sw, rig.svc, client); ok {
+			if _, ok := rig.ctrl.dispatchWait(rig.sw, rig.svc, client); ok {
 				t.Fatalf("dispatch %d succeeded, want failure", i)
 			}
 		}
@@ -292,7 +293,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		// While open, the cluster is not even a candidate: the request
 		// forwards to the cloud without touching the cluster.
 		pullsBefore, _, _ := near.calls()
-		inst, ok := rig.ctrl.dispatch(rig.sw, rig.svc, client)
+		inst, ok := rig.ctrl.dispatchWait(rig.sw, rig.svc, client)
 		if !ok || inst.Cluster != "origin" {
 			t.Fatalf("dispatch during open breaker = %+v, %v; want cloud forward", inst, ok)
 		}
@@ -302,7 +303,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		// After the cooldown the half-open probe succeeds (failures are
 		// exhausted) and closes the breaker.
 		clk.Sleep(31 * time.Second)
-		inst, ok = rig.ctrl.dispatch(rig.sw, rig.svc, client)
+		inst, ok = rig.ctrl.dispatchWait(rig.sw, rig.svc, client)
 		if !ok || inst.Cluster != "near" {
 			t.Fatalf("post-cooldown dispatch = %+v, %v; want near", inst, ok)
 		}
@@ -348,7 +349,7 @@ func TestHealthProberEvictsDeadInstance(t *testing.T) {
 			cfg.MemoryIdle = time.Hour
 		}, near)
 		client := netem.ParseIP("192.168.1.10")
-		inst, ok := rig.ctrl.dispatch(rig.sw, rig.svc, client)
+		inst, ok := rig.ctrl.dispatchWait(rig.sw, rig.svc, client)
 		if !ok || inst.Cluster != "near" {
 			t.Fatalf("dispatch = %+v, %v", inst, ok)
 		}
@@ -371,7 +372,7 @@ func TestHealthProberEvictsDeadInstance(t *testing.T) {
 		// The deployment record is gone too: the next dispatch redeploys
 		// instead of blackholing into the stale cached instance.
 		_, _, scalesBefore := near.calls()
-		inst, ok = rig.ctrl.dispatch(rig.sw, rig.svc, client)
+		inst, ok = rig.ctrl.dispatchWait(rig.sw, rig.svc, client)
 		if !ok || inst.Cluster != "near" {
 			t.Fatalf("redeploy dispatch = %+v, %v", inst, ok)
 		}
@@ -394,7 +395,7 @@ func TestScaleDownFailureKeepsDeployment(t *testing.T) {
 		rig.ctrl.cfg.Clusters = []cluster.Cluster{near}
 
 		client := netem.ParseIP("192.168.1.10")
-		inst, ok := rig.ctrl.dispatch(rig.sw, rig.svc, client)
+		inst, ok := rig.ctrl.dispatchWait(rig.sw, rig.svc, client)
 		if !ok {
 			t.Fatal("dispatch failed")
 		}
@@ -443,7 +444,7 @@ func TestHandleFlowRemovedRefreshesBothRuleDirections(t *testing.T) {
 		// Reverse rule: the instance's flow back to the client expired.
 		// The client is in Match.DstIP, not SrcIP.
 		clk.Sleep(6 * time.Second)
-		rig.ctrl.handleFlowRemoved(openflow.FlowRemoved{
+		rig.ctrl.FlowRemoved(nil, openflow.FlowRemoved{
 			Match: openflow.Match{
 				SrcIP:   inst.Addr.IP,
 				SrcPort: inst.Addr.Port,
@@ -459,7 +460,7 @@ func TestHandleFlowRemovedRefreshesBothRuleDirections(t *testing.T) {
 
 		// Forward rule: client in Match.SrcIP.
 		clk.Sleep(6 * time.Second)
-		rig.ctrl.handleFlowRemoved(openflow.FlowRemoved{
+		rig.ctrl.FlowRemoved(nil, openflow.FlowRemoved{
 			Match: openflow.Match{
 				SrcIP:   client,
 				DstIP:   rig.svc.Addr.IP,
@@ -477,7 +478,7 @@ func TestHandleFlowRemovedRefreshesBothRuleDirections(t *testing.T) {
 		}
 		// Hard-timeout removals do not refresh.
 		clk.Sleep(6 * time.Second)
-		rig.ctrl.handleFlowRemoved(openflow.FlowRemoved{
+		rig.ctrl.FlowRemoved(nil, openflow.FlowRemoved{
 			Match:       openflow.Match{SrcIP: client, DstIP: rig.svc.Addr.IP, DstPort: rig.svc.Addr.Port},
 			Cookie:      rig.svc.cookie,
 			IdleTimeout: false,

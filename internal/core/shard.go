@@ -50,7 +50,7 @@ func hashIP(ip netem.IP) uint64 { return fnvUint32(fnvOffset64, uint32(ip)) }
 
 // clientShard is one partition of the Dispatcher's per-client state:
 // the last-seen client locations and the in-flight packet-in dedup set.
-// Both live in the same shard so the top of handlePacketIn takes exactly
+// Both live in the same shard so the top of packetIn takes exactly
 // one lock: track the client's location and claim the flow key together.
 type clientShard struct {
 	mu      sync.Mutex

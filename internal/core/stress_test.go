@@ -109,7 +109,7 @@ func TestConcurrentPacketInStress(t *testing.T) {
 						sent, reg = sent+2, reg+2
 					case 2:
 						// Flow-removed refresh racing other packet-ins.
-						ctrl.handleFlowRemoved(openflow.FlowRemoved{
+						ctrl.FlowRemoved(nil, openflow.FlowRemoved{
 							Match:       openflow.Match{SrcIP: client, DstIP: svc.Addr.IP, DstPort: svc.Addr.Port},
 							Cookie:      svc.cookie,
 							IdleTimeout: true,
@@ -192,14 +192,8 @@ func TestConcurrentPacketInStress(t *testing.T) {
 		t.Errorf("released packets = %d, want %d (one per installed redirect)", released, s.FlowsInstalled)
 	}
 	// No pending claim may survive the storm.
-	for i := range ctrl.clients.shards {
-		sh := &ctrl.clients.shards[i]
-		sh.mu.Lock()
-		n := len(sh.pending)
-		sh.mu.Unlock()
-		if n != 0 {
-			t.Errorf("shard %d leaks %d pending claims", i, n)
-		}
+	if n := ctrl.pendingClaims(); n != 0 {
+		t.Errorf("%d pending claims leaked", n)
 	}
 	// FlowMemory bookkeeping: one entry per distinct client, counts in
 	// sync with the entries.

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/c3lab/transparentedge/internal/netem"
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
@@ -81,6 +83,116 @@ func (f *ChannelFaults) delay(key string) time.Duration {
 		return f.ExtraDelay
 	}
 	return 0
+}
+
+// msgClass is the kind of a control message: each has its own loss rate
+// in the fault model and its own drop counter on the switch.
+type msgClass uint8
+
+const (
+	msgPacketIn msgClass = iota
+	msgFlowMod
+	msgFlowRemoved
+	msgPacketOut
+)
+
+// channel models one message entering the control channel — the shared
+// prologue of every control message, blocking or posted. It returns the
+// one-way delay the message takes and whether the fault model lost it on
+// the way. The rng stream key is prefix+subject(); subject is only
+// called when faults are armed, so a perfect channel builds no string.
+// A message draws loss first and reordering second, from its own stream.
+func (s *Switch) channel(class msgClass, prefix string, subject func() string) (delay time.Duration, lost bool) {
+	delay = s.CtrlLatency
+	f := s.faults.Load()
+	if f == nil {
+		return delay, false
+	}
+	var loss float64
+	var drops *atomic.Int64
+	switch class {
+	case msgPacketIn:
+		loss, drops = f.PacketInLoss, &s.pktInDrops
+	case msgFlowMod:
+		loss, drops = f.FlowModLoss, &s.flowModDrops
+	case msgFlowRemoved:
+		loss, drops = f.FlowRemovedLoss, &s.flowRemDrops
+	case msgPacketOut:
+		loss, drops = f.PacketOutLoss, &s.pktOutDrops
+	}
+	key := prefix + subject()
+	if f.drop(key, loss) {
+		drops.Add(1)
+		return delay, true
+	}
+	if extra := f.delay(key); extra > 0 {
+		s.ctrlDelayed.Add(1)
+		delay += extra
+	}
+	return delay, false
+}
+
+// flowName is the stream-key subject of packet-in and packet-out
+// messages: the packet's address pair.
+func flowName(pkt *netem.Packet) string {
+	return pkt.Src.String() + ">" + pkt.Dst.String()
+}
+
+// ctrlMsg is one control message in flight: the operand, next to the
+// switch, of the Post2 callback that fires when it arrives. Records are
+// pooled, so sending a message allocates nothing. Which fields are set
+// depends on the message: to+pkt+inPort for a packet-in, to+removed for
+// a flow-removed, spec for a posted flow-mod, pkt+inPort+actions for a
+// posted packet-out; the posted forms also carry the sender's
+// continuation and whether the channel lost the message.
+type ctrlMsg struct {
+	to      Handler
+	spec    FlowSpec
+	pkt     *netem.Packet
+	inPort  int
+	actions []Action
+	removed FlowRemoved
+	lost    bool
+	then    func(arg any)
+	arg     any
+}
+
+var ctrlMsgPool = sync.Pool{New: func() any { return new(ctrlMsg) }}
+
+func newMsg() *ctrlMsg { return ctrlMsgPool.Get().(*ctrlMsg) }
+
+// recycle returns the record to the pool and hands back its contents.
+func (m *ctrlMsg) recycle() ctrlMsg {
+	v := *m
+	*m = ctrlMsg{}
+	ctrlMsgPool.Put(m)
+	return v
+}
+
+func packetInArrived(s, msg any) {
+	m := msg.(*ctrlMsg).recycle()
+	m.to.PacketIn(s.(*Switch), PacketIn{Pkt: m.pkt, InPort: m.inPort})
+}
+
+func flowRemovedArrived(s, msg any) {
+	m := msg.(*ctrlMsg).recycle()
+	m.to.FlowRemoved(s.(*Switch), m.removed)
+}
+
+func flowModArrived(s, msg any) {
+	m := msg.(*ctrlMsg).recycle()
+	if !m.lost {
+		s.(*Switch).install(m.spec)
+	}
+	m.then(m.arg)
+}
+
+func packetOutArrived(s, msg any) {
+	m := msg.(*ctrlMsg).recycle()
+	if !m.lost {
+		s.(*Switch).packetOut(m.pkt, m.inPort, m.actions)
+	}
+	m.then(m.arg)
 }
 
 // ChannelStats counts control-channel faults a switch has suffered.

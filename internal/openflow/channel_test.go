@@ -83,7 +83,7 @@ func TestRestartWipesAndNotifies(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		e.sw.Connect()
+		connectMailboxes(e.sw, e.clk)
 		specs := []FlowSpec{
 			puntSpec(netem.ParseHostPort("203.0.113.1:80"), 1),
 			puntSpec(netem.ParseHostPort("203.0.113.2:80"), 2),
@@ -179,7 +179,7 @@ func TestPacketInLossDropsThePunt(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		pktIns, _ := e.sw.Connect()
+		pktIns, _ := connectMailboxes(e.sw, e.clk)
 		addr := e.cloud.Addr(80)
 		e.sw.InstallFlow(puntSpec(addr, 1))
 		e.sw.SetChannelFaults(&ChannelFaults{Seed: 1, PacketInLoss: 1.0})

@@ -135,7 +135,7 @@ func TestMicroflowInvalidation(t *testing.T) {
 
 		// Punt-to-controller classifications are cacheable as well: the
 		// cached entry replays the punt, it never short-circuits it.
-		packetIns, _ := e.sw.Connect()
+		packetIns, _ := connectMailboxes(e.sw, e.clk)
 		e.sw.InstallFlow(FlowSpec{
 			Priority: 20,
 			Cookie:   9,

@@ -13,6 +13,7 @@ package openflow
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,16 +219,15 @@ type Switch struct {
 	// CtrlLatency is the control-channel one-way delay.
 	CtrlLatency time.Duration
 
-	mu        sync.Mutex
-	ports     []*netem.Port
-	routes    map[netem.IP]int
-	ranges    []rangeRoute
-	defRoute  int
-	table     []*flowEntry
-	seq       uint64
-	packetIns *vclock.Mailbox[PacketIn]
-	removals  *vclock.Mailbox[FlowRemoved]
-	connected bool
+	mu       sync.Mutex
+	ports    []*netem.Port
+	routes   map[netem.IP]int
+	ranges   []rangeRoute
+	defRoute int
+	table    []*flowEntry
+	seq      uint64
+	// handler is the connected controller; nil until Connect.
+	handler Handler
 
 	// removedCount tracks lazily evicted entries still occupying table
 	// slots, for amortized compaction (see compactLocked).
@@ -310,8 +310,6 @@ func NewSwitch(net *netem.Network, name string, n int) *Switch {
 		sigCount:    make(map[matchSig]int),
 		micro:       make(map[microKey]microEntry),
 		microOn:     true,
-		packetIns:   vclock.NewMailbox[PacketIn](net.Clock),
-		removals:    vclock.NewMailbox[FlowRemoved](net.Clock),
 		events:      vclock.NewMailbox[SwitchEvent](net.Clock),
 	}
 	for i := 1; i <= n; i++ {
@@ -324,14 +322,12 @@ func NewSwitch(net *netem.Network, name string, n int) *Switch {
 func (s *Switch) DeviceName() string { return s.name }
 
 // BindShardClock implements netem.ShardClockBinder: the switch's flow
-// timers and control-channel mailboxes move to the shard's clock. Call
-// it before any traffic or controller connection; the controller
-// receiving from these mailboxes must live on the same shard — the
-// control channel is an intra-shard primitive.
+// timers, control messages, and event mailbox move to the shard's
+// clock. Call it before any traffic or controller connection; the
+// connected controller must live on the same shard — the control
+// channel is an intra-shard primitive.
 func (s *Switch) BindShardClock(clk vclock.Clock) {
 	s.clk = clk
-	s.packetIns.Init(clk)
-	s.removals.Init(clk)
 	s.events.Init(clk)
 }
 
@@ -406,13 +402,25 @@ func (s *Switch) MicroStats() (hits, misses int64) {
 	return s.microHits, s.microMisses
 }
 
-// Connect attaches the controller; punted packets and flow removals are
-// delivered on the returned mailboxes after the control-channel latency.
-func (s *Switch) Connect() (*vclock.Mailbox[PacketIn], *vclock.Mailbox[FlowRemoved]) {
+// Handler receives a switch's asynchronous control messages. Both
+// methods are called on the clock's event loop, inline from the Post
+// callback that models the message crossing the control channel, so
+// they must not block: a handler that has to wait starts its own
+// goroutine for that.
+type Handler interface {
+	// PacketIn delivers a punted packet. The handler owns pin.Pkt and
+	// releases it when it is done with it.
+	PacketIn(sw *Switch, pin PacketIn)
+	// FlowRemoved reports an evicted entry.
+	FlowRemoved(sw *Switch, msg FlowRemoved)
+}
+
+// Connect attaches the controller: punted packets and flow removals are
+// delivered to h after the control-channel latency.
+func (s *Switch) Connect(h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.connected = true
-	return s.packetIns, s.removals
+	s.handler = h
 }
 
 // HandlePacket implements netem.Device: the flow table pipeline.
@@ -651,31 +659,22 @@ func (s *Switch) forwardNormal(pkt *netem.Packet) {
 
 func (s *Switch) puntToController(pkt *netem.Packet, inPort int) {
 	s.mu.Lock()
-	connected := s.connected
+	h := s.handler
 	s.punted++
 	s.mu.Unlock()
 	defer pkt.Release()
-	if !connected {
+	if h == nil {
 		return
 	}
-	delay := s.CtrlLatency
-	if f := s.faults.Load(); f != nil {
-		key := "pktin/" + pkt.Src.String() + ">" + pkt.Dst.String()
-		if f.drop(key, f.PacketInLoss) {
-			s.pktInDrops.Add(1)
-			return
-		}
-		if extra := f.delay(key); extra > 0 {
-			s.ctrlDelayed.Add(1)
-			delay += extra
-		}
+	delay, lost := s.channel(msgPacketIn, "pktin/", func() string { return flowName(pkt) })
+	if lost {
+		return
 	}
 	// The controller holds the punted copy while it deploys, so it gets
 	// its own clone; the controller releases it when done with it.
-	cp := pkt.Clone()
-	s.clk.Post(delay, func() {
-		s.packetIns.Send(PacketIn{Pkt: cp, InPort: inPort})
-	})
+	m := newMsg()
+	m.to, m.pkt, m.inPort = h, pkt.Clone(), inPort
+	s.clk.Post2(delay, packetInArrived, s, m)
 }
 
 // InstallFlow adds a flow entry (FlowMod ADD). The call models the
@@ -684,20 +683,26 @@ func (s *Switch) puntToController(pkt *netem.Packet, inPort int) {
 // installs the entry and the caller is not told — reconciliation is
 // what repairs the divergence.
 func (s *Switch) InstallFlow(spec FlowSpec) {
-	delay := s.CtrlLatency
-	if f := s.faults.Load(); f != nil {
-		key := "mod/" + spec.Match.String()
-		if f.drop(key, f.FlowModLoss) {
-			s.flowModDrops.Add(1)
-			s.clk.Sleep(delay)
-			return
-		}
-		if extra := f.delay(key); extra > 0 {
-			s.ctrlDelayed.Add(1)
-			delay += extra
-		}
-	}
+	delay, lost := s.channel(msgFlowMod, "mod/", spec.Match.String)
 	s.clk.Sleep(delay)
+	if !lost {
+		s.install(spec)
+	}
+}
+
+// PostInstallFlow is InstallFlow for callers on the clock's event loop,
+// which cannot sleep: the flow-mod is sent now, and then(arg) runs on
+// the event loop at the instant InstallFlow would have returned — the
+// entry active, or the message lost.
+func (s *Switch) PostInstallFlow(spec FlowSpec, then func(arg any), arg any) {
+	delay, lost := s.channel(msgFlowMod, "mod/", spec.Match.String)
+	m := newMsg()
+	m.spec, m.lost, m.then, m.arg = spec, lost, then, arg
+	s.clk.Post2(delay, flowModArrived, s, m)
+}
+
+// install activates one entry: the switch side of a delivered FlowMod.
+func (s *Switch) install(spec FlowSpec) {
 	s.mu.Lock()
 	e := s.installLocked(spec)
 	s.mu.Unlock()
@@ -719,32 +724,33 @@ func (s *Switch) installLocked(spec FlowSpec) *flowEntry {
 // armTimers starts an entry's idle and hard eviction timers.
 func (s *Switch) armTimers(e *flowEntry) {
 	if e.IdleTimeout > 0 {
-		s.scheduleIdleCheck(e, e.IdleTimeout)
+		s.clk.Post2(e.IdleTimeout, idleCheck, s, e)
 	}
 	if e.HardTimeout > 0 {
-		s.clk.Post(e.HardTimeout, func() {
-			s.evict(e, false)
-		})
+		s.clk.Post2(e.HardTimeout, hardExpire, s, e)
 	}
 }
 
-// scheduleIdleCheck arms the idle-eviction timer after wait, re-arming
-// lazily when the entry has seen traffic within its idle timeout.
-func (s *Switch) scheduleIdleCheck(e *flowEntry, wait time.Duration) {
-	s.clk.Post(wait, func() {
-		s.mu.Lock()
-		if e.removed {
-			s.mu.Unlock()
-			return
-		}
-		silent := s.clk.Since(e.lastUsed)
+// hardExpire is the hard-timeout timer's callback.
+func hardExpire(s, e any) { s.(*Switch).evict(e.(*flowEntry), false) }
+
+// idleCheck is the idle-eviction timer's callback: it evicts the entry
+// when it has been silent for its idle timeout, and otherwise re-arms
+// itself lazily for the remainder — traffic never touches the timer.
+func idleCheck(a, b any) {
+	s, e := a.(*Switch), b.(*flowEntry)
+	s.mu.Lock()
+	if e.removed {
 		s.mu.Unlock()
-		if silent >= e.IdleTimeout {
-			s.evict(e, true)
-			return
-		}
-		s.scheduleIdleCheck(e, e.IdleTimeout-silent)
-	})
+		return
+	}
+	silent := s.clk.Since(e.lastUsed)
+	s.mu.Unlock()
+	if silent >= e.IdleTimeout {
+		s.evict(e, true)
+		return
+	}
+	s.clk.Post2(e.IdleTimeout-silent, idleCheck, s, e)
 }
 
 // evict removes an entry and notifies the controller.
@@ -759,45 +765,28 @@ func (s *Switch) evict(e *flowEntry, idle bool) {
 	s.dropIndexLocked(e)
 	s.compactLocked()
 	s.epoch.Add(1)
-	connected := s.connected
+	h := s.handler
 	s.mu.Unlock()
-	if connected {
-		delay := s.CtrlLatency
-		if f := s.faults.Load(); f != nil {
-			key := "rem/" + e.Match.String()
-			if f.drop(key, f.FlowRemovedLoss) {
-				s.flowRemDrops.Add(1)
-				return
-			}
-			if extra := f.delay(key); extra > 0 {
-				s.ctrlDelayed.Add(1)
-				delay += extra
-			}
-		}
-		msg := FlowRemoved{Match: e.Match, Cookie: e.Cookie, IdleTimeout: idle}
-		s.clk.Post(delay, func() {
-			s.removals.Send(msg)
-		})
+	if h == nil {
+		return
 	}
+	delay, lost := s.channel(msgFlowRemoved, "rem/", e.Match.String)
+	if lost {
+		return
+	}
+	m := newMsg()
+	m.to, m.removed = h, FlowRemoved{Match: e.Match, Cookie: e.Cookie, IdleTimeout: idle}
+	s.clk.Post2(delay, flowRemovedArrived, s, m)
 }
 
 // DeleteFlows removes all entries with the given cookie (FlowMod
 // DELETE); no FlowRemoved is generated for explicit deletion.
 func (s *Switch) DeleteFlows(cookie uint64) int {
-	delay := s.CtrlLatency
-	if f := s.faults.Load(); f != nil {
-		key := fmt.Sprintf("del/%d", cookie)
-		if f.drop(key, f.FlowModLoss) {
-			s.flowModDrops.Add(1)
-			s.clk.Sleep(delay)
-			return 0
-		}
-		if extra := f.delay(key); extra > 0 {
-			s.ctrlDelayed.Add(1)
-			delay += extra
-		}
-	}
+	delay, lost := s.channel(msgFlowMod, "del/", func() string { return strconv.FormatUint(cookie, 10) })
 	s.clk.Sleep(delay)
+	if lost {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := s.table[:0]
@@ -874,20 +863,11 @@ func (s *Switch) compactLocked() {
 // and priority (FlowMod DELETE_STRICT); no FlowRemoved is generated.
 // It reports whether an entry was removed. Subject to flow-mod loss.
 func (s *Switch) DeleteExact(m Match, priority int) bool {
-	delay := s.CtrlLatency
-	if f := s.faults.Load(); f != nil {
-		key := "del/" + m.String()
-		if f.drop(key, f.FlowModLoss) {
-			s.flowModDrops.Add(1)
-			s.clk.Sleep(delay)
-			return false
-		}
-		if extra := f.delay(key); extra > 0 {
-			s.ctrlDelayed.Add(1)
-			delay += extra
-		}
-	}
+	delay, lost := s.channel(msgFlowMod, "del/", m.String)
 	s.clk.Sleep(delay)
+	if lost {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.deleteExactLocked(m, priority)
@@ -956,7 +936,7 @@ func (s *Switch) Barrier() bool {
 func (s *Switch) Restart() {
 	s.mu.Lock()
 	s.wipeTableLocked()
-	connected := s.connected
+	connected := s.handler != nil
 	s.mu.Unlock()
 	if connected {
 		at := s.clk.Now()
@@ -1027,20 +1007,27 @@ func (s *Switch) FlowTable() []FlowSpec {
 // PacketOut re-injects a packet held by the controller, applying the
 // given actions (typically after installing the redirect flows).
 func (s *Switch) PacketOut(pkt *netem.Packet, inPort int, actions []Action) {
-	delay := s.CtrlLatency
-	if f := s.faults.Load(); f != nil {
-		key := "out/" + pkt.Src.String() + ">" + pkt.Dst.String()
-		if f.drop(key, f.PacketOutLoss) {
-			s.pktOutDrops.Add(1)
-			s.clk.Sleep(delay)
-			return
-		}
-		if extra := f.delay(key); extra > 0 {
-			s.ctrlDelayed.Add(1)
-			delay += extra
-		}
-	}
+	delay, lost := s.channel(msgPacketOut, "out/", func() string { return flowName(pkt) })
 	s.clk.Sleep(delay)
+	if !lost {
+		s.packetOut(pkt, inPort, actions)
+	}
+}
+
+// PostPacketOut is PacketOut for callers on the clock's event loop:
+// the message is sent now, and then(arg) runs on the event loop at the
+// instant PacketOut would have returned. The switch re-injects a clone,
+// so the caller still owns pkt and may release it in then.
+func (s *Switch) PostPacketOut(pkt *netem.Packet, inPort int, actions []Action, then func(arg any), arg any) {
+	delay, lost := s.channel(msgPacketOut, "out/", func() string { return flowName(pkt) })
+	m := newMsg()
+	m.pkt, m.inPort, m.actions, m.lost, m.then, m.arg = pkt, inPort, actions, lost, then, arg
+	s.clk.Post2(delay, packetOutArrived, s, m)
+}
+
+// packetOut re-injects a clone of pkt: the switch side of a delivered
+// PacketOut.
+func (s *Switch) packetOut(pkt *netem.Packet, inPort int, actions []Action) {
 	if h := s.onPacketOut.Load(); h != nil {
 		(*h)(pkt, inPort)
 	}

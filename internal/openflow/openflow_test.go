@@ -167,7 +167,7 @@ func TestPacketInAndPacketOutWithHold(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		packetIns, _ := e.sw.Connect()
+		packetIns, _ := connectMailboxes(e.sw, e.clk)
 		cloudAddr := e.cloud.Addr(80)
 		// Intercept rule for the registered service.
 		e.sw.InstallFlow(FlowSpec{
@@ -231,7 +231,7 @@ func TestIdleTimeoutEvictsAndNotifies(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		_, removals := e.sw.Connect()
+		_, removals := connectMailboxes(e.sw, e.clk)
 		e.sw.InstallFlow(FlowSpec{
 			Priority:    20,
 			Match:       Match{DstIP: e.cloud.IP(), DstPort: 80},
@@ -259,7 +259,7 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		_, removals := e.sw.Connect()
+		_, removals := connectMailboxes(e.sw, e.clk)
 		e.sw.InstallFlow(FlowSpec{
 			Priority:    20,
 			Match:       Match{DstIP: e.cloud.IP()},
@@ -298,7 +298,7 @@ func TestHardTimeoutEvicts(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		_, removals := e.sw.Connect()
+		_, removals := connectMailboxes(e.sw, e.clk)
 		e.sw.InstallFlow(FlowSpec{
 			Priority:    20,
 			Match:       Match{DstIP: e.cloud.IP()},

@@ -58,16 +58,26 @@ func TestChaosInvariants(t *testing.T) {
 // controller counters are required — chaos schedules are precomputed
 // from the seed, so runs are exactly reproducible.
 //
-// Three counters are masked before comparing, all fed by same-instant
-// racing windows (the clock wakes one goroutine per advance, but a
-// goroutine that opens a gate or sends on a mailbox makes another
-// runnable alongside it): whether an audit snapshot sees a flow whose
-// install completes at the same virtual instant decides "already
-// present" vs "reinstalled"/"orphan", and whether a retransmitted SYN
-// beats its redirect rule to the switch by a hair decides if a punt —
-// and hence one packet-in loss roll — happens at all. All such races
-// are behavior-neutral (repairs are idempotent, retransmission absorbs
-// the punt), so everything else must match exactly.
+// Two counters are masked before comparing, because one race is left
+// and it is not in the control plane (packet-ins, flow-mods, packet-outs
+// and flow removals are clock events, ordered by the clock alone). The
+// hot services share one image, so their first deployments wait on one
+// coalesced pull and are released together when it completes; with more
+// than one P those goroutines run in parallel, and the order in which
+// they reach the Docker engine — which gives each instance its host
+// port and its readiness instant — is the Go scheduler's. From there
+// every later instant of those services shifts by microseconds, and the
+// two counters that count a window a few milliseconds wide move by a
+// few units: ReinstalledFlows (an audit snapshot that falls between a
+// mapping's Remember and its reverse rule reaching the switch) and
+// ChannelDrops (a SYN retransmission punts, and rolls packet-in loss,
+// only if it reaches the switch before its redirect rule). Both are
+// behavior-neutral (repairs are idempotent, retransmission absorbs the
+// punt). At GOMAXPROCS=1 every counter repeats (50 of 50 replays); at
+// two Ps these two differ in about half the replays and nothing else
+// does: OrphanFlowsRemoved, which used to be masked with them, held in
+// 250 of 250 — an orphan stays in the table until an audit deletes it,
+// so each is counted once whenever that is.
 func TestChaosDeterminism(t *testing.T) {
 	a, err := RunChaos("nginx", chaosTraceConfig(), DefaultChaosConfig(5), 5)
 	if err != nil {
@@ -79,7 +89,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	maskRaced := func(s core.Stats) core.Stats {
 		s.ReinstalledFlows = 0
-		s.OrphanFlowsRemoved = 0
 		s.ChannelDrops = 0
 		return s
 	}

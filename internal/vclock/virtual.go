@@ -27,6 +27,7 @@ type Virtual struct {
 	sched   evScheduler // pending events: timing wheel or heap fallback
 	kind    SchedulerKind
 	running int
+	spawned int64 // goroutines started via Go and AfterFunc, guarded by mu
 	stopped bool
 	free    []*event // event freelist, guarded by mu
 
@@ -161,6 +162,7 @@ func reserveStack(out *byte, i int) {
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
 	v.running++
+	v.spawned++
 	v.mu.Unlock()
 	go func() {
 		defer v.exit()
@@ -168,6 +170,16 @@ func (v *Virtual) Go(fn func()) {
 		reserveStack(&sink, 0)
 		fn()
 	}()
+}
+
+// Spawned reports how many goroutines the clock has started so far, via
+// Go and via fired AfterFunc timers. Event-driven code paths assert on
+// its delta: a path that runs to completion on the event loop spawns
+// none.
+func (v *Virtual) Spawned() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.spawned
 }
 
 func (v *Virtual) exit() {
@@ -403,6 +415,7 @@ func (v *Virtual) maybeAdvanceLocked() {
 			fn := ev.fn
 			v.putEventLocked(ev)
 			v.running++
+			v.spawned++
 			go func() {
 				defer v.exit()
 				var sink byte
