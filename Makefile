@@ -100,9 +100,13 @@ bench-load-save:
 # state, and one full 250k-flow / 500k-arrival open-loop run must hold
 # its measured ceiling sequential and sharded (6.14M allocs each with the
 # event-driven packet-in path, gated at +10 % — telemetry and the
-# barrier contribute none of them), and one complete handover (link re-home, make-before-break
+# barrier contribute none of them), one complete handover (link re-home, make-before-break
 # re-steer, route convergence, and a verified session round) must stay
-# under 64 allocs (measured 42). The (-\d+)?$ tail keeps the gates
+# under 64 allocs (measured 42), and one reconciler audit must stay at
+# the 3.0 allocations per flow its desired specs cost at 1 k, 10 k and
+# 100 k flows, converged or 1 % wrong (measured 3 019, 30 165 and
+# 301 521 per audit, gated at +10 %; rendering flows to strings to
+# compare them took 155 per flow). The (-\d+)?$ tail keeps the gates
 # matching on multi-core
 # runners, where go test suffixes -GOMAXPROCS.
 bench-load-guard:
@@ -126,6 +130,11 @@ bench-load-guard:
 	$(GO) test -bench='BenchmarkHandover$$' -benchtime=200x -benchmem -run=^$$ . | \
 		$(GO) run ./cmd/benchguard \
 			-gate 'BenchmarkHandover(-[0-9]+)?$$=64'
+	$(GO) test -bench='BenchmarkAudit' -benchtime=5x -benchmem -run=^$$ ./internal/core/ | \
+		$(GO) run ./cmd/benchguard \
+			-gate 'BenchmarkAudit/1k/=3320' \
+			-gate 'BenchmarkAudit/10k/=33200' \
+			-gate 'BenchmarkAudit/100k/=331700'
 
 # bench-handover-save archives the handover benchmark (BENCH_8.json is
 # this repo's checked-in mobility baseline: 42 allocs per complete

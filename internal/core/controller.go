@@ -20,6 +20,21 @@ const (
 	redirectPriority = 20
 )
 
+// puntActions is every punt rule's action list; nothing writes to it.
+var puntActions = []openflow.Action{openflow.OutputController{}}
+
+// puntSpec is the rule that intercepts requests for svc's registered
+// address (Fig. 2). Registration installs it and the reconciler audits
+// for it, both from here.
+func puntSpec(svc *Service) openflow.FlowSpec {
+	return openflow.FlowSpec{
+		Priority: puntPriority,
+		Match:    openflow.Match{DstIP: svc.Addr.IP, DstPort: svc.Addr.Port},
+		Actions:  puntActions,
+		Cookie:   svc.cookie,
+	}
+}
+
 // Config assembles a Controller.
 type Config struct {
 	// Host is the controller's network attachment, used for port
@@ -333,6 +348,9 @@ type Controller struct {
 	// stats is the atomic counter bank (see statCounters).
 	stats statCounters
 
+	// audit keeps the reconciler's buffers between audits (resync.go).
+	audit atomic.Pointer[auditBuffers]
+
 	// mu guards the deployment records and the start flag — cold-path
 	// state only; the packet-in fast path never takes it.
 	mu          sync.Mutex
@@ -489,12 +507,7 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 	// Intercept requests for the registered address (Fig. 2) on every
 	// managed ingress switch.
 	for _, sw := range c.switches {
-		sw.InstallFlow(openflow.FlowSpec{
-			Priority: puntPriority,
-			Match:    openflow.Match{DstIP: addr.IP, DstPort: addr.Port},
-			Actions:  []openflow.Action{openflow.OutputController{}},
-			Cookie:   svc.cookie,
-		})
+		sw.InstallFlow(puntSpec(svc))
 	}
 	if c.cfg.ProactiveDeploy {
 		// Proactive deployment (Fig. 1): bring the service up at the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,7 +296,12 @@ type Entry struct {
 
 // Entries snapshots all memorized flows.
 func (fm *FlowMemory) Entries() []Entry {
-	var out []Entry
+	return fm.AppendEntries(nil)
+}
+
+// AppendEntries is Entries appending to out.
+func (fm *FlowMemory) AppendEntries(out []Entry) []Entry {
+	out = slices.Grow(out, fm.Len())
 	for i := range fm.shards {
 		s := &fm.shards[i]
 		s.mu.Lock()

@@ -161,7 +161,7 @@ type resilienceRig struct {
 	svc  *Service
 }
 
-func newResilienceRig(t *testing.T, clk vclock.Clock, mut func(*Config), stubs ...*stubCluster) *resilienceRig {
+func newResilienceRig(t testing.TB, clk vclock.Clock, mut func(*Config), stubs ...*stubCluster) *resilienceRig {
 	t.Helper()
 	n := netem.NewNetwork(clk, 1)
 	sw := openflow.NewSwitch(n, "ovs", len(stubs)+2)

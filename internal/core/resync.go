@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/c3lab/transparentedge/internal/openflow"
 )
@@ -27,62 +27,51 @@ import (
 // the fault window ends: after the last fault, one audit makes the
 // table equal to the desired state.
 
-// flowIdent identifies one desired or installed flow for set
-// comparison: priority, match, and the rendered action list. Timeouts
-// and cookies are derived from the same spec constructors on both
-// sides, so they never diverge independently.
-func flowIdent(spec openflow.FlowSpec) string {
-	return fmt.Sprintf("%d|%s|%v", spec.Priority, spec.Match, spec.Actions)
+// auditBuffers is an audit's working memory, kept from one audit to the
+// next (Controller.audit): audits in a quiet stretch would otherwise
+// out-allocate the rest of the controller, all of it live to a GC cycle
+// that overlaps them. It stays as large as the largest table audited.
+type auditBuffers struct {
+	svcs            []*Service
+	entries         []Entry
+	actual, desired []openflow.FlowSpec
+	want            map[openflow.FlowID]bool // diffFlows' scratch
 }
 
-// desiredFlows computes the complete flow table switch sw should hold,
-// in deterministic order: punt rules for every registered service
-// (cookie order), then redirect pairs for every memorized flow whose
-// client last entered through sw (flow-key order). With the FlowMemory
-// disabled, redirects are not derivable and only punt rules are
-// reconciled.
-func (c *Controller) desiredFlows(sw *openflow.Switch) []openflow.FlowSpec {
+// desiredFlows computes, into buf.desired, the complete flow table
+// switch sw should hold, in deterministic order: punt rules for every
+// registered service (cookie order), then redirect pairs for every
+// memorized flow whose client last entered through sw (flow-key order).
+// With the FlowMemory disabled, redirects are not derivable and only
+// punt rules are reconciled.
+func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []openflow.FlowSpec {
 	tables := c.svc.Load()
-	svcs := make([]*Service, 0, len(tables.byCookie))
+	buf.svcs = buf.svcs[:0]
 	for _, svc := range tables.byCookie {
-		svcs = append(svcs, svc)
+		buf.svcs = append(buf.svcs, svc)
 	}
-	sort.Slice(svcs, func(i, j int) bool { return svcs[i].cookie < svcs[j].cookie })
-	specs := make([]openflow.FlowSpec, 0, len(svcs))
-	for _, svc := range svcs {
-		specs = append(specs, openflow.FlowSpec{
-			Priority: puntPriority,
-			Match:    openflow.Match{DstIP: svc.Addr.IP, DstPort: svc.Addr.Port},
-			Actions:  []openflow.Action{openflow.OutputController{}},
-			Cookie:   svc.cookie,
+	slices.SortFunc(buf.svcs, func(a, b *Service) int { return cmp.Compare(a.cookie, b.cookie) })
+	buf.desired = buf.desired[:0]
+	for _, svc := range buf.svcs {
+		buf.desired = append(buf.desired, puntSpec(svc))
+	}
+	if !c.cfg.DisableFlowMemory {
+		buf.entries = c.fm.AppendEntries(buf.entries[:0])
+		slices.SortFunc(buf.entries, func(a, b Entry) int {
+			return cmp.Or(cmp.Compare(a.Client, b.Client),
+				cmp.Compare(a.Service.IP, b.Service.IP), cmp.Compare(a.Service.Port, b.Service.Port))
 		})
+		swName := sw.DeviceName()
+		for _, e := range buf.entries {
+			if loc, ok := c.clients.location(e.Client); !ok || loc.Switch != swName {
+				continue
+			}
+			if svc, ok := tables.services[e.Service]; ok {
+				buf.desired = append(buf.desired, c.redirectSpecs(e.Client, svc, e.Instance)...)
+			}
+		}
 	}
-	if c.cfg.DisableFlowMemory {
-		return specs
-	}
-	entries := c.fm.Entries()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Client != entries[j].Client {
-			return entries[i].Client < entries[j].Client
-		}
-		if entries[i].Service.IP != entries[j].Service.IP {
-			return entries[i].Service.IP < entries[j].Service.IP
-		}
-		return entries[i].Service.Port < entries[j].Service.Port
-	})
-	swName := sw.DeviceName()
-	for _, e := range entries {
-		loc, ok := c.clients.location(e.Client)
-		if !ok || loc.Switch != swName {
-			continue
-		}
-		svc, ok := tables.services[e.Service]
-		if !ok {
-			continue
-		}
-		specs = append(specs, c.redirectSpecs(e.Client, svc, e.Instance)...)
-	}
-	return specs
+	return buf.desired
 }
 
 // auditSwitch runs one reconciliation pass against sw: orphans are
@@ -99,33 +88,13 @@ func (c *Controller) desiredFlows(sw *openflow.Switch) []openflow.FlowSpec {
 // snapshot, and everything the audit deletes is genuinely unjustified.
 func (c *Controller) auditSwitch(sw *openflow.Switch) {
 	c.stats.resyncRuns.Add(1)
-	actual := sw.FlowTable()
-	desired := c.desiredFlows(sw)
-	have := make(map[string]struct{}, len(actual))
-	for _, spec := range actual {
-		have[flowIdent(spec)] = struct{}{}
-	}
-	want := make(map[string]struct{}, len(desired))
-	for _, spec := range desired {
-		want[flowIdent(spec)] = struct{}{}
-	}
-	var deletes, installs []openflow.FlowSpec
-	for _, spec := range actual {
-		if _, ok := want[flowIdent(spec)]; ok {
-			continue
-		}
-		if c.cfg.DisableFlowMemory && spec.Priority != puntPriority {
-			// Redirects are not derivable without the memory: leave them
-			// to their idle timeouts.
-			continue
-		}
-		deletes = append(deletes, spec)
-	}
-	for _, spec := range desired {
-		if _, ok := have[flowIdent(spec)]; ok {
-			continue
-		}
-		installs = append(installs, spec)
+	deletes, installs := c.diffSwitch(sw)
+	if c.cfg.DisableFlowMemory {
+		// Redirects are not derivable without the memory: leave them to
+		// their idle timeouts.
+		deletes = slices.DeleteFunc(deletes, func(spec openflow.FlowSpec) bool {
+			return spec.Priority != puntPriority
+		})
 	}
 	if len(deletes) == 0 && len(installs) == 0 {
 		return
@@ -135,33 +104,64 @@ func (c *Controller) auditSwitch(sw *openflow.Switch) {
 	c.stats.reinstalledFlows.Add(int64(len(installs)))
 }
 
+// diffSwitch reads sw's table, then the desired state, and diffs them,
+// in the buffers the last audit left — or in fresh ones while another
+// audit, asleep in its flow-stats read, holds those.
+func (c *Controller) diffSwitch(sw *openflow.Switch) (orphans, missing []openflow.FlowSpec) {
+	buf := c.audit.Swap(nil)
+	if buf == nil {
+		buf = &auditBuffers{want: make(map[openflow.FlowID]bool)}
+	}
+	defer c.audit.Store(buf)
+	buf.actual = sw.AppendFlowTable(buf.actual[:0])
+	return diffFlows(buf.actual, c.desiredFlows(sw, buf), buf.want)
+}
+
+// diffFlows compares a switch's table with the desired state by flow
+// identity (openflow.FlowID — priority, match and folded actions; timeouts
+// and cookies come from the same spec constructors on both sides, so
+// they never diverge independently). Membership has set semantics —
+// identical duplicates on either side count as one rule — but the
+// results keep their input's order and its duplicates: orphans are the
+// actual flows no desired flow justifies (each needs its own delete),
+// missing the desired flows the table lacks. want is scratch.
+func diffFlows(actual, desired []openflow.FlowSpec, want map[openflow.FlowID]bool) (orphans, missing []openflow.FlowSpec) {
+	clear(want)
+	for i := range desired {
+		want[desired[i].ID()] = false
+	}
+	for i := range actual {
+		id := actual[i].ID()
+		if held, ok := want[id]; !ok {
+			orphans = append(orphans, actual[i])
+		} else if !held {
+			want[id] = true
+		}
+	}
+	for i := range desired {
+		if !want[desired[i].ID()] {
+			missing = append(missing, desired[i])
+		}
+	}
+	return orphans, missing
+}
+
+// distinctFlows counts the distinct identities in specs.
+func distinctFlows(specs []openflow.FlowSpec) int {
+	ids := make(map[openflow.FlowID]struct{}, len(specs))
+	for i := range specs {
+		ids[specs[i].ID()] = struct{}{}
+	}
+	return len(ids)
+}
+
 // AuditDiff reports how many flows differ between sw's live table and
 // the controller's desired state — the symmetric set difference, with
 // identical duplicates collapsing — without repairing anything. Tests
 // use it to assert post-chaos convergence.
 func (c *Controller) AuditDiff(sw *openflow.Switch) int {
-	actual := sw.FlowTable()
-	desired := c.desiredFlows(sw)
-	have := make(map[string]struct{}, len(actual))
-	for _, spec := range actual {
-		have[flowIdent(spec)] = struct{}{}
-	}
-	want := make(map[string]struct{}, len(desired))
-	for _, spec := range desired {
-		want[flowIdent(spec)] = struct{}{}
-	}
-	diff := 0
-	for id := range have {
-		if _, ok := want[id]; !ok {
-			diff++
-		}
-	}
-	for id := range want {
-		if _, ok := have[id]; !ok {
-			diff++
-		}
-	}
-	return diff
+	orphans, missing := c.diffSwitch(sw)
+	return distinctFlows(orphans) + distinctFlows(missing)
 }
 
 // ResyncNow audits every managed switch once, immediately.
@@ -198,7 +198,7 @@ func (c *Controller) watchSwitch(sw *openflow.Switch) {
 // resyncFromScratch rebuilds a restarted switch's entire table.
 func (c *Controller) resyncFromScratch(sw *openflow.Switch) {
 	c.stats.resyncRuns.Add(1)
-	specs := c.desiredFlows(sw)
+	specs := c.desiredFlows(sw, new(auditBuffers))
 	sw.ResyncFrom(specs)
 	c.stats.reinstalledFlows.Add(int64(len(specs)))
 }

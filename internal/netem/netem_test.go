@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -637,20 +638,29 @@ func TestConnectTwicePanics(t *testing.T) {
 	n.Connect(a.NIC(), c.NIC(), LinkConfig{})
 }
 
-// Property: any sequence of messages sent over a lossy link arrives
-// complete and in order.
+// Property: over a link that loses 15 % of its packets, a dial fails only
+// once the SYN retry budget is lost — all synRetries SYNs went out and
+// nothing ever came back — and then with ErrTimeout; on every connection
+// that is established, every message arrives, complete and in order.
+//
+// The inputs are pinned: quick's default source is seeded from the wall
+// clock, and about one loss seed in two thousand (0.28⁶ per dial: six
+// attempts each losing the SYN or its SYN-ACK) exhausts the SYN budget,
+// which the property used to count as a failure — a tier-1 flake. Such a
+// seed is kept below as a named case.
 func TestReliableDeliveryProperty(t *testing.T) {
-	f := func(msgs [][]byte, lossSeed int64) bool {
+	// run reports the dial's error and whether the property held.
+	run := func(msgs [][]byte, lossSeed int64) (dialErr error, ok bool) {
 		if len(msgs) > 30 {
 			msgs = msgs[:30]
 		}
 		clk := vclock.New()
-		ok := true
+		ok = true
 		clk.Run(func() {
 			n := NewNetwork(clk, lossSeed)
 			a := n.NewHost("a", ParseIP("10.0.0.1"))
 			b := n.NewHost("b", ParseIP("10.0.0.2"))
-			n.Connect(a.NIC(), b.NIC(), LinkConfig{Latency: time.Millisecond, LossRate: 0.15})
+			link := n.Connect(a.NIC(), b.NIC(), LinkConfig{Latency: time.Millisecond, LossRate: 0.15})
 			ln, _ := b.Listen(80)
 			done := vclock.NewGate()
 			var got [][]byte
@@ -671,7 +681,13 @@ func TestReliableDeliveryProperty(t *testing.T) {
 			})
 			c, err := a.DialTimeout(b.Addr(80), 2*time.Minute)
 			if err != nil {
-				ok = false
+				dialErr = err
+				st := link.Stats()
+				if err != ErrTimeout || st.SentAB != int64(synRetries) || st.DeliveredBA != 0 {
+					t.Logf("lossSeed %d: dial failed with %v after %d SYNs and %d replies delivered; only losing all %d SYNs' worth may fail it",
+						lossSeed, err, st.SentAB, st.DeliveredBA, synRetries)
+					ok = false
+				}
 				return
 			}
 			for _, m := range msgs {
@@ -689,9 +705,24 @@ func TestReliableDeliveryProperty(t *testing.T) {
 				}
 			}
 		})
+		return dialErr, ok
+	}
+	holds := func(msgs [][]byte, lossSeed int64) bool {
+		_, ok := run(msgs, lossSeed)
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(holds, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
+	// Regression: this seed loses all six handshake attempts (first seen
+	// as a time-seeded quick.Check failure).
+	t.Run("syn-budget-lost", func(t *testing.T) {
+		dialErr, ok := run([][]byte{[]byte("hello")}, 1280580746285082854)
+		if !ok {
+			t.Error("a dial that lost its whole SYN budget broke the property")
+		}
+		if dialErr == nil {
+			t.Error("the seed no longer loses the SYN budget (the loss draws changed): find one that does, or this case checks nothing")
+		}
+	})
 }

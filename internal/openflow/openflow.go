@@ -11,8 +11,9 @@
 package openflow
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -176,6 +177,38 @@ type FlowSpec struct {
 	Cookie uint64
 }
 
+// FlowID is a flow's comparable identity: its priority, its match, and
+// what its action list does to a packet — the set-fields folded to one
+// rewrite and the terminal (a port, NORMAL, the controller, or drop).
+// Two specs with equal IDs classify and treat every packet alike;
+// timeouts and cookies are not part of the identity. Reconcilers key
+// their table diff on it. The fields are ordered widest first so the
+// value has no interior padding and hashes as one block.
+type FlowID struct {
+	priority, inPort, outPort  int
+	srcIP, dstIP, toSrc, toDst netem.IP
+	srcPort, dstPort           uint16
+	toSrcPort, toDstPort       uint16
+	set                        netem.FieldMask
+	term                       terminal
+}
+
+// ID computes f's identity. The action list is read the way the pipeline
+// executes it: a later set-field of one field overrides an earlier one,
+// nothing after the terminal counts, and a list without a terminal
+// drops.
+func (f FlowSpec) ID() FlowID {
+	rw, term, port := compileActions(f.Actions)
+	m := f.Match
+	return FlowID{
+		priority: f.Priority, inPort: m.InPort, outPort: port,
+		srcIP: m.SrcIP, dstIP: m.DstIP, toSrc: rw.Src.IP, toDst: rw.Dst.IP,
+		srcPort: m.SrcPort, dstPort: m.DstPort,
+		toSrcPort: rw.Src.Port, toDstPort: rw.Dst.Port,
+		set: rw.Fields, term: term,
+	}
+}
+
 type flowEntry struct {
 	FlowSpec
 	seq      uint64
@@ -226,6 +259,8 @@ type Switch struct {
 	defRoute int
 	table    []*flowEntry
 	seq      uint64
+	// snap is snapshotLocked's sort buffer, kept between snapshots.
+	snap []*flowEntry
 	// handler is the connected controller; nil until Connect.
 	handler Handler
 
@@ -539,8 +574,9 @@ func (s *Switch) recordHopLocked(pkt *netem.Packet, e *flowEntry, epoch uint64) 
 		pkt.RecordHop(s, epoch, netem.Rewrite{}, mask, 0, s.touchNormal)
 		return
 	}
-	rw, ok := compileActions(e.Actions)
-	if !ok {
+	rw, term, _ := compileActions(e.Actions)
+	if term != termOutput && term != termNormal {
+		// Only a forwarding output can be replayed; punts and drops cannot.
 		pkt.AbortRecording()
 		return
 	}
@@ -569,11 +605,20 @@ func (s *Switch) touchNormal(_ *netem.Packet, _ time.Time) {
 	s.mu.Unlock()
 }
 
-// compileActions folds an action list into a single rewrite, reporting
-// whether the list is replayable: rewrites followed by a forwarding
-// output. Punts, drops, and output-less lists are not.
-func compileActions(actions []Action) (netem.Rewrite, bool) {
-	var rw netem.Rewrite
+// terminal is how an action list ends.
+type terminal uint8
+
+const (
+	termDrop       terminal = iota // Drop, or no output at all
+	termOutput                     // Output: a specific port
+	termNormal                     // OutputNormal
+	termController                 // OutputController
+)
+
+// compileActions folds an action list into the rewrite its set-fields
+// add up to, the terminal that ends it, and the terminal's port (for
+// termOutput). Actions after the terminal never run and are ignored.
+func compileActions(actions []Action) (rw netem.Rewrite, term terminal, port int) {
 	for _, a := range actions {
 		switch act := a.(type) {
 		case SetDstIP:
@@ -589,14 +634,16 @@ func compileActions(actions []Action) (netem.Rewrite, bool) {
 			rw.Fields |= netem.FieldSrcPort
 			rw.Src.Port = act.Port
 		case Output:
-			return rw, true
+			return rw, termOutput, act.Port
 		case OutputNormal:
-			return rw, true
-		default:
-			return netem.Rewrite{}, false
+			return rw, termNormal, 0
+		case OutputController:
+			return rw, termController, 0
+		case Drop:
+			return rw, termDrop, 0
 		}
 	}
-	return netem.Rewrite{}, false
+	return rw, termDrop, 0
 }
 
 // apply executes an action list on pkt.
@@ -981,27 +1028,75 @@ func (s *Switch) ResyncFrom(specs []FlowSpec) {
 	}
 }
 
+// compareMatch orders matches field by field, in the order String
+// renders them: in-port, source address and port, destination address
+// and port. Wildcards (zero) sort first.
+func compareMatch(a, b Match) int {
+	if c := cmp.Compare(a.InPort, b.InPort); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.SrcIP, b.SrcIP); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.DstIP, b.DstIP); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.DstPort, b.DstPort)
+}
+
+// compareEntries is the one order table snapshots are reported in:
+// priority descending, then match (compareMatch), then install order.
+func compareEntries(a, b *flowEntry) int {
+	if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+		return c
+	}
+	if c := compareMatch(a.Match, b.Match); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// snapshotLocked returns the live entries in compareEntries order, in
+// s.snap: the slice is valid until s.mu is released, and the caller
+// clears it before that so no removed entry stays reachable from it.
+// Callers hold s.mu.
+func (s *Switch) snapshotLocked() []*flowEntry {
+	live := s.snap[:0]
+	for _, e := range s.table {
+		if !e.removed {
+			live = append(live, e)
+		}
+	}
+	slices.SortFunc(live, compareEntries)
+	s.snap = live
+	return live
+}
+
 // FlowTable reads back the live table as FlowSpecs (a flow-stats
-// round trip), sorted by priority descending then match string. The
-// reconciler audits this snapshot against its desired state.
+// round trip), sorted by priority descending, then match field by
+// field, then install order. The reconciler audits this snapshot
+// against its desired state.
 func (s *Switch) FlowTable() []FlowSpec {
+	return s.AppendFlowTable(nil)
+}
+
+// AppendFlowTable is FlowTable appending to dst: a caller that audits
+// periodically hands back the buffer of its last audit, and a read of an
+// unchanged table then allocates nothing.
+func (s *Switch) AppendFlowTable(dst []FlowSpec) []FlowSpec {
 	s.clk.Sleep(2 * s.CtrlLatency)
 	s.mu.Lock()
-	out := make([]FlowSpec, 0, len(s.table))
-	for _, e := range s.table {
-		if e.removed {
-			continue
-		}
-		out = append(out, e.FlowSpec)
+	live := s.snapshotLocked()
+	dst = slices.Grow(dst, len(live))
+	for _, e := range live {
+		dst = append(dst, e.FlowSpec)
 	}
+	clear(live)
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].Match.String() < out[j].Match.String()
-	})
-	return out
+	return dst
 }
 
 // PacketOut re-injects a packet held by the controller, applying the
@@ -1049,30 +1144,23 @@ func (s *Switch) SetPacketOutHook(h func(pkt *netem.Packet, inPort int)) {
 	s.onPacketOut.Store(&h)
 }
 
-// Flows returns a snapshot of the table sorted by priority then install
-// order.
+// Flows returns a snapshot of the table's counters in FlowTable's order:
+// priority descending, then match field by field, then install order.
 func (s *Switch) Flows() []FlowStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]FlowStats, 0, len(s.table))
-	for _, e := range s.table {
-		if e.removed {
-			continue
-		}
-		out = append(out, FlowStats{
+	live := s.snapshotLocked()
+	out := make([]FlowStats, len(live))
+	for i, e := range live {
+		out[i] = FlowStats{
 			Priority: e.Priority,
 			Match:    e.Match,
 			Cookie:   e.Cookie,
 			Packets:  e.packets,
 			Bytes:    e.bytes,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
 		}
-		return out[i].Match.String() < out[j].Match.String()
-	})
+	}
+	clear(live)
 	return out
 }
 
