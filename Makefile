@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-quick bench-scale bench-save bench-sim bench-sim-save bench-sim-guard bench-load bench-load-save bench-load-guard bench-handover-save fastpath-diff sched-diff shard-diff seed-diff mobility-diff chaos-check
+.PHONY: build test race vet check bench bench-quick bench-scale bench-save bench-sim bench-sim-save bench-sim-guard bench-load bench-load-save bench-load-guard bench-handover-save fastpath-diff fuzz-smoke shard-diff seed-diff mobility-diff chaos-check
 
 build:
 	$(GO) build ./...
@@ -67,10 +67,10 @@ bench-sim-guard:
 			-gate 'BenchmarkBulkTransfer$$=24'
 
 # bench-load runs the scale benchmarks: the streaming-telemetry record
-# path, the O(1) Zipf alias draw, the scheduler at one million pending
-# timers (wheel vs heap, post/stop churn and firing drain), the
-# windowed shard-barrier round trip, and the 250k-flow open-loop load
-# engine end to end — sequential and sharded four ways.
+# path, the O(1) Zipf alias draw, the event queue at one million pending
+# timers (post/stop churn and firing drain), the windowed shard-barrier
+# round trip, and the 250k-flow open-loop load engine end to end —
+# sequential and sharded four ways.
 bench-load:
 	$(GO) test -bench='BenchmarkHistRecord' -benchtime=2s -benchmem -run=^$$ ./internal/metrics/
 	$(GO) test -bench='BenchmarkZipfAlias' -benchtime=2s -benchmem -run=^$$ ./internal/testbed/
@@ -94,11 +94,11 @@ bench-load-save:
 # counts: recording a latency sample into the streaming histogram and
 # drawing a Zipf rank through the alias table must be allocation-free
 # (measurement must never become the load engine's bottleneck again),
-# posting and cancelling a timer under a 1M-timer population must stay
-# allocation-free on the wheel, one windowed shard-barrier round trip
-# (Send2 + merge + block/resume) must be allocation-free in steady
-# state, and one full 250k-flow / 500k-arrival open-loop run must hold
-# its measured ceiling sequential and sharded (6.14M allocs each with the
+# one windowed shard-barrier round trip (Send2 + merge + block/resume)
+# must be allocation-free in steady state (the event queue's own zero
+# ceilings — post-stop, fire-and-re-arm, Sleep wake — are held in tier-1
+# by TestQueueAllocs in internal/vclock), and one full 250k-flow /
+# 500k-arrival open-loop run must hold its measured ceiling sequential and sharded (6.14M allocs each with the
 # event-driven packet-in path, gated at +10 % — telemetry and the
 # barrier contribute none of them), one complete handover (link re-home, make-before-break
 # re-steer, route convergence, and a verified session round) must stay
@@ -116,10 +116,6 @@ bench-load-guard:
 	$(GO) test -bench='BenchmarkZipfAlias' -benchtime=1000000x -benchmem -run=^$$ ./internal/testbed/ | \
 		$(GO) run ./cmd/benchguard \
 			-gate 'BenchmarkZipfAlias(-[0-9]+)?$$=0'
-	$(GO) test -bench='BenchmarkMillionTimers/wheel' -benchtime=100000x -benchmem -run=^$$ ./internal/vclock/ | \
-		$(GO) run ./cmd/benchguard \
-			-gate 'BenchmarkMillionTimers/wheel/post-stop(-[0-9]+)?$$=0' \
-			-gate 'BenchmarkMillionTimers/wheel/drain(-[0-9]+)?$$=0'
 	$(GO) test -bench='BenchmarkShardBarrier' -benchtime=100000x -benchmem -run=^$$ ./internal/vclock/ | \
 		$(GO) run ./cmd/benchguard \
 			-gate 'BenchmarkShardBarrier(-[0-9]+)?$$=0'
@@ -175,19 +171,17 @@ seed-diff:
 # mobility-diff verifies the handover subsystem is deterministic and
 # invisible to the execution knobs: the mobility experiment's output —
 # session checksum included — must be byte-identical across worker
-# counts, schedulers, and the fast path, and every session must survive
+# counts and the fast path, and every session must survive
 # every handover (zero continuity breaks is asserted by the run itself
 # failing the final line otherwise).
 mobility-diff:
 	$(GO) build -o /tmp/edgesim-mob ./cmd/edgesim
 	/tmp/edgesim-mob -exp mobility -seed 1 -parallel 1 > /tmp/mob-1.txt
 	/tmp/edgesim-mob -exp mobility -seed 1 -parallel 4 > /tmp/mob-4.txt
-	/tmp/edgesim-mob -exp mobility -seed 1 -sched heap > /tmp/mob-heap.txt
 	/tmp/edgesim-mob -exp mobility -seed 1 -no-fastpath > /tmp/mob-nofp.txt
 	diff /tmp/mob-1.txt /tmp/mob-4.txt
-	diff /tmp/mob-1.txt /tmp/mob-heap.txt
 	diff /tmp/mob-1.txt /tmp/mob-nofp.txt
-	@echo "mobility-diff: mobility output byte-identical across -parallel, -sched, -no-fastpath"
+	@echo "mobility-diff: mobility output byte-identical across -parallel, -no-fastpath"
 
 # fastpath-diff verifies the datapath fast path is invisible: the full
 # experiment suite must be byte-identical with the fast path on and off,
@@ -203,20 +197,13 @@ fastpath-diff:
 	diff /tmp/fpdiff-on.txt /tmp/fpdiff-off-par.txt
 	@echo "fastpath-diff: experiment outputs byte-identical"
 
-# sched-diff verifies the timing wheel is invisible: the full experiment
-# suite must be byte-identical under the wheel and the retained binary
-# heap, with and without the datapath fast path, sequentially and under
-# parallel replications.
-sched-diff:
-	$(GO) build -o /tmp/edgesim-sdiff ./cmd/edgesim
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched wheel > /tmp/sdiff-wheel.txt
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched heap > /tmp/sdiff-heap.txt
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched heap -no-fastpath > /tmp/sdiff-heap-nofp.txt
-	/tmp/edgesim-sdiff -exp all -n 5 -seed 1 -sched heap -parallel 4 > /tmp/sdiff-heap-par.txt
-	diff /tmp/sdiff-wheel.txt /tmp/sdiff-heap.txt
-	diff /tmp/sdiff-wheel.txt /tmp/sdiff-heap-nofp.txt
-	diff /tmp/sdiff-wheel.txt /tmp/sdiff-heap-par.txt
-	@echo "sched-diff: experiment outputs byte-identical under wheel and heap"
+# fuzz-smoke runs each native fuzz target for a short while from its
+# checked-in corpus (testdata/fuzz/<target>/, which plain `go test`
+# already replays as unit cases). One target per line: go test -fuzz
+# takes exactly one. -fuzzminimizetime caps the minimiser, which
+# otherwise may spend the whole budget shrinking the first new input.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s -fuzzminimizetime 1s ./internal/vclock/
 
 # chaos-check is the chaos-hardening gate: the full-trace chaos replay
 # must hold its invariants (exit 0) under the race detector's build,

@@ -17,9 +17,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strings"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -27,7 +27,6 @@ import (
 	"github.com/c3lab/transparentedge/internal/metrics"
 	"github.com/c3lab/transparentedge/internal/testbed"
 	"github.com/c3lab/transparentedge/internal/trace"
-	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
 var allServices = []string{"asm", "nginx", "resnet", "nginxpy"}
@@ -50,7 +49,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "workers for independent replications: 1 = sequential, 0 = GOMAXPROCS")
 	format := flag.String("format", "table", "output format for tabular results: table|csv")
 	noFastPath := flag.Bool("no-fastpath", false, "disable the datapath fast path (A/B verification; output must be identical)")
-	sched := flag.String("sched", "wheel", "event scheduler: wheel|heap (A/B verification; output must be identical)")
 	flows := flag.Int("flows", 0, "distinct flows for -exp load (default 20000; millions supported)")
 	rate := flag.Float64("rate", 0, "mean arrivals/s for -exp load (default 5000); mean handovers/s for -exp mobility (default 0.5)")
 	handovers := flag.Int("handovers", 0, "handover events for -exp mobility (default 16)")
@@ -72,12 +70,6 @@ func main() {
 		emit = func(t *metrics.Table) { fmt.Print(t.CSV()) }
 	}
 	testbed.DefaultNoFastPath = *noFastPath
-	kind, err := vclock.ParseSchedulerKind(*sched)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgesim: -sched: %v\n", err)
-		os.Exit(2)
-	}
-	vclock.SetDefaultScheduler(kind)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -222,7 +214,7 @@ func knownExp(name string) bool {
 // on mobile clients, a seeded random walk hopping them between the two
 // gNBs, make-before-break flow re-steering at each hop. Every number in
 // the table is virtual-time deterministic — byte-identical for a given
-// seed regardless of -parallel, -sched, or -no-fastpath.
+// seed regardless of -parallel or -no-fastpath.
 func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
 	cfg := testbed.MobilityConfig{Handovers: handovers, Migrate: migrate, Seed: seed}
 	if rate > 0 {
@@ -271,10 +263,9 @@ func writeProfile(name, path string) {
 
 // load runs the open-loop Poisson/Zipf arrival engine: -flows distinct
 // synthetic clients at -rate arrivals/s against pre-deployed services.
-// The table on stdout is deterministic for a given seed (and identical
-// under -sched wheel and -sched heap); the wall-clock throughput and
-// peak-heap lines go to stderr because they are the only host-dependent
-// numbers. Dispatch latency is recorded in the streaming histogram, so
+// The table on stdout is deterministic for a given seed; the wall-clock
+// throughput and peak-heap lines go to stderr because they are the only
+// host-dependent numbers. Dispatch latency is recorded in the streaming histogram, so
 // a multi-million-arrival run costs constant telemetry memory and the
 // peak-heap figure tracks the system under test, not the measurement.
 //

@@ -3,8 +3,6 @@ package testbed
 import (
 	"testing"
 	"time"
-
-	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
 // loadFingerprint reduces a LoadResult to its deterministic fields —
@@ -47,30 +45,6 @@ func TestLoadDeterminism(t *testing.T) {
 	for i := range fa {
 		if fa[i] != fb[i] {
 			t.Fatalf("fingerprint[%d] differs across identical runs: %d vs %d\n%v\n%v", i, fa[i], fb[i], fa, fb)
-		}
-	}
-}
-
-// TestLoadSchedulerDifferential runs the load engine under the timing
-// wheel and under the binary heap: the schedulers must be observably
-// interchangeable at whole-experiment granularity.
-func TestLoadSchedulerDifferential(t *testing.T) {
-	cfg := LoadConfig{Flows: 1500, Rate: 3000, Seed: 3}
-	run := func(kind vclock.SchedulerKind) []int64 {
-		prev := vclock.SetDefaultScheduler(kind)
-		defer vclock.SetDefaultScheduler(prev)
-		res, err := RunLoad(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loadFingerprint(t, res)
-	}
-	wheel := run(vclock.SchedulerWheel)
-	heap := run(vclock.SchedulerHeap)
-	for i := range wheel {
-		if wheel[i] != heap[i] {
-			t.Fatalf("fingerprint[%d] differs across schedulers: wheel %d, heap %d\nwheel %v\nheap  %v",
-				i, wheel[i], heap[i], wheel, heap)
 		}
 	}
 }

@@ -1,26 +1,16 @@
 package vclock
 
-// eventHeap is a binary min-heap ordered by (at, seq). The sift routines
-// are hand-rolled rather than going through container/heap: before the
-// timing wheel this was the single hottest data structure in a
-// simulation, and the interface-based API costs an indirect call per
-// comparison and swap. It survives behind SchedulerHeap so differential
-// tests can replay the same seed through two independent orderings.
+// eventHeap is a binary min-heap ordered by (atNS, seq): wheelSched's
+// near set, and through less the one place that decides the order
+// events fire in. The sift routines are hand-rolled rather than going
+// through container/heap, whose interface-based API costs an indirect
+// call per comparison and swap; event.index tracks each event's
+// position so a removal finds it without a search.
 type eventHeap []*event
 
-// heapSched adapts eventHeap to the evScheduler interface.
-type heapSched struct {
-	h eventHeap
-}
-
-func (s *heapSched) push(ev *event)   { s.h.push(ev) }
-func (s *heapSched) pop() *event      { return s.h.pop() }
-func (s *heapSched) remove(ev *event) { s.h.remove(ev.index) }
-func (s *heapSched) size() int        { return len(s.h) }
-
 func (h eventHeap) less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+	if h[i].atNS != h[j].atNS {
+		return h[i].atNS < h[j].atNS
 	}
 	return h[i].seq < h[j].seq
 }

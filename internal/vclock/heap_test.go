@@ -9,7 +9,7 @@ import (
 func mkEvents(ds ...time.Duration) []*event {
 	evs := make([]*event, len(ds))
 	for i, d := range ds {
-		evs[i] = &event{at: Epoch.Add(d), atNS: int64(d), seq: uint64(i + 1)}
+		evs[i] = &event{atNS: int64(d), seq: uint64(i + 1)}
 	}
 	return evs
 }
@@ -21,7 +21,7 @@ func (h eventHeap) check(t *testing.T) {
 			t.Fatalf("h[%d].index = %d", i, h[i].index)
 		}
 		if i > 0 && h.less(i, (i-1)/2) {
-			t.Fatalf("heap property violated at %d: %v < parent %v", i, h[i].at, h[(i-1)/2].at)
+			t.Fatalf("heap property violated at %d: %v < parent %v", i, h[i].atNS, h[(i-1)/2].atNS)
 		}
 	}
 }
@@ -75,8 +75,7 @@ func TestHeapRemoveRandomized(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			if len(h) == 0 || rng.Intn(3) != 0 {
 				seq++
-				ev := &event{at: Epoch.Add(time.Duration(rng.Intn(50))), seq: seq}
-				ev.atNS = int64(ev.at.Sub(Epoch))
+				ev := &event{atNS: int64(rng.Intn(50)), seq: seq}
 				h.push(ev)
 				live[ev] = true
 			} else {
@@ -93,8 +92,8 @@ func TestHeapRemoveRandomized(t *testing.T) {
 				t.Fatal("popped an event that was removed")
 			}
 			delete(live, ev)
-			if prev != nil && (ev.at.Before(prev.at) || (ev.at.Equal(prev.at) && ev.seq < prev.seq)) {
-				t.Fatalf("seed %d: pop out of order: (%v,%d) after (%v,%d)", seed, ev.at, ev.seq, prev.at, prev.seq)
+			if prev != nil && (ev.atNS < prev.atNS || (ev.atNS == prev.atNS && ev.seq < prev.seq)) {
+				t.Fatalf("seed %d: pop out of order: (%v,%d) after (%v,%d)", seed, ev.atNS, ev.seq, prev.atNS, prev.seq)
 			}
 			prev = ev
 		}

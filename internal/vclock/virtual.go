@@ -22,10 +22,8 @@ import (
 // goroutine instead of spawning a goroutine per firing.
 type Virtual struct {
 	mu      sync.Mutex
-	now     time.Time
 	seq     uint64
-	sched   evScheduler // pending events: timing wheel or heap fallback
-	kind    SchedulerKind
+	sched   wheelSched // pending events
 	running int
 	spawned int64 // goroutines started via Go and AfterFunc, guarded by mu
 	stopped bool
@@ -43,10 +41,11 @@ type Virtual struct {
 	onBlock   func(nextNS int64, empty bool)
 	blockSent bool
 
-	// base and offNS mirror now for lock-free reads: Now() is an atomic
-	// load instead of a mutex acquisition. Time only moves while every
-	// goroutine is parked, so the two views can never disagree from a
-	// runnable goroutine's perspective.
+	// The current time is base + offNS nanoseconds. offNS is written
+	// under mu, by the advancing goroutine only, and read lock-free:
+	// Now() is an atomic load instead of a mutex acquisition. Time only
+	// moves while every goroutine is parked, so a runnable goroutine can
+	// never observe it mid-update.
 	base  time.Time
 	offNS atomic.Int64
 
@@ -71,18 +70,17 @@ const (
 )
 
 type event struct {
-	at time.Time
-	// atNS is at expressed as nanoseconds since the clock's base
-	// instant: the integer time axis the timing wheel indexes by. It is
-	// exactly at.Sub(base), so (atNS, seq) order equals (at, seq) order.
+	// atNS is the firing instant in nanoseconds since the clock's base:
+	// the one time axis events are filed, ordered and fired on.
 	atNS int64
 	seq  uint64
-	// index is the heap position under SchedulerHeap; under the wheel
-	// it is 0 while queued. Both schedulers set it to -1 when the event
+	// index is the event's position while it is in the near heap and 0
+	// while it is on the wheel; the queue sets it to -1 when the event
 	// pops or is removed, which is what stopEvent keys off.
 	index int
 	// next/prev/slot are the timing wheel's intrusive slot-list links
-	// and location code (level<<wheelSlotBits | slot, or overflowSlot).
+	// and the event's location code (level<<wheelSlotBits | slot, or
+	// nearSlot).
 	next, prev *event
 	slot       int32
 	// gen guards Pending handles against freelist reuse: a handle whose
@@ -97,8 +95,7 @@ type event struct {
 
 // NewVirtual returns a virtual clock whose time starts at start.
 func NewVirtual(start time.Time) *Virtual {
-	kind := DefaultSchedulerKind()
-	return &Virtual{now: start, base: start, kind: kind, sched: newScheduler(kind, 0), horizonNS: math.MaxInt64}
+	return &Virtual{base: start, horizonNS: math.MaxInt64}
 }
 
 // Epoch is the default start instant for simulations: an arbitrary fixed
@@ -252,11 +249,23 @@ func (v *Virtual) Post2(d time.Duration, fn func(a, b any), a, b any) Pending {
 	return Pending{v: v, ev: ev, gen: ev.gen}
 }
 
+// maxAtNS is the latest firing instant an event can carry: one below
+// the math.MaxInt64 that horizonNS uses for "no horizon", so an
+// unsharded clock never holds an event back.
+const maxAtNS = math.MaxInt64 - 1
+
 // getEventLocked takes an event from the freelist (or allocates one) and
-// stamps it with the firing time and sequence number. Callers hold v.mu
-// and must push it onto the scheduler.
+// stamps it with the firing time and sequence number. Callers hold v.mu,
+// pass d ≥ 0 and must push the event onto the scheduler. A firing time
+// past the end of the int64 axis saturates at maxAtNS: the sum of two
+// non-negative int64s wraps to at most -2, which as a uint64 is still
+// above maxAtNS, so one compare catches both cases.
 func (v *Virtual) getEventLocked(d time.Duration, kind eventKind) *event {
-	return v.getEventAbsLocked(v.offNS.Load()+int64(d), kind)
+	atNS := v.offNS.Load() + int64(d)
+	if uint64(atNS) > maxAtNS {
+		atNS = maxAtNS
+	}
+	return v.getEventAbsLocked(atNS, kind)
 }
 
 // getEventAbsLocked is getEventLocked for an absolute firing instant
@@ -271,7 +280,6 @@ func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
 		ev = &event{}
 	}
 	v.seq++
-	ev.at = v.base.Add(time.Duration(atNS))
 	ev.atNS = atNS
 	ev.seq = v.seq
 	ev.kind = kind
@@ -377,9 +385,8 @@ func (v *Virtual) maybeAdvanceLocked() {
 				}
 				// Release the mutex before panicking so deferred cleanup in
 				// callers (e.g. Run) can still acquire it while unwinding.
-				now := v.now
 				v.mu.Unlock()
-				panic(fmt.Sprintf("vclock: deadlock at %s: all goroutines parked and no timers pending", now.Format(time.RFC3339Nano)))
+				panic(fmt.Sprintf("vclock: deadlock at %s: all goroutines parked and no timers pending", v.Now().Format(time.RFC3339Nano)))
 			}
 			ev = v.sched.pop()
 		} else if v.sched.size() > 0 {
@@ -401,9 +408,8 @@ func (v *Virtual) maybeAdvanceLocked() {
 			return
 		}
 		v.held = nil
-		if ev.at.After(v.now) {
-			v.now = ev.at
-			v.offNS.Store(int64(v.now.Sub(v.base)))
+		if ev.atNS > v.offNS.Load() {
+			v.offNS.Store(ev.atNS)
 		}
 		switch ev.kind {
 		case evWake:

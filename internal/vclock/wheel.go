@@ -1,38 +1,44 @@
 package vclock
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
-// Hierarchical timing wheel (Varghese–Lauck scheme 6/7): the default
-// evScheduler. Virtual time is handled as an int64 offset in
-// nanoseconds from the clock's base instant (event.atNS). The wheel has
-// wheelLevels levels of wheelSlots slots; a level-l slot spans
-// 2^(wheelSlotBits·l) ns, so level 0 resolves single nanoseconds and
-// the whole wheel covers 2^48 ns ≈ 78 hours ahead of the current time.
-// Events past that horizon sit in an unsorted overflow list and are
-// re-filed when the wheel reaches them.
+// The pending-event queue of a Virtual clock: a hierarchical timing
+// wheel (Varghese–Lauck scheme 6/7) for the future and one binary heap
+// for the present.
 //
-// Each slot is an intrusive doubly-linked list threaded through the
-// pooled event records (event.next/prev), so post, stop, and cascade
-// move pointers and never allocate. A level-0 slot holds exactly one
-// instant (1 ns wide) and is kept ordered by seq on insert — appending
-// at the tail is the common case because seq grows monotonically —
-// which is what preserves the engine's deterministic (at, seq) fire
-// order. Higher-level slots are unordered; order is restored when their
-// contents cascade down into level 0.
+// Virtual time is an int64 offset in nanoseconds from the clock's base
+// instant (event.atNS). The wheel does not index it by nanosecond but
+// by tick, atNS >> tickBits: a level-l slot spans 2^(wheelSlotBits·l)
+// ticks, and wheelLevels levels cover every tick a non-negative int64
+// instant can have, so there is no overflow list (the top level exists
+// for that alone: it is reached only 36 years out). cur, the cursor, is
+// the tick the queue has advanced to. Every queued event whose tick is
+// at or behind the cursor lives in near, a heap ordered by (atNS, seq)
+// — the only place in the clock that orders events. Wheel slots, level
+// 0 included, hold only ticks ahead of the cursor, as unordered
+// intrusive lists threaded through the pooled event records
+// (event.next/prev): post and stop there are O(1) pointer moves that
+// never allocate, and an event is moved once per level it descends
+// plus once into near, however far ahead it was posted.
 const (
+	// tickBits is the tick width, 2^12 ns ≈ 4 µs: a measured constant
+	// (DESIGN.md, "Timer wheel & load engine"), wide enough that a link
+	// delay or an arrival gap files on level 0 and reaches near in one
+	// move, narrow enough that near holds an event or two in every
+	// workload and stays cheap when thousands of timers share 100 µs.
+	tickBits = 12
+
 	wheelSlotBits = 8
 	wheelSlots    = 1 << wheelSlotBits // 256 slots per level
 	wheelMask     = wheelSlots - 1
-	wheelLevels   = 6
-	wheelSpanBits = wheelLevels * wheelSlotBits // 48
-	wheelSpan     = int64(1) << wheelSpanBits   // ≈ 78 h of lookahead
-	wheelWords    = wheelSlots / 64             // occupancy bitmap words per level
+	wheelLevels   = 7 // 7·8 tick bits + tickBits ≥ 63: every instant ≥ 0
+	wheelWords    = wheelSlots / 64
 
-	// overflowSlot marks an event parked on the overflow list.
-	overflowSlot = int32(wheelLevels << wheelSlotBits)
-	// pastSlot marks an event on the behind-cursor heap (see
-	// wheelSched.past).
-	pastSlot = overflowSlot + 1
+	// nearSlot marks an event resident in the near heap.
+	nearSlot = int32(wheelLevels << wheelSlotBits)
 )
 
 // wheelList is one slot's intrusive event list.
@@ -51,36 +57,6 @@ func (l *wheelList) append(ev *event) {
 	l.tail = ev
 }
 
-// insertBySeq files ev into a level-0 slot keeping seq order. All
-// events in a level-0 slot share one firing instant, so seq order is
-// full (at, seq) order. Scanning from the tail makes the monotone
-// common case (fresh events have the largest seq) O(1).
-func (l *wheelList) insertBySeq(ev *event) {
-	p := l.tail
-	for p != nil && p.seq > ev.seq {
-		p = p.prev
-	}
-	if p == nil {
-		ev.prev = nil
-		ev.next = l.head
-		if l.head != nil {
-			l.head.prev = ev
-		} else {
-			l.tail = ev
-		}
-		l.head = ev
-		return
-	}
-	ev.prev = p
-	ev.next = p.next
-	if p.next != nil {
-		p.next.prev = ev
-	} else {
-		l.tail = ev
-	}
-	p.next = ev
-}
-
 func (l *wheelList) unlink(ev *event) {
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -95,91 +71,62 @@ func (l *wheelList) unlink(ev *event) {
 	ev.next, ev.prev = nil, nil
 }
 
+// wheelSched's zero value is an empty queue with the cursor at the
+// clock's base instant. Callers hold the clock mutex.
 type wheelSched struct {
-	// cur is the wheel's notion of "now": the virtual-time offset (ns
-	// from the clock base) it has advanced to. Invariants: cur never
-	// exceeds the firing time of any queued event, and it never sits
-	// strictly inside the time window of an occupied level≥1 slot — pop
-	// cascades a slot the moment cur reaches its window start.
+	// cur is the cursor tick. Invariants: every wheel-resident event's
+	// tick is ahead of cur, every near-resident event's is at or behind
+	// it, and cur never sits strictly inside the window of a level ≥ 1
+	// slot that holds events of the current revolution — advance
+	// re-files a slot the moment cur reaches its window start.
 	cur int64
-	n   int
+	n   int // queued events, near and wheel together
+
+	near eventHeap
 
 	slots [wheelLevels][wheelSlots]wheelList
 	occ   [wheelLevels][wheelWords]uint64 // per-level slot occupancy bitmaps
-
-	// over holds events beyond the wheel horizon, unsorted. overMin
-	// tracks the minimum atNS on the list; removals may leave it stale
-	// low, which is harmless — a stale trigger just makes pop rescan
-	// the list one time and recompute the true minimum.
-	over    wheelList
-	overMin int64
-
-	// past holds events filed behind cur, ordered (at, seq). A lone
-	// clock never produces them — cur trails the firing point — but a
-	// sharded clock can: pop advances cur to the next local event, the
-	// horizon gate holds that event aside, and the window merge then
-	// delivers cross-shard records at earlier instants (≥ the clock's
-	// now, < cur). Every past event is strictly earlier than every
-	// wheel-resident event (cur never exceeds a queued wheel event's
-	// firing time), so pop drains this heap first without moving cur.
-	past eventHeap
-}
-
-func newWheelSched(curNS int64) *wheelSched {
-	return &wheelSched{cur: curNS}
+	used  [wheelLevels]int                // occupied slots per level
 }
 
 func (w *wheelSched) size() int { return w.n }
 
 func (w *wheelSched) push(ev *event) {
-	ev.index = 0 // queued; stopEvent keys off index < 0
 	w.n++
 	w.file(ev)
 }
 
-// file places ev by its delta from cur: the level is the position of
-// the delta's top bit divided down by wheelSlotBits, the slot is the
-// corresponding bit field of the absolute firing time. A negative
-// delta — a cross-shard record merged after cur popped ahead of the
-// clock's now — goes to the past heap instead; the slot math assumes
-// delta ≥ 0.
+// file places ev by its tick's distance from the cursor: at or behind
+// it — the cursor's own tick, or a cross-shard record merged after pop
+// moved the cursor past the clock's now — into near; otherwise the
+// level is the position of the distance's top bit divided down by
+// wheelSlotBits and the slot is the matching bit field of the tick.
 func (w *wheelSched) file(ev *event) {
-	delta := ev.atNS - w.cur
-	if delta < 0 {
-		ev.slot = pastSlot
-		w.past.push(ev)
+	tick := ev.atNS >> tickBits
+	delta := tick - w.cur
+	if delta <= 0 {
+		ev.slot = nearSlot
+		w.near.push(ev)
 		return
 	}
-	if delta >= wheelSpan {
-		ev.slot = overflowSlot
-		if w.over.head == nil || ev.atNS < w.overMin {
-			w.overMin = ev.atNS
-		}
-		w.over.append(ev)
-		return
-	}
-	level := 0
-	if delta > 0 {
-		level = (bits.Len64(uint64(delta)) - 1) / wheelSlotBits
-	}
-	s := int(uint64(ev.atNS)>>(uint(level)*wheelSlotBits)) & wheelMask
+	level := (bits.Len64(uint64(delta)) - 1) / wheelSlotBits
+	s := int(tick>>(uint(level)*wheelSlotBits)) & wheelMask
 	ev.slot = int32(level<<wheelSlotBits | s)
-	w.occ[level][s>>6] |= 1 << (uint(s) & 63)
-	if level == 0 {
-		w.slots[0][s].insertBySeq(ev)
-	} else {
-		w.slots[level][s].append(ev)
+	ev.index = 0 // queued; stopEvent keys off index < 0
+	l := &w.slots[level][s]
+	if l.head == nil {
+		w.occ[level][s>>6] |= 1 << (uint(s) & 63)
+		w.used[level]++
 	}
+	l.append(ev)
 }
 
-// remove unlinks a queued event in O(1) — this is what makes Stop on a
-// pending timer constant-time regardless of how many are queued.
+// remove takes a queued event out: O(1) on the wheel — what makes Stop
+// on a far timer constant-time however many are queued — and a heap
+// removal in near.
 func (w *wheelSched) remove(ev *event) {
-	if ev.slot == pastSlot {
-		w.past.remove(ev.index)
-	} else if ev.slot == overflowSlot {
-		w.over.unlink(ev)
-		// overMin may now be stale low; see the field comment.
+	if ev.slot == nearSlot {
+		w.near.remove(ev.index)
 	} else {
 		level := int(ev.slot) >> wheelSlotBits
 		s := int(ev.slot) & wheelMask
@@ -187,169 +134,105 @@ func (w *wheelSched) remove(ev *event) {
 		l.unlink(ev)
 		if l.head == nil {
 			w.occ[level][s>>6] &^= 1 << (uint(s) & 63)
+			w.used[level]--
 		}
+		ev.index = -1
 	}
-	ev.slot = -1
-	ev.index = -1
 	w.n--
 }
 
 // nextOcc finds the first occupied slot at or circularly after from,
-// scanning the occupancy bitmap.
-func nextOcc(bm *[wheelWords]uint64, from int) (int, bool) {
+// scanning the occupancy bitmap. The level must have one.
+func nextOcc(bm *[wheelWords]uint64, from int) int {
 	wi := from >> 6
 	off := uint(from) & 63
 	if word := bm[wi] >> off << off; word != 0 {
-		return wi<<6 + bits.TrailingZeros64(word), true
+		return wi<<6 + bits.TrailingZeros64(word)
 	}
-	for k := 1; k <= wheelWords; k++ {
+	for k := 1; ; k++ {
 		i := (wi + k) & (wheelWords - 1)
 		if bm[i] != 0 {
-			return i<<6 + bits.TrailingZeros64(bm[i]), true
+			return i<<6 + bits.TrailingZeros64(bm[i])
 		}
 	}
-	return 0, false
 }
 
-// minLevel0 returns the earliest level-0 firing time and its slot.
-// Level-0 slots within the live window [cur, cur+256) map uniquely:
-// slot index == firing time mod 256, and a slot numerically equal to
-// cur's own position can only hold atNS == cur (an event 256 ns out
-// would have delta 256 and sit on level 1), so distance 0 is exact.
-func (w *wheelSched) minLevel0() (int64, int, bool) {
-	idx := int(uint64(w.cur)) & wheelMask
-	s, ok := nextOcc(&w.occ[0], idx)
-	if !ok {
-		return 0, 0, false
-	}
-	return w.cur + int64((s-idx)&wheelMask), s, true
-}
-
-// minHigher returns the earliest window start among occupied level≥1
-// slots, with the level and slot index; level < 0 means none.
-//
-// The subtle case is an occupied slot whose index equals cur's own
-// position at that level. If cur sits exactly on the slot's window
-// start, the contents belong to the current revolution and must
-// cascade now (an event a full revolution out would have had an insert
-// delta ≥ 2^(8(l+1)), which files one level up — impossible here). If
-// cur is strictly inside the window, the slot was already cascaded
-// when cur crossed its start, so anything in it now was inserted later
-// with a carry out of the low bits: it is one revolution ahead, and
-// the next-earliest occupied slot after it (or itself at distance 256)
-// is the real candidate.
-func (w *wheelSched) minHigher() (int64, int, int) {
-	tH, lH, sH := int64(0), -1, 0
-	for level := 1; level < wheelLevels; level++ {
-		shift := uint(level) * wheelSlotBits
-		idx := int(uint64(w.cur)>>shift) & wheelMask
-		s, ok := nextOcc(&w.occ[level], idx)
-		if !ok {
-			continue
-		}
-		dist := int64((s - idx) & wheelMask)
-		if s == idx && w.cur&(int64(1)<<shift-1) != 0 {
-			s2, _ := nextOcc(&w.occ[level], (idx+1)&wheelMask)
-			if s2 == idx {
-				dist = wheelSlots
-			} else {
-				s = s2
-				dist = int64((s2 - idx) & wheelMask)
-			}
-		}
-		start := (w.cur>>shift + dist) << shift
-		if lH < 0 || start < tH {
-			tH, lH, sH = start, level, s
-		}
-	}
-	return tH, lH, sH
-}
-
-// pop removes and returns the (at, seq)-minimal event. It advances cur
-// by jumps: cascade the earliest occupied higher-level slot whenever
-// its window start is at or before the earliest level-0 event (so
-// same-instant events meet in a seq-ordered level-0 slot before any of
-// them fires), re-file the overflow list whenever its minimum is due,
-// and otherwise fire the head of the earliest level-0 slot.
+// pop removes and returns the (at, seq)-minimal event. Only called with
+// size() > 0.
 func (w *wheelSched) pop() *event {
-	if len(w.past) > 0 {
-		// Behind-cursor records precede everything on the wheel; cur
-		// stays put so wheel-resident deltas keep their meaning.
-		ev := w.past.pop()
-		ev.slot = -1
-		w.n--
-		return ev
+	for len(w.near) == 0 {
+		w.advance()
 	}
-	for {
-		t0, s0, ok0 := w.minLevel0()
-		tH, lH, sH := w.minHigher()
-		if w.over.head != nil {
-			m := w.overMin
-			if (!ok0 || m <= t0) && (lH < 0 || m <= tH) {
-				if m > w.cur {
-					w.cur = m
-				}
-				w.refileOverflow()
-				continue
-			}
+	w.n--
+	return w.near.pop()
+}
+
+// advance moves the cursor to the earliest window start among occupied
+// slots and re-files every slot that starts there — several levels can
+// tie, and all of the new tick's events must be in near before any of
+// them pops. Events of the cursor's new tick go to near; the rest land
+// at a strictly lower level, in a slot that starts later, because their
+// distance is now below their old slot's width. Called only with near
+// empty, so the wheel is not.
+func (w *wheelSched) advance() {
+	var start [wheelLevels]int64
+	var slot [wheelLevels]int
+	best := int64(math.MaxInt64)
+	for level := range start {
+		start[level] = math.MaxInt64
+		if w.used[level] > 0 {
+			start[level], slot[level] = w.earliest(level)
 		}
-		if lH >= 0 && (!ok0 || tH <= t0) {
-			w.cur = tH
-			w.cascade(lH, sH)
-			continue
+		if start[level] < best {
+			best = start[level]
 		}
-		// pop is only called with n > 0, and every queued event is
-		// reachable by one of the three scans, so ok0 holds here.
-		l := &w.slots[0][s0]
-		ev := l.head
-		l.unlink(ev)
-		if l.head == nil {
-			w.occ[0][s0>>6] &^= 1 << (uint(s0) & 63)
+	}
+	w.cur = best
+	for level, at := range start {
+		if at == best {
+			w.refile(level, slot[level])
 		}
-		w.cur = t0
-		ev.slot = -1
-		ev.index = -1
-		w.n--
-		return ev
 	}
 }
 
-// cascade empties one level≥1 slot whose window start cur has reached,
-// re-filing each event by its remaining delta. Every event lands at a
-// strictly lower level because its delta is now below the slot width.
-func (w *wheelSched) cascade(level, s int) {
+// earliest returns the window start (a tick) and index of the slot on
+// an occupied level that the cursor reaches first.
+//
+// The subtle case is the slot at the cursor's own position on a level
+// ≥ 1. If the cursor sits exactly on that slot's window start, the
+// contents belong to the current revolution and are due now (an event a
+// full revolution out would have had a distance ≥ 2^(8(l+1)) when
+// filed, which files one level up), so the scan starts there. If the
+// cursor is strictly inside the window, the slot was already re-filed
+// when the cursor reached its start; anything in it now was filed later
+// with a carry out of the low bits and is one revolution ahead, so the
+// scan starts one slot on and finds the own slot last, at distance 256.
+// Level 0 has no such case: its slots are one tick wide and the
+// cursor's own tick lives in near.
+func (w *wheelSched) earliest(level int) (start int64, slot int) {
+	shift := uint(level) * wheelSlotBits
+	inside := 0
+	if w.cur&(int64(1)<<shift-1) != 0 {
+		inside = 1
+	}
+	from := int(w.cur>>shift) + inside
+	slot = nextOcc(&w.occ[level], from&wheelMask)
+	dist := (slot - from) & wheelMask
+	return (w.cur>>shift + int64(inside+dist)) << shift, slot
+}
+
+// refile empties one slot whose window start the cursor has reached,
+// filing each event again by its remaining distance.
+func (w *wheelSched) refile(level, s int) {
 	l := &w.slots[level][s]
 	ev := l.head
 	*l = wheelList{}
 	w.occ[level][s>>6] &^= 1 << (uint(s) & 63)
+	w.used[level]--
 	for ev != nil {
 		next := ev.next
 		ev.next, ev.prev = nil, nil
 		w.file(ev)
-		ev = next
-	}
-}
-
-// refileOverflow moves every overflow event now within the wheel
-// horizon onto the wheel and recomputes overMin for the rest. After a
-// pass, anything still on the list is at least wheelSpan past cur, so
-// overMin cannot re-trigger before the wheel has work to do.
-func (w *wheelSched) refileOverflow() {
-	ev := w.over.head
-	w.over = wheelList{}
-	w.overMin = 0
-	for ev != nil {
-		next := ev.next
-		ev.next, ev.prev = nil, nil
-		if ev.atNS-w.cur < wheelSpan {
-			w.file(ev)
-		} else {
-			ev.slot = overflowSlot
-			if w.over.head == nil || ev.atNS < w.overMin {
-				w.overMin = ev.atNS
-			}
-			w.over.append(ev)
-		}
 		ev = next
 	}
 }
