@@ -97,9 +97,9 @@ func main() {
 			}
 		}()
 	}
-	// -blockprofile and -mutexprofile are the sharded engine's
-	// diagnostics: barrier stalls show up as channel waits in the block
-	// profile, outbox contention in the mutex profile.
+	// -blockprofile and -mutexprofile show where goroutines wait: channel
+	// and condition waits in the block profile, lock contention in the
+	// mutex profile.
 	if *blockprofile != "" {
 		runtime.SetBlockProfileRate(1)
 		defer writeProfile("block", *blockprofile)

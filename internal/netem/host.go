@@ -31,9 +31,8 @@ type Host struct {
 	name string
 	ip   IP
 	nic  *Port
-	// clk is the clock this host's transport runs on: the network clock,
-	// or the shard clock after BindShards. Set before traffic flows and
-	// read-only afterwards.
+	// clk is the clock this host's transport runs on: the network
+	// clock. Set at creation and read-only afterwards.
 	clk vclock.Clock
 
 	mu        sync.Mutex

@@ -65,14 +65,6 @@ type Link struct {
 	a   *Port
 	b   *Port
 
-	// Per-direction clocks for sharded execution: a transmission runs on
-	// the sending device's shard clock. Both default to clk; BindShards
-	// rebinds them. xAB/xBA are set when the endpoints live on different
-	// shards — delivery then crosses via the group's record exchange
-	// instead of a local Post2.
-	clkA, clkB vclock.Clock
-	xAB, xBA   *shardBoundary
-
 	// down marks the link administratively/physically dead: every packet
 	// offered while set is dropped. Atomic so the fast-path validator can
 	// check it without taking mu.
@@ -119,22 +111,15 @@ func (l *Link) transmit(pkt *Packet, from *Port) {
 	if pkt.rec != nil {
 		pkt.recordLink(l, from == l.a)
 	}
-	clk, x := l.clk, (*shardBoundary)(nil)
 	l.mu.Lock()
 	var nextFree *time.Time
 	var to *Port
 	if from == l.a {
 		nextFree, to = &l.nextFreeA, l.b
 		l.sentA++
-		if l.clkA != nil {
-			clk, x = l.clkA, l.xAB
-		}
 	} else {
 		nextFree, to = &l.nextFreeB, l.a
 		l.sentB++
-		if l.clkB != nil {
-			clk, x = l.clkB, l.xBA
-		}
 	}
 	if l.down.Load() {
 		if from == l.a {
@@ -157,7 +142,7 @@ func (l *Link) transmit(pkt *Packet, from *Port) {
 		pkt.Release()
 		return
 	}
-	now := clk.Now()
+	now := l.clk.Now()
 	start := now
 	if nextFree.After(start) {
 		start = *nextFree
@@ -171,16 +156,7 @@ func (l *Link) transmit(pkt *Packet, from *Port) {
 	deliverAt := end.Add(l.cfg.Latency)
 	l.mu.Unlock()
 
-	if x != nil {
-		// Boundary link: the packet changes shards. Ownership transfers
-		// with the record — the receiving shard's clock fires the same
-		// deliverPacket callback once the window containing deliverAt
-		// opens. The delay is ≥ the link latency ≥ the group lookahead,
-		// which is exactly the conservative safety condition.
-		x.g.Send2(x.from, x.to, deliverAt.Sub(now), deliverPacket, pkt, to)
-		return
-	}
-	clk.Post2(deliverAt.Sub(now), deliverPacket, pkt, to)
+	l.clk.Post2(deliverAt.Sub(now), deliverPacket, pkt, to)
 }
 
 // LinkStats reports per-direction link counters. Sent counts every

@@ -30,10 +30,6 @@ type Network struct {
 	// fastpathOff disables compiled delivery and segment trains; the
 	// zero value means the fast path is on. See SetFastPath.
 	fastpathOff atomic.Bool
-	// bindNewLink, set by BindShards, applies the partition's
-	// device→shard clock assignment to links created after the bind
-	// (host re-homing); nil in unsharded runs. Guarded by mu.
-	bindNewLink func(*Link)
 }
 
 // NewNetwork returns an empty topology driven by clk. seed feeds the

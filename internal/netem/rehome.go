@@ -40,11 +40,6 @@ func (h *Host) clearPlans() {
 // the network's accounting — its Stats (including DownDrops for
 // packets lost in the handover gap) remain readable.
 //
-// Under a sharded clock (after BindShards) the new link is bound with
-// the same device→shard assignment as the original topology; a re-home
-// that would create a cross-shard link faster than the group's
-// lookahead panics, as it would in BindShards itself.
-//
 // Rehome panics when h has no access link or newPeer is already
 // connected — both are orchestration bugs, not runtime conditions.
 func (n *Network) Rehome(h *Host, newPeer *Port, cfg LinkConfig) *Link {
@@ -67,12 +62,5 @@ func (n *Network) Rehome(h *Host, newPeer *Port, cfg LinkConfig) *Link {
 	far.link, far.peer = nil, nil
 	// Every compiled plan originating here starts at the severed link.
 	h.clearPlans()
-	l := n.Connect(nic, newPeer, cfg)
-	n.mu.Lock()
-	bind := n.bindNewLink
-	n.mu.Unlock()
-	if bind != nil {
-		bind(l)
-	}
-	return l
+	return n.Connect(nic, newPeer, cfg)
 }

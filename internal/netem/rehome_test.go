@@ -259,91 +259,3 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
-
-// TestRehomeUnderShards verifies a re-home after BindShards: the new
-// access link inherits the partition's device→shard binding, so a host
-// moved onto a router living on another shard gets a proper boundary
-// link — and the session's bytes survive the move intact.
-func TestRehomeUnderShards(t *testing.T) {
-	run := func(shards int) (sum uint64, msgs int) {
-		sum = fnvOffset
-		g := vclock.NewShardGroup(shards)
-		n := NewNetwork(g.Shard(0), 1)
-		client := n.NewHost("client", ParseIP("10.0.0.1"))
-		server := n.NewHost("server", ParseIP("10.0.0.100"))
-		r1 := NewRouter(n, "r1", 4)
-		r2 := NewRouter(n, "r2", 4)
-		access := LinkConfig{Latency: 2 * time.Millisecond, Bandwidth: GbpsToBytes(1)}
-		n.Connect(client.NIC(), r1.Port(0), access)
-		n.Connect(server.NIC(), r1.Port(1), access)
-		n.Connect(r1.Port(2), r2.Port(2), LinkConfig{Latency: 2 * time.Millisecond, Bandwidth: GbpsToBytes(10)})
-		r1.AddRoute(client.IP(), r1.Port(0))
-		r1.AddRoute(server.IP(), r1.Port(1))
-		r2.SetDefault(r2.Port(2))
-		assign := map[Device]int{}
-		if shards > 1 {
-			// r2 lives on its own shard: the re-homed access link
-			// becomes a boundary link.
-			assign[r2] = 1
-		}
-		n.BindShards(g, assign)
-		ln, err := server.Listen(80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Run(func(shard int) {
-			clk := g.Shard(shard)
-			if shard != 0 {
-				// Keep the router's shard alive until the exchange ends.
-				clk.Sleep(30 * time.Second)
-				return
-			}
-			clk.Go(func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				for {
-					m, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					sum = fnvSum(sum, m)
-					msgs++
-					if conn.Send(m) != nil {
-						return
-					}
-				}
-			})
-			conn, err := client.Dial(HostPort{IP: server.IP(), Port: 80})
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			for i := 0; i < 10; i++ {
-				if i == 5 {
-					n.Rehome(client, r2.Port(0), access)
-					r2.AddRoute(client.IP(), r2.Port(0))
-					r1.AddRoute(client.IP(), r1.Port(2))
-				}
-				if err := conn.Send([]byte(fmt.Sprintf("m%02d", i))); err != nil {
-					t.Errorf("send %d: %v", i, err)
-					return
-				}
-				if _, err := conn.RecvTimeout(20 * time.Second); err != nil {
-					t.Errorf("recv %d: %v", i, err)
-					return
-				}
-			}
-			conn.Close()
-			clk.Sleep(time.Second)
-		})
-		return sum, msgs
-	}
-	sum1, msgs1 := run(1)
-	sum2, msgs2 := run(2)
-	if msgs1 != 10 || msgs1 != msgs2 || sum1 != sum2 {
-		t.Fatalf("sharded re-home diverged: seq (%d msgs, sum %x) vs sharded (%d msgs, sum %x)",
-			msgs1, sum1, msgs2, sum2)
-	}
-}

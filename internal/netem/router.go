@@ -51,10 +51,6 @@ func NewRouter(n *Network, name string, ports int) *Router {
 // DeviceName implements Device.
 func (r *Router) DeviceName() string { return r.name }
 
-// BindShardClock implements ShardClockBinder: forwarding delays are
-// scheduled on the shard's clock after Network.BindShards.
-func (r *Router) BindShardClock(clk vclock.Clock) { r.clk = clk }
-
 // Port returns the i-th port.
 func (r *Router) Port(i int) *Port { return r.ports[i] }
 

@@ -356,16 +356,6 @@ func NewSwitch(net *netem.Network, name string, n int) *Switch {
 // DeviceName implements netem.Device.
 func (s *Switch) DeviceName() string { return s.name }
 
-// BindShardClock implements netem.ShardClockBinder: the switch's flow
-// timers, control messages, and event mailbox move to the shard's
-// clock. Call it before any traffic or controller connection; the
-// connected controller must live on the same shard — the control
-// channel is an intra-shard primitive.
-func (s *Switch) BindShardClock(clk vclock.Clock) {
-	s.clk = clk
-	s.events.Init(clk)
-}
-
 // Port returns the port numbered i (1-based).
 func (s *Switch) Port(i int) *netem.Port {
 	return s.ports[i-1]

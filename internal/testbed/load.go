@@ -69,8 +69,8 @@ type LoadConfig struct {
 	// so all of a service's arrivals must replay on one clock. Distinct
 	// services never exchange virtual time (RunLoad pins the Docker API
 	// jitter, the one cross-service coupling), so the partition has no
-	// cross-shard edges and the conservative engine runs in its
-	// infinite-lookahead degenerate mode: no barriers at all.
+	// cross-shard edges: the shards are independent clocks that never
+	// synchronize until the merge.
 	Shards int
 }
 
@@ -182,24 +182,24 @@ const loadHeapSampleEvery = 1 << 16
 // expiry) are exactly the pending-timer population the hierarchical
 // timing wheel exists to serve.
 //
-// With Shards > 1 the run is split across cores (see LoadConfig.Shards
-// and mergeLoadResults); every deterministic field of the result is
-// identical to the sequential run.
+// The run is cfg.Shards replicas, each on its own clock (see
+// LoadConfig.Shards), folded by mergeLoadResults — the identity for one
+// shard; every deterministic field of the result is the same for every
+// shard count.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Shards > 1 {
-		return runLoadSharded(cfg)
-	}
-	res := newLoadResult(cfg)
-	clk := vclock.New()
-	var runErr error
 	wallStart := time.Now()
-	clk.Run(func() {
-		runErr = runLoadShard(clk, cfg, 0, 1, res)
+	parts, err := RunParallel(cfg.Shards, cfg.Shards, func(shard int) (*LoadResult, error) {
+		res := newLoadResult(cfg)
+		clk := vclock.New()
+		var err error
+		clk.Run(func() { err = runLoadShard(clk, cfg, shard, cfg.Shards, res) })
+		return res, err
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
+	res := mergeLoadResults(parts)
 	res.Wall = time.Since(wallStart)
 	return res, nil
 }
@@ -391,32 +391,6 @@ func runLoadShard(clk vclock.Clock, cfg LoadConfig, shard, shards int, res *Load
 	res.Stats = tb.Controller.Stats()
 	res.DroppedReplies = tb.Client(0).Dropped()
 	return nil
-}
-
-// runLoadSharded fans one run out across cfg.Shards replicas under a
-// ShardGroup and merges the per-shard results. The service partition
-// has no cross-shard edges, so the group runs in its infinite-lookahead
-// mode: shards execute fully concurrently, barrier-free, and the merge
-// below is the only synchronization point.
-func runLoadSharded(cfg LoadConfig) (*LoadResult, error) {
-	n := cfg.Shards
-	parts := make([]*LoadResult, n)
-	errs := make([]error, n)
-	g := vclock.NewShardGroup(n)
-	wallStart := time.Now()
-	g.Run(func(shard int) {
-		res := newLoadResult(cfg)
-		errs[shard] = runLoadShard(g.Shard(shard), cfg, shard, n, res)
-		parts[shard] = res
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := mergeLoadResults(parts)
-	res.Wall = time.Since(wallStart)
-	return res, nil
 }
 
 // mergeLoadResults folds per-shard results into the whole-run result in

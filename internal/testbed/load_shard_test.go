@@ -113,7 +113,7 @@ func TestShardMergeInvariants(t *testing.T) {
 // TestShardRaceStress is the -race exercise: a small sharded run with
 // every shard's replica, clock, and merge running concurrently. The
 // assertions are minimal — the value of the test is the race detector
-// sweeping the ShardGroup, per-shard clocks, and merge path.
+// sweeping the fan-out, per-shard clocks, and merge path.
 func TestShardRaceStress(t *testing.T) {
 	res, err := RunLoad(LoadConfig{Flows: 800, Rate: 8000, Shards: 4, Seed: 11})
 	if err != nil {
@@ -121,5 +121,18 @@ func TestShardRaceStress(t *testing.T) {
 	}
 	if res.Punts == 0 {
 		t.Error("no punts recorded")
+	}
+}
+
+// TestRunLoadErrorPath checks a shard's set-up error comes back from
+// RunLoad as it is — nil result, the catalog's text, the same for every
+// shard count (RunParallel returns the lowest-index error).
+func TestRunLoadErrorPath(t *testing.T) {
+	const want = `catalog: unknown service "no-such-service"`
+	for _, n := range []int{1, 4} {
+		res, err := RunLoad(LoadConfig{ServiceKey: "no-such-service", Shards: n})
+		if res != nil || err == nil || err.Error() != want {
+			t.Errorf("shards=%d: result %v, error %v; want nil, %s", n, res, err, want)
+		}
 	}
 }

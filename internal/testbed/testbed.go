@@ -207,9 +207,9 @@ type Testbed struct {
 	mobilePortA, mobilePortB []int
 	trunkA, trunkB           int
 	cloudRouter              *netem.Router
-	cloudPort   int
-	nextOrigin  int
-	services    []*ServiceHandle
+	cloudPort                int
+	nextOrigin               int
+	services                 []*ServiceHandle
 }
 
 // ZoneBClient returns client host i behind the second gNB.

@@ -97,9 +97,26 @@ func TestZipfSamplerDefault(t *testing.T) {
 	}
 }
 
+// TestZipfAliasZeroAlloc holds the per-arrival service draw — one
+// uniform draw through the alias table — at 0 allocs.
+func TestZipfAliasZeroAlloc(t *testing.T) {
+	alias := newAliasSampler(zipfCDF(64, 1.1))
+	if alias == nil {
+		t.Fatal("alias table did not build")
+	}
+	rng := vclock.NewRand(1)
+	sink := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		sink += alias.pick(rng.Float64())
+	})
+	_ = sink
+	if allocs != 0 {
+		t.Fatalf("alias draw allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkZipfAlias is the per-arrival service draw at load-engine
-// scale: one uniform draw through the alias table. Gated at 0 allocs/op
-// in CI (make bench-load-guard).
+// scale: one uniform draw through the alias table.
 func BenchmarkZipfAlias(b *testing.B) {
 	cdf := zipfCDF(64, 1.1)
 	alias := newAliasSampler(cdf)

@@ -63,8 +63,8 @@ func newQueueDiff(t testing.TB) *queueDiff {
 	return &queueDiff{t: t, stamp: New(), w: new(wheelSched)}
 }
 
-// latestNS is the latest firing instant a Virtual produces: one below the
-// horizonNS sentinel. Declared here, not borrowed from virtual.go: the
+// latestNS is the latest firing instant a Virtual produces: one below
+// math.MaxInt64. Declared here, not borrowed from virtual.go: the
 // oracle was written against the nanosecond wheel it now outlives and
 // compiles unchanged against that commit, which has no such constant.
 const latestNS = math.MaxInt64 - 1
@@ -144,8 +144,8 @@ func (q *queueDiff) remove(k int) {
 	q.check(fmt.Sprintf("remove @%d seq %d", ev.atNS, ev.seq))
 }
 
-// requeue puts a popped, unfired event back, as a sharded clock does
-// with the loser of the held-versus-merged comparison.
+// requeue puts a popped, unfired event back: the queue accepts a push
+// of an event it has already handed out.
 func (q *queueDiff) requeue(ev *event) {
 	q.t.Helper()
 	q.w.push(ev)
@@ -154,13 +154,14 @@ func (q *queueDiff) requeue(ev *event) {
 	q.check("requeue")
 }
 
-// holdMerge replays what a sharded clock does at a window barrier
-// (maybeAdvanceLocked's held branch): the earliest event is popped but
-// held back by the horizon, the barrier merges records at instants
-// between now and the held event — at or behind the queue's cursor —
-// and the resume pops again, fires the earlier of the two and pushes
-// the other back. fracs place the records: 0 is now, 255 the held
-// instant.
+// holdMerge pins a contract of the queue rather than a caller: a push
+// at or behind the cursor is legal and files into near (wheelSched.file's
+// delta <= 0, which costs no code). The earliest event is popped
+// but not fired, which moves the cursor to its tick while now stays
+// behind; records are pushed at instants between now and the held
+// event — at or behind the cursor — and a second pop fires the earlier
+// of the two and pushes the other back. fracs place the records: 0 is
+// now, 255 the held instant.
 func (q *queueDiff) holdMerge(fracs []byte) {
 	q.t.Helper()
 	if len(q.ref) == 0 {

@@ -29,18 +29,6 @@ type Virtual struct {
 	stopped bool
 	free    []*event // event freelist, guarded by mu
 
-	// Sharded execution (see ShardGroup). horizonNS is the exclusive
-	// upper bound on event firing: an event at or beyond it is parked in
-	// held and onBlock reports the stall to the group coordinator instead
-	// of firing it. math.MaxInt64 — the default — disables the bound, so
-	// standalone clocks never pay more than one comparison per event.
-	// blockSent dedupes the report: exactly one per block, reset by
-	// resume. All four are guarded by mu.
-	horizonNS int64
-	held      *event
-	onBlock   func(nextNS int64, empty bool)
-	blockSent bool
-
 	// The current time is base + offNS nanoseconds. offNS is written
 	// under mu, by the advancing goroutine only, and read lock-free:
 	// Now() is an atomic load instead of a mutex acquisition. Time only
@@ -95,7 +83,7 @@ type event struct {
 
 // NewVirtual returns a virtual clock whose time starts at start.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{base: start, horizonNS: math.MaxInt64}
+	return &Virtual{base: start}
 }
 
 // Epoch is the default start instant for simulations: an arbitrary fixed
@@ -249,9 +237,7 @@ func (v *Virtual) Post2(d time.Duration, fn func(a, b any), a, b any) Pending {
 	return Pending{v: v, ev: ev, gen: ev.gen}
 }
 
-// maxAtNS is the latest firing instant an event can carry: one below
-// the math.MaxInt64 that horizonNS uses for "no horizon", so an
-// unsharded clock never holds an event back.
+// maxAtNS is the latest firing instant an event can carry.
 const maxAtNS = math.MaxInt64 - 1
 
 // getEventLocked takes an event from the freelist (or allocates one) and
@@ -269,7 +255,7 @@ func (v *Virtual) getEventLocked(d time.Duration, kind eventKind) *event {
 }
 
 // getEventAbsLocked is getEventLocked for an absolute firing instant
-// (nanoseconds since base) — the form cross-shard records arrive in.
+// (nanoseconds since base) — the form the queue oracle stamps in.
 func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
 	var ev *event
 	if n := len(v.free); n > 0 {
@@ -284,66 +270,6 @@ func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
 	ev.seq = v.seq
 	ev.kind = kind
 	return ev
-}
-
-// postAbs schedules a pre-bound callback at an absolute instant: the
-// entry path for cross-shard records merged at a window boundary. The
-// group coordinator calls it while the shard is quiescent, in canonical
-// record order, so the seq stamps preserve that order for same-instant
-// ties. Records addressed to a stopped shard are dropped, mirroring how
-// a stopped clock abandons its own pending events. A record in the past
-// is a lookahead violation: the conservative window invariant guarantees
-// merged events land at or beyond the receiving shard's current time.
-func (v *Virtual) postAbs(atNS int64, fn2 func(a, b any), a, b any) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.stopped {
-		return
-	}
-	if atNS < v.offNS.Load() {
-		panic(fmt.Sprintf("vclock: cross-shard event at %dns behind shard clock %dns (lookahead violation)", atNS, v.offNS.Load()))
-	}
-	ev := v.getEventAbsLocked(atNS, evPost2)
-	ev.fn2, ev.a, ev.b = fn2, a, b
-	v.sched.push(ev)
-}
-
-// setOnBlock installs the shard-group block reporter. Must be set before
-// the clock runs.
-func (v *Virtual) setOnBlock(fn func(nextNS int64, empty bool)) {
-	v.mu.Lock()
-	v.onBlock = fn
-	v.mu.Unlock()
-}
-
-// resume raises the firing horizon and drives the clock forward. Called
-// on a shard driver goroutine after the group coordinator has merged the
-// window's cross-shard records into the scheduler.
-func (v *Virtual) resume(horizonNS int64) {
-	v.mu.Lock()
-	v.horizonNS = horizonNS
-	v.blockSent = false
-	if !v.stopped {
-		v.maybeAdvanceLocked()
-	}
-	v.mu.Unlock()
-}
-
-// reportBlockedLocked tells the group coordinator this shard cannot
-// advance: its next event is at or beyond the horizon (or it has none at
-// all). Exactly one report per block — the coordinator resumes the shard
-// only after receiving it, so blockSent cannot be reset concurrently
-// with the callback. The callback runs without the mutex because it
-// sends on the coordinator channel.
-func (v *Virtual) reportBlockedLocked(nextNS int64, empty bool) {
-	if v.blockSent {
-		return
-	}
-	v.blockSent = true
-	cb := v.onBlock
-	v.mu.Unlock()
-	cb(nextNS, empty)
-	v.mu.Lock()
 }
 
 // putEventLocked recycles a fired or cancelled event. Bumping the
@@ -373,41 +299,13 @@ func (v *Virtual) stopEvent(ev *event, gen uint64) bool {
 // runnable. Callers hold v.mu.
 func (v *Virtual) maybeAdvanceLocked() {
 	for v.running == 0 && !v.stopped {
-		ev := v.held
-		if ev == nil {
-			if v.sched.size() == 0 {
-				if v.onBlock != nil {
-					// Sharded: an idle shard is not a deadlock — another
-					// shard's window may still produce records for it. The
-					// group coordinator detects the global deadlock case.
-					v.reportBlockedLocked(0, true)
-					return
-				}
-				// Release the mutex before panicking so deferred cleanup in
-				// callers (e.g. Run) can still acquire it while unwinding.
-				v.mu.Unlock()
-				panic(fmt.Sprintf("vclock: deadlock at %s: all goroutines parked and no timers pending", v.Now().Format(time.RFC3339Nano)))
-			}
-			ev = v.sched.pop()
-		} else if v.sched.size() > 0 {
-			// A cross-shard record merged at the barrier may precede the
-			// event held from the previous window; re-establish the
-			// minimum. At most one compare per resume: held clears below.
-			if p := v.sched.pop(); p.atNS < ev.atNS || (p.atNS == ev.atNS && p.seq < ev.seq) {
-				v.sched.push(ev)
-				ev = p
-			} else {
-				v.sched.push(p)
-			}
+		if v.sched.size() == 0 {
+			// Release the mutex before panicking so deferred cleanup in
+			// callers (e.g. Run) can still acquire it while unwinding.
+			v.mu.Unlock()
+			panic(fmt.Sprintf("vclock: deadlock at %s: all goroutines parked and no timers pending", v.Now().Format(time.RFC3339Nano)))
 		}
-		if ev.atNS >= v.horizonNS {
-			// Conservative bound: firing this event could race with a
-			// cross-shard delivery landing before it. Hold it and report.
-			v.held = ev
-			v.reportBlockedLocked(ev.atNS, false)
-			return
-		}
-		v.held = nil
+		ev := v.sched.pop()
 		if ev.atNS > v.offNS.Load() {
 			v.offNS.Store(ev.atNS)
 		}

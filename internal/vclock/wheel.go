@@ -97,8 +97,8 @@ func (w *wheelSched) push(ev *event) {
 }
 
 // file places ev by its tick's distance from the cursor: at or behind
-// it — the cursor's own tick, or a cross-shard record merged after pop
-// moved the cursor past the clock's now — into near; otherwise the
+// it — the cursor's own tick, or an instant between the clock's now and
+// an event that was popped and pushed back unfired — into near; otherwise the
 // level is the position of the distance's top bit divided down by
 // wheelSlotBits and the slot is the matching bit field of the tick.
 func (w *wheelSched) file(ev *event) {
