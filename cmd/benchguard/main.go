@@ -13,9 +13,12 @@
 //
 //	go test -bench='PacketHop|FanIn|BulkTransfer' -benchtime=100x -benchmem -run='^$' ./internal/netem/ |
 //	    go run ./cmd/benchguard \
-//	        -gate 'BenchmarkPacketHop$=0' \
-//	        -gate 'BenchmarkPacketSwitchingFanIn$=96' \
-//	        -gate 'BenchmarkBulkTransfer$=24'
+//	        -gate 'BenchmarkPacketHop(-[0-9]+)?$=0' \
+//	        -gate 'BenchmarkPacketSwitchingFanIn(-[0-9]+)?$=96' \
+//	        -gate 'BenchmarkBulkTransfer(-[0-9]+)?$=24'
+//
+// The (-[0-9]+)? tail is for the -GOMAXPROCS suffix go test adds to the
+// name on a multi-core machine.
 //
 // Every gate must match at least one benchmark on stdin; a gate that
 // matches nothing fails the run (it means the benchmark was renamed or

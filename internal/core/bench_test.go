@@ -12,19 +12,19 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// BenchmarkPacketInThroughput measures the controller's warm packet-in
-// path — the one that dominates at scale: memorized flow, redirect
-// re-install, packet release — under real concurrency. Many clients
-// behind several ingress switches fire packet-ins in parallel
-// (b.RunParallel spreads them over GOMAXPROCS goroutines), so the
-// benchmark directly exposes control-plane lock contention: before the
-// sharding refactor every operation serialized on one controller
-// mutex; now distinct clients proceed on distinct shards.
+// BenchmarkPacketInThroughput drives the controller's warm packet-in
+// path — memorized flow, redirect re-install, packet release — from
+// parallel goroutines on vclock.Real: many clients behind several
+// ingress switches (b.RunParallel spreads them over GOMAXPROCS
+// goroutines), all meeting on the client table's and the FlowMemory's
+// one lock each. No binary runs the controller this way — handlers run
+// one at a time on the event loop — so this is the -race and contention
+// smoke beside TestConcurrentPacketInStress and
+// TestOverlappingAuditsShareNoBuffers, with a self-check, not a
+// throughput to quote: that is core.packetin_memhit in `go run ./bench`.
 //
-// The benchmark uses the real clock (throughput is wall-clock work, not
-// simulated time), zero control-channel latency, and a short switch
-// flow idle timeout so the flow tables self-prune instead of growing
-// with b.N.
+// It uses zero control-channel latency and a short switch flow idle
+// timeout, so the flow tables self-prune instead of growing with b.N.
 func BenchmarkPacketInThroughput(b *testing.B) {
 	const (
 		nSwitches = 4
@@ -118,14 +118,15 @@ func BenchmarkPacketInThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowMemoryScale measures FlowMemory operations with a large
-// resident population (hundreds of thousands of memorized flows across
-// many services), mixing the operations the controller performs:
-// lookups (hits), touches via lookups, and re-remembers. Before the
-// sharding refactor every operation took one global mutex and every
-// entry held its own expiry timer; now operations spread over 64 shards
-// and each shard keeps a single armed sweep timer regardless of entry
-// count.
+// BenchmarkFlowMemoryScale drives a FlowMemory with a large resident
+// population (200 k memorized flows across 64 services) from parallel
+// goroutines on vclock.Real, mixing lookups (each a move to the list's
+// tail) and re-remembers; every goroutine takes the memory's one lock,
+// and one timer is pending however many flows are resident. Like
+// BenchmarkPacketInThroughput it is a -race and contention smoke that
+// checks no resident entry goes missing, not a number to quote:
+// core.flowmemory_lookup and core.flowmemory_remember in
+// `go run ./bench` time the same operations one at a time.
 func BenchmarkFlowMemoryScale(b *testing.B) {
 	const (
 		nEntries  = 200_000

@@ -28,12 +28,7 @@ func (c *Controller) dispatchWait(sw *openflow.Switch, svc *Service, client nete
 
 // pendingClaims counts the flow keys still claimed by in-flight punts.
 func (c *Controller) pendingClaims() int {
-	n := 0
-	for i := range c.clients.shards {
-		sh := &c.clients.shards[i]
-		sh.mu.Lock()
-		n += len(sh.pending)
-		sh.mu.Unlock()
-	}
-	return n
+	c.clients.mu.Lock()
+	defer c.clients.mu.Unlock()
+	return len(c.clients.pending)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // breakerState is one cluster's circuit breaker. The breaker watches
 // whole-deployment outcomes: BreakerThreshold consecutive failures trip
@@ -20,8 +23,8 @@ func (c *Controller) breakerAllows(clusterName string) bool {
 	if c.cfg.BreakerThreshold <= 0 {
 		return true
 	}
-	c.brMu.Lock()
-	defer c.brMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	st, ok := c.breakers[clusterName]
 	if !ok || !st.tripped {
 		return true
@@ -36,8 +39,8 @@ func (c *Controller) breakerRecord(clusterName string, success bool) {
 	if c.cfg.BreakerThreshold <= 0 {
 		return
 	}
-	c.brMu.Lock()
-	defer c.brMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	st, ok := c.breakers[clusterName]
 	if !ok {
 		st = &breakerState{}
@@ -46,7 +49,7 @@ func (c *Controller) breakerRecord(clusterName string, success bool) {
 	if success {
 		if st.tripped {
 			st.tripped = false
-			c.stats.breakerRecoveries.Add(1)
+			atomic.AddInt64(&c.stats.BreakerRecoveries, 1)
 			c.cands.bump()
 		}
 		st.consecFails = 0
@@ -60,7 +63,7 @@ func (c *Controller) breakerRecord(clusterName string, success bool) {
 	case st.consecFails >= c.cfg.BreakerThreshold:
 		st.tripped = true
 		st.openUntil = c.clk.Now().Add(c.cfg.BreakerCooldown)
-		c.stats.breakerTrips.Add(1)
+		atomic.AddInt64(&c.stats.BreakerTrips, 1)
 		c.cands.bump()
 	}
 }

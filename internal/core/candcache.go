@@ -28,17 +28,13 @@ type candCache struct {
 	ttl   time.Duration
 	epoch atomic.Uint64
 
-	shards [numShards]candShard
+	mu sync.Mutex
+	m  map[candKey]*candEntry
 }
 
 type candKey struct {
 	service string
 	zone    string
-}
-
-type candShard struct {
-	mu sync.Mutex
-	m  map[candKey]*candEntry
 }
 
 type candEntry struct {
@@ -50,18 +46,7 @@ type candEntry struct {
 // newCandCache returns a cache with the given TTL; a non-positive TTL
 // disables caching entirely (every get misses).
 func newCandCache(ttl time.Duration) *candCache {
-	c := &candCache{ttl: ttl}
-	for i := range c.shards {
-		c.shards[i].m = make(map[candKey]*candEntry)
-	}
-	return c
-}
-
-func (c *candCache) shardFor(k candKey) *candShard {
-	h := fnvString(fnvOffset64, k.service)
-	h = fnvByte(h, '/')
-	h = fnvString(h, k.zone)
-	return &c.shards[h&(numShards-1)]
+	return &candCache{ttl: ttl, m: make(map[candKey]*candEntry)}
 }
 
 // bump invalidates every cached snapshot: cluster state changed.
@@ -75,17 +60,13 @@ func (c *candCache) get(service, zone string, now time.Time) ([]Candidate, bool)
 	if c.ttl <= 0 {
 		return nil, false
 	}
-	key := candKey{service: service, zone: zone}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[candKey{service: service, zone: zone}]
 	if !ok || e.epoch != c.epoch.Load() || !now.Before(e.expires) {
-		s.mu.Unlock()
 		return nil, false
 	}
-	cands := e.candidates
-	s.mu.Unlock()
-	return cands, true
+	return e.candidates, true
 }
 
 // put stores a freshly gathered snapshot. The epoch is re-read at store
@@ -95,13 +76,11 @@ func (c *candCache) put(service, zone string, now time.Time, cands []Candidate) 
 	if c.ttl <= 0 {
 		return
 	}
-	key := candKey{service: service, zone: zone}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	s.m[key] = &candEntry{
+	c.mu.Lock()
+	c.m[candKey{service: service, zone: zone}] = &candEntry{
 		epoch:      c.epoch.Load(),
 		expires:    now.Add(c.ttl),
 		candidates: cands,
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 }

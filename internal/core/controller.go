@@ -225,7 +225,10 @@ type DeployTrace struct {
 	Err error
 }
 
-// Stats counts controller activity; all fields are monotonic.
+// Stats counts controller activity; all fields are monotonic. This is
+// the one place a counter is declared: the controller bumps the fields
+// of a Stats value of its own with atomic adds, and Stats() and Add
+// reach every field through counters.
 type Stats struct {
 	PacketIns      int64
 	MemoryHits     int64
@@ -295,27 +298,38 @@ type Stats struct {
 	ChannelDrops int64
 }
 
+// counters returns a pointer to every field of s, in declaration order.
+// The reflection walk keeps Stats() and Add complete as fields are
+// added, and trips loudly if a non-counter field ever lands in Stats.
+func (s *Stats) counters() []*int64 {
+	v := reflect.ValueOf(s).Elem()
+	out := make([]*int64, v.NumField())
+	for i := range out {
+		p, ok := v.Field(i).Addr().Interface().(*int64)
+		if !ok {
+			panic(fmt.Sprintf("core: Stats field %s is not an int64 counter", v.Type().Field(i).Name))
+		}
+		out[i] = p
+	}
+	return out
+}
+
 // Add returns the field-wise sum of two snapshots. Every counter is
 // monotonic and per-event, so summing per-shard controller snapshots
-// yields the whole-run accounting — the reflection walk keeps the merge
-// complete as fields are added (and trips loudly if a non-counter field
-// ever lands here).
+// yields the whole-run accounting.
 func (s Stats) Add(o Stats) Stats {
-	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		f := sv.Field(i)
-		if f.Kind() != reflect.Int64 {
-			panic(fmt.Sprintf("core: Stats field %s is not an int64 counter", sv.Type().Field(i).Name))
-		}
-		f.SetInt(f.Int() + ov.Field(i).Int())
+	sum := s.counters()
+	for i, p := range o.counters() {
+		*sum[i] += *p
 	}
 	return s
 }
 
 // svcTables is the read-mostly service registry. Lookups on the
 // packet-in hot path load an immutable snapshot through an atomic
-// pointer — zero locks, zero contention; registration (rare) builds a
-// fresh copy under regMu and swaps the pointer.
+// pointer; registration (rare) builds a fresh copy under mu and swaps
+// the pointer. Whole-table readers — the reconciler, a handover — work
+// on one consistent snapshot without holding a lock across their waits.
 type svcTables struct {
 	services map[netem.HostPort]*Service
 	byCookie map[uint64]*Service
@@ -324,6 +338,10 @@ type svcTables struct {
 
 // Controller is the SDN controller: the paper's contribution.
 type Controller struct {
+	// stats holds the counters (see Stats). It comes first so that its
+	// fields are 64-bit aligned for the atomic adds on 32-bit platforms.
+	stats Stats
+
 	cfg   Config
 	clk   vclock.Clock
 	sched GlobalScheduler
@@ -333,38 +351,28 @@ type Controller struct {
 
 	// svc is the copy-on-write service registry (see svcTables).
 	svc atomic.Pointer[svcTables]
-	// regMu serializes registrations and cookie assignment.
-	regMu      sync.Mutex
-	nextCookie uint64
 
-	// clients shards client tracking and packet-in dedup by client
-	// address: concurrent packet-ins from distinct clients take
-	// distinct shard locks.
+	// clients tracks client locations and deduplicates packet-ins.
 	clients *clientTable
 
 	// cands caches gathered dispatch candidates per (service, zone).
 	cands *candCache
 
-	// stats is the atomic counter bank (see statCounters).
-	stats statCounters
-
 	// audit keeps the reconciler's buffers between audits (resync.go).
 	audit atomic.Pointer[auditBuffers]
 
-	// mu guards the deployment records and the start flag — cold-path
-	// state only; the packet-in fast path never takes it.
-	mu          sync.Mutex
+	// mu guards everything below — cold-path state only; the packet-in
+	// fast path never takes it. It is never held across a wait.
+	mu sync.Mutex
+	// nextCookie numbers the registrations mu serializes.
+	nextCookie  uint64
 	deployments map[deployKey]*deployState
 	started     bool
-
-	// brMu guards the per-cluster circuit breakers.
-	brMu     sync.Mutex
+	// breakers are the per-cluster circuit breakers.
 	breakers map[string]*breakerState
-
-	// hoMu guards handoverLat (Hist is not safe for concurrent use).
-	hoMu sync.Mutex
 	// handoverLat is the control-plane latency of each handover: from
-	// entering Handover to the old gNB's flows strict-deleted.
+	// entering Handover to the old gNB's flows strict-deleted (Hist is
+	// not safe for concurrent use).
 	handoverLat *metrics.Hist
 }
 
@@ -449,7 +457,11 @@ func (c *Controller) FlowMemory() *FlowMemory { return c.fm }
 // Stats returns a snapshot of the controller counters, folding in the
 // control-channel fault counters of every managed switch.
 func (c *Controller) Stats() Stats {
-	s := c.stats.snapshot()
+	var s Stats
+	snap := s.counters()
+	for i, p := range c.stats.counters() {
+		*snap[i] = atomic.LoadInt64(p)
+	}
 	for _, sw := range c.switches {
 		s.ChannelDrops += sw.ChannelStats().Total()
 	}
@@ -469,10 +481,10 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 	if err != nil {
 		return nil, err
 	}
-	c.regMu.Lock()
+	c.mu.Lock()
 	old := c.svc.Load()
 	if _, dup := old.services[addr]; dup {
-		c.regMu.Unlock()
+		c.mu.Unlock()
 		return nil, fmt.Errorf("core: service %s already registered", addr)
 	}
 	c.nextCookie++
@@ -501,7 +513,7 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 	next.byCookie[svc.cookie] = svc
 	next.byName[svc.Name] = svc
 	c.svc.Store(next)
-	c.regMu.Unlock()
+	c.mu.Unlock()
 	c.cands.bump()
 
 	// Intercept requests for the registered address (Fig. 2) on every
@@ -526,7 +538,7 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 			target := best
 			c.clk.Go(func() {
 				if _, err := c.deploy(svc, target); err != nil {
-					c.stats.deployFailures.Add(1)
+					atomic.AddInt64(&c.stats.DeployFailures, 1)
 				}
 			})
 		}
@@ -582,7 +594,7 @@ func (c *Controller) Start() {
 // when switch flows expire: the removal implies traffic existed until a
 // moment ago, so the memorized mapping stays warm a while longer.
 func (c *Controller) FlowRemoved(_ *openflow.Switch, msg openflow.FlowRemoved) {
-	c.stats.flowRemovedMsgs.Add(1)
+	atomic.AddInt64(&c.stats.FlowRemovedMsgs, 1)
 	svc, ok := c.svc.Load().byCookie[msg.Cookie]
 	if !ok || !msg.IdleTimeout {
 		return
@@ -624,16 +636,16 @@ func (c *Controller) onServiceIdle(svcName string) {
 			// The instance is still up: keep the deployment record so
 			// controller state matches the cluster, and let a later idle
 			// expiry try again.
-			c.stats.scaleDownFailures.Add(1)
+			atomic.AddInt64(&c.stats.ScaleDownFailures, 1)
 			c.mu.Lock()
 			t.state.scaledDown = false
 			c.mu.Unlock()
 			continue
 		}
-		c.stats.scaleDowns.Add(1)
+		atomic.AddInt64(&c.stats.ScaleDowns, 1)
 		if c.cfg.RemoveOnIdle {
 			if err := t.cl.Remove(svcName); err == nil {
-				c.stats.removes.Add(1)
+				atomic.AddInt64(&c.stats.Removes, 1)
 			}
 		}
 		// Forget the deployment so the next request redeploys.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -57,13 +58,12 @@ func (c *Controller) PacketIn(sw *openflow.Switch, pin openflow.PacketIn) {
 
 // packetIn is PacketIn with a completion callback.
 //
-// The prologue is deliberately lock-light: the packet-in count is one
-// atomic add, the service lookup reads an immutable snapshot, and
-// client tracking plus SYN-retransmit dedup share a single shard lock
-// (trackAndClaim) — so the memorized-flow fast path takes at most one
-// shard lock besides the FlowMemory's own.
+// The prologue takes two locks, one after the other: the client table's
+// (trackAndClaim — client tracking and SYN-retransmit dedup in one
+// critical section) and the FlowMemory's. The packet-in count is one
+// atomic add and the service lookup reads an immutable snapshot.
 func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done func()) {
-	c.stats.packetIns.Add(1)
+	atomic.AddInt64(&c.stats.PacketIns, 1)
 	p := puntPool.Get().(*punt)
 	p.c, p.sw, p.pin, p.done = c, sw, pin, done
 	svc, ok := c.ServiceByAddr(pin.Pkt.Dst)
@@ -78,7 +78,7 @@ func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done f
 
 	// Track the client's ingress location and deduplicate concurrent
 	// packet-ins (e.g. SYN retransmissions while a deployment holds the
-	// first request) in one shard critical section.
+	// first request) in one critical section.
 	if c.clients.trackAndClaim(p.key, ClientLocation{
 		Switch:   sw.DeviceName(),
 		InPort:   pin.InPort,
@@ -93,7 +93,7 @@ func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done f
 	// Scheduler.
 	if !c.cfg.DisableFlowMemory {
 		if inst, ok := c.fm.Lookup(client, svc.Addr); ok {
-			c.stats.memoryHits.Add(1)
+			atomic.AddInt64(&c.stats.MemoryHits, 1)
 			p.redirect(inst)
 			return
 		}
@@ -115,7 +115,7 @@ func (p *punt) serve(inst cluster.Instance, ok bool) {
 	c := p.c
 	if !ok {
 		// Deployment failed everywhere: let the cloud origin serve.
-		c.stats.degradedToCloud.Add(1)
+		atomic.AddInt64(&c.stats.DegradedToCloud, 1)
 		inst = cluster.Instance{Addr: p.svc.Addr, Cluster: "origin"}
 	}
 	if !c.cfg.DisableFlowMemory {
@@ -127,7 +127,7 @@ func (p *punt) serve(inst cluster.Instance, ok bool) {
 // redirect programs the ingress switch for (client, service, instance)
 // and releases the held packet through the new flows.
 func (p *punt) redirect(inst cluster.Instance) {
-	p.c.stats.flowsInstalled.Add(1)
+	atomic.AddInt64(&p.c.stats.FlowsInstalled, 1)
 	p.specs = p.c.redirectSpecs(p.key.client, p.svc, inst)
 	puntStep(p)
 }
@@ -188,7 +188,7 @@ func (c *Controller) holdBounded(svc *Service, client netem.IP, wait func() (clu
 	if done.WaitTimeout(c.clk, c.cfg.HoldTimeout) {
 		return inst, ok
 	}
-	c.stats.degradedToCloud.Add(1)
+	atomic.AddInt64(&c.stats.DegradedToCloud, 1)
 	c.clk.Go(func() {
 		done.Wait(c.clk)
 		if ok && inst.Addr != svc.Addr {
@@ -219,7 +219,7 @@ func (c *Controller) holdBounded(svc *Service, client netem.IP, wait func() (clu
 // calls per cluster per request. Any deployment, scale-down, breaker
 // transition, health eviction, or registration invalidates the cache.
 func (c *Controller) dispatch(sw *openflow.Switch, svc *Service, client netem.IP) (inst cluster.Instance, ok bool, wait func() (cluster.Instance, bool)) {
-	c.stats.scheduleCalls.Add(1)
+	atomic.AddInt64(&c.stats.ScheduleCalls, 1)
 	zone := sw.DeviceName()
 	candidates, cached := c.cachedCandidates(svc, zone)
 	if !cached {
@@ -242,12 +242,12 @@ func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidat
 	// BEST ≠ FAST: deploy the optimal edge in the background and switch
 	// future requests over once it is running (Fig. 3).
 	if decision.Best != nil && decision.Best != decision.Fast {
-		c.stats.deploysNoWait.Add(1)
+		atomic.AddInt64(&c.stats.DeploysNoWait, 1)
 		best := decision.Best
 		c.clk.Go(func() {
 			inst, err := c.deploy(svc, best)
 			if err != nil {
-				c.stats.deployFailures.Add(1)
+				atomic.AddInt64(&c.stats.DeployFailures, 1)
 				return
 			}
 			// Future requests go to the optimal location: drop stale
@@ -264,7 +264,7 @@ func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidat
 		return cluster.Instance{}, false, func() (cluster.Instance, bool) { return c.deployFast(svc, decision) }
 	default:
 		// Forward toward the cloud.
-		c.stats.cloudForwards.Add(1)
+		atomic.AddInt64(&c.stats.CloudForwards, 1)
 		return cluster.Instance{Addr: svc.Addr, Cluster: "origin"}, true, nil
 	}
 }
@@ -272,12 +272,12 @@ func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidat
 // deployFast is on-demand deployment with waiting: the client's request
 // stays on hold until the new instance answers its port.
 func (c *Controller) deployFast(svc *Service, decision Decision) (cluster.Instance, bool) {
-	c.stats.deploysWaiting.Add(1)
+	atomic.AddInt64(&c.stats.DeploysWaiting, 1)
 	inst, err := c.deploy(svc, decision.Fast)
 	if err == nil {
 		return inst, true
 	}
-	c.stats.deployFailures.Add(1)
+	atomic.AddInt64(&c.stats.DeployFailures, 1)
 	// The FAST choice failed even after per-phase retries: fail over
 	// to the next-best candidates from the scheduler's ranked list
 	// before surrendering to the cloud.
@@ -285,12 +285,12 @@ func (c *Controller) deployFast(svc *Service, decision Decision) (cluster.Instan
 		if fb == decision.Fast || !c.breakerAllows(fb.Name()) {
 			continue
 		}
-		c.stats.failovers.Add(1)
+		atomic.AddInt64(&c.stats.Failovers, 1)
 		inst, err = c.deploy(svc, fb)
 		if err == nil {
 			return inst, true
 		}
-		c.stats.deployFailures.Add(1)
+		atomic.AddInt64(&c.stats.DeployFailures, 1)
 	}
 	return cluster.Instance{}, false
 }
@@ -312,7 +312,7 @@ func (c *Controller) candidatesFor(svc *Service, zoneName string) []Candidate {
 func (c *Controller) cachedCandidates(svc *Service, zoneName string) ([]Candidate, bool) {
 	candidates, cached := c.cands.get(svc.Name, zoneName, c.clk.Now())
 	if cached {
-		c.stats.candidateHits.Add(1)
+		atomic.AddInt64(&c.stats.CandidateHits, 1)
 	}
 	return candidates, cached
 }
@@ -321,7 +321,7 @@ func (c *Controller) cachedCandidates(svc *Service, zoneName string) ([]Candidat
 // Its TTL counts from the start of the gather, not from its end.
 func (c *Controller) gatherCandidates(svc *Service, zoneName string) []Candidate {
 	now := c.clk.Now()
-	c.stats.candidateMisses.Add(1)
+	atomic.AddInt64(&c.stats.CandidateMisses, 1)
 	zone := c.cfg.ZoneLatency[zoneName]
 	candidates := make([]Candidate, 0, len(c.cfg.Clusters))
 	for _, cl := range c.cfg.Clusters {
@@ -436,7 +436,7 @@ func (c *Controller) runPhases(svc *Service, cl cluster.Cluster) (inst cluster.I
 			return cluster.Instance{}, err
 		}
 		tr.Pull = c.clk.Since(t0)
-		c.stats.pulls.Add(1)
+		atomic.AddInt64(&c.stats.Pulls, 1)
 	}
 	if !cl.Created(svc.Name) {
 		t0 := c.clk.Now()
@@ -444,14 +444,14 @@ func (c *Controller) runPhases(svc *Service, cl cluster.Cluster) (inst cluster.I
 			return cluster.Instance{}, err
 		}
 		tr.Create = c.clk.Since(t0)
-		c.stats.creates.Add(1)
+		atomic.AddInt64(&c.stats.Creates, 1)
 	}
 	t0 := c.clk.Now()
 	if err = c.retryPhase(deadline, retryKey+"/scaleup", func() error { return cl.ScaleUp(svc.Name) }); err != nil {
 		return cluster.Instance{}, err
 	}
 	tr.ScaleUp = c.clk.Since(t0)
-	c.stats.scaleUps.Add(1)
+	atomic.AddInt64(&c.stats.ScaleUps, 1)
 	t0 = c.clk.Now()
 	inst, err = c.waitReady(svc, cl, deadline)
 	tr.Wait = c.clk.Since(t0)
@@ -480,10 +480,19 @@ func (c *Controller) retryPhase(deadline time.Time, key string, fn func() error)
 		if c.clk.Now().Add(delay).After(deadline) {
 			return err
 		}
-		c.stats.retries.Add(1)
+		atomic.AddInt64(&c.stats.Retries, 1)
 		c.clk.Sleep(delay)
 	}
 }
+
+// FNV-1a, 64-bit, folded by hand: backoff resumes from a saved state.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvByte folds one byte into an FNV-1a state.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
 // backoffPrefix hashes "seed/key/" with FNV-1a — the attempt-invariant
 // part of the jitter hash. backoff folds the attempt number into this
@@ -497,7 +506,9 @@ func (c *Controller) backoffPrefix(key string) uint64 {
 		h = fnvByte(h, b)
 	}
 	h = fnvByte(h, '/')
-	h = fnvString(h, key)
+	for i := 0; i < len(key); i++ {
+		h = fnvByte(h, key[i])
+	}
 	return fnvByte(h, '/')
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/metrics"
@@ -104,7 +105,7 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 	// moves over.
 	if len(specs) > 0 {
 		to.ApplyBundle(nil, specs)
-		c.stats.flowsInstalled.Add(int64(mappings))
+		atomic.AddInt64(&c.stats.FlowsInstalled, int64(mappings))
 	}
 
 	// Retag: future packet-ins, resyncs, and migrations see the client
@@ -121,22 +122,22 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 	if from != nil && len(specs) > 0 {
 		if deleted := from.ApplyBundle(specs, nil); deleted < len(specs) {
 			rep.ContinuityBreak = true
-			c.stats.continuityBreaks.Add(1)
+			atomic.AddInt64(&c.stats.ContinuityBreaks, 1)
 		}
 	}
 
 	rep.ReSteered = mappings
-	c.stats.handovers.Add(1)
-	c.stats.reSteeredFlows.Add(int64(mappings))
+	atomic.AddInt64(&c.stats.Handovers, 1)
+	atomic.AddInt64(&c.stats.ReSteeredFlows, int64(mappings))
 
 	if c.cfg.MigrateOnHandover {
 		rep.Migrated = c.migrateAfterHandover(client, to, entries, tables)
 	}
 
 	rep.Latency = c.clk.Since(start)
-	c.hoMu.Lock()
+	c.mu.Lock()
 	c.handoverLat.Record(rep.Latency)
-	c.hoMu.Unlock()
+	c.mu.Unlock()
 	return rep
 }
 
@@ -144,8 +145,8 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 // Read it only when no handovers are in flight (Hist is not safe for
 // concurrent use).
 func (c *Controller) HandoverLatency() *metrics.Hist {
-	c.hoMu.Lock()
-	defer c.hoMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.handoverLat
 }
 
@@ -173,7 +174,7 @@ func (c *Controller) migrateAfterHandover(client netem.IP, to *openflow.Switch, 
 		if !ok {
 			continue
 		}
-		c.stats.scheduleCalls.Add(1)
+		atomic.AddInt64(&c.stats.ScheduleCalls, 1)
 		candidates := c.candidatesFor(svc, to.DeviceName())
 		decision := c.sched.Schedule(svc, client, candidates)
 		target := decision.Best
@@ -193,11 +194,11 @@ func (c *Controller) migrateAfterHandover(client netem.IP, to *openflow.Switch, 
 		if already {
 			continue
 		}
-		c.stats.migratedInstances.Add(1)
+		atomic.AddInt64(&c.stats.MigratedInstances, 1)
 		migrated++
 		c.clk.Go(func() {
 			if _, err := c.deploy(svc, target); err != nil {
-				c.stats.deployFailures.Add(1)
+				atomic.AddInt64(&c.stats.DeployFailures, 1)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func (rig *handoverRig) attach(client netem.IP, inst cluster.Instance) {
 	rig.ctrl.clients.track(client, ClientLocation{
 		Switch: rig.gnb1.DeviceName(), InPort: 9, LastSeen: rig.ctrl.clk.Now(),
 	})
-	rig.ctrl.stats.flowsInstalled.Add(1)
+	atomic.AddInt64(&rig.ctrl.stats.FlowsInstalled, 1)
 	for _, spec := range rig.ctrl.redirectSpecs(client, rig.svc, inst) {
 		rig.gnb1.InstallFlow(spec)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
 )
@@ -48,7 +49,7 @@ func (c *Controller) healthProbe() {
 		if c.probePort(inst.Addr) {
 			continue
 		}
-		c.stats.healthEvictions.Add(1)
+		atomic.AddInt64(&c.stats.HealthEvictions, 1)
 		for _, e := range byInst[inst] {
 			c.fm.Forget(e.Client, e.Service)
 		}

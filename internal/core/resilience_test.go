@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -523,6 +524,31 @@ func TestPendingDedupUnderConcurrentPacketIns(t *testing.T) {
 		}
 		if _, _, scales := near.calls(); scales != 1 {
 			t.Errorf("scale-ups = %d, want 1", scales)
+		}
+	})
+}
+
+// TestStatsCoversEveryCounter: Stats() reports and Add sums every field
+// Stats declares, not only the ones a run happens to move.
+func TestStatsCoversEveryCounter(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		rig := newResilienceRig(t, clk, nil, &stubCluster{name: "near"})
+		counters := reflect.ValueOf(&rig.ctrl.stats).Elem()
+		for i := 0; i < counters.NumField(); i++ {
+			counters.Field(i).SetInt(int64(i + 1))
+		}
+		// ChannelDrops comes back with the switches' total added: 0 here.
+		got := rig.ctrl.Stats()
+		snap, sum := reflect.ValueOf(got), reflect.ValueOf(got.Add(got))
+		for i := 0; i < counters.NumField(); i++ {
+			name, want := counters.Type().Field(i).Name, int64(i+1)
+			if n := snap.Field(i).Int(); n != want {
+				t.Errorf("Stats().%s = %d, want %d", name, n, want)
+			}
+			if n := sum.Field(i).Int(); n != 2*want {
+				t.Errorf("Add: %s = %d, want %d", name, n, 2*want)
+			}
 		}
 	})
 }

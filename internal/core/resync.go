@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"github.com/c3lab/transparentedge/internal/openflow"
 )
@@ -87,7 +88,7 @@ func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []open
 // flow in the early snapshot has its justification visible to the late
 // snapshot, and everything the audit deletes is genuinely unjustified.
 func (c *Controller) auditSwitch(sw *openflow.Switch) {
-	c.stats.resyncRuns.Add(1)
+	atomic.AddInt64(&c.stats.ResyncRuns, 1)
 	deletes, installs := c.diffSwitch(sw)
 	if c.cfg.DisableFlowMemory {
 		// Redirects are not derivable without the memory: leave them to
@@ -100,8 +101,8 @@ func (c *Controller) auditSwitch(sw *openflow.Switch) {
 		return
 	}
 	deleted := sw.ApplyBundle(deletes, installs)
-	c.stats.orphanFlows.Add(int64(deleted))
-	c.stats.reinstalledFlows.Add(int64(len(installs)))
+	atomic.AddInt64(&c.stats.OrphanFlowsRemoved, int64(deleted))
+	atomic.AddInt64(&c.stats.ReinstalledFlows, int64(len(installs)))
 }
 
 // diffSwitch reads sw's table, then the desired state, and diffs them,
@@ -197,8 +198,8 @@ func (c *Controller) watchSwitch(sw *openflow.Switch) {
 
 // resyncFromScratch rebuilds a restarted switch's entire table.
 func (c *Controller) resyncFromScratch(sw *openflow.Switch) {
-	c.stats.resyncRuns.Add(1)
+	atomic.AddInt64(&c.stats.ResyncRuns, 1)
 	specs := c.desiredFlows(sw, new(auditBuffers))
 	sw.ResyncFrom(specs)
-	c.stats.reinstalledFlows.Add(int64(len(specs)))
+	atomic.AddInt64(&c.stats.ReinstalledFlows, int64(len(specs)))
 }

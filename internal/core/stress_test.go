@@ -12,7 +12,7 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// TestConcurrentPacketInStress drives the sharded control plane with
+// TestConcurrentPacketInStress drives the control plane with
 // genuinely parallel packet-ins (real clock, many goroutines — run with
 // -race): memory hits, dispatch misses, SYN-retransmit dedup, and
 // flow-removed refreshes interleave across many clients behind two
