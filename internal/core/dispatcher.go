@@ -414,25 +414,30 @@ func (c *Controller) deploy(svc *Service, cl cluster.Cluster) (cluster.Instance,
 // reporting per-phase durations through the OnDeploy hook. The
 // DeployTimeout deadline starts here and bounds the deployment end to
 // end — phases, their retries, and the readiness wait all share it.
-// Each phase retries transient failures with capped exponential backoff
-// and deterministic jitter.
-func (c *Controller) runPhases(svc *Service, cl cluster.Cluster) (inst cluster.Instance, err error) {
+// The report is made after the phases return, not in a deferred call: a
+// deployment the end of the run cuts short at a park never finished and
+// reports nothing.
+func (c *Controller) runPhases(svc *Service, cl cluster.Cluster) (cluster.Instance, error) {
 	tr := DeployTrace{Service: svc.Name, Cluster: cl.Name()}
 	start := c.clk.Now()
-	deadline := start.Add(c.cfg.DeployTimeout)
-	defer func() {
-		tr.Total = c.clk.Since(start)
-		tr.Err = err
-		if c.cfg.OnDeploy != nil {
-			c.cfg.OnDeploy(tr)
-		}
-	}()
+	inst, err := c.timePhases(svc, cl, start.Add(c.cfg.DeployTimeout), &tr)
+	tr.Total = c.clk.Since(start)
+	tr.Err = err
+	if c.cfg.OnDeploy != nil {
+		c.cfg.OnDeploy(tr)
+	}
+	return inst, err
+}
 
+// timePhases runs the phases that are still needed and fills in tr's
+// per-phase durations. Each phase retries transient failures with capped
+// exponential backoff and deterministic jitter.
+func (c *Controller) timePhases(svc *Service, cl cluster.Cluster, deadline time.Time, tr *DeployTrace) (cluster.Instance, error) {
 	retryKey := svc.Name + "/" + cl.Name()
 	spec := c.specFor(svc, cl)
 	if !cl.HasImages(spec) {
 		t0 := c.clk.Now()
-		if err = c.retryPhase(deadline, retryKey+"/pull", func() error { return cl.Pull(spec) }); err != nil {
+		if err := c.retryPhase(deadline, retryKey+"/pull", func() error { return cl.Pull(spec) }); err != nil {
 			return cluster.Instance{}, err
 		}
 		tr.Pull = c.clk.Since(t0)
@@ -440,20 +445,20 @@ func (c *Controller) runPhases(svc *Service, cl cluster.Cluster) (inst cluster.I
 	}
 	if !cl.Created(svc.Name) {
 		t0 := c.clk.Now()
-		if err = c.retryPhase(deadline, retryKey+"/create", func() error { return cl.Create(spec) }); err != nil {
+		if err := c.retryPhase(deadline, retryKey+"/create", func() error { return cl.Create(spec) }); err != nil {
 			return cluster.Instance{}, err
 		}
 		tr.Create = c.clk.Since(t0)
 		atomic.AddInt64(&c.stats.Creates, 1)
 	}
 	t0 := c.clk.Now()
-	if err = c.retryPhase(deadline, retryKey+"/scaleup", func() error { return cl.ScaleUp(svc.Name) }); err != nil {
+	if err := c.retryPhase(deadline, retryKey+"/scaleup", func() error { return cl.ScaleUp(svc.Name) }); err != nil {
 		return cluster.Instance{}, err
 	}
 	tr.ScaleUp = c.clk.Since(t0)
 	atomic.AddInt64(&c.stats.ScaleUps, 1)
 	t0 = c.clk.Now()
-	inst, err = c.waitReady(svc, cl, deadline)
+	inst, err := c.waitReady(svc, cl, deadline)
 	tr.Wait = c.clk.Since(t0)
 	return inst, err
 }

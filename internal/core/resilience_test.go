@@ -528,6 +528,40 @@ func TestPendingDedupUnderConcurrentPacketIns(t *testing.T) {
 	})
 }
 
+// slowScaleCluster is a stubCluster whose ScaleUp takes ten seconds.
+type slowScaleCluster struct{ *stubCluster }
+
+func (s slowScaleCluster) ScaleUp(name string) error {
+	s.clk.Sleep(10 * time.Second)
+	return s.stubCluster.ScaleUp(name)
+}
+
+// TestDeployCutShortReportsNothing: a deployment still in a phase when
+// the run ends is released at its park and unwinds through runPhases. It
+// never finished, so the OnDeploy hook must not see it (a report made in
+// a deferred call would, with a nil Err and a zero Wait).
+func TestDeployCutShortReportsNothing(t *testing.T) {
+	clk := vclock.New()
+	var ctrl *Controller
+	reports := 0
+	clk.Run(func() {
+		near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}}
+		rig := newResilienceRig(t, clk, func(cfg *Config) {
+			cfg.Clusters[0] = slowScaleCluster{near}
+			cfg.OnDeploy = func(DeployTrace) { reports++ }
+		}, near)
+		ctrl = rig.ctrl
+		clk.Go(func() { rig.ctrl.PreDeploy(rig.svc.Addr, "near") })
+		clk.Sleep(time.Second)
+	})
+	if reports != 0 {
+		t.Errorf("OnDeploy called %d times for a deployment that never finished", reports)
+	}
+	if n := ctrl.Stats().ScaleUps; n != 0 {
+		t.Errorf("ScaleUps = %d, want 0", n)
+	}
+}
+
 // TestStatsCoversEveryCounter: Stats() reports and Add sums every field
 // Stats declares, not only the ones a run happens to move.
 func TestStatsCoversEveryCounter(t *testing.T) {

@@ -244,12 +244,21 @@ func (a *API) Get(kind, name string) (Object, bool) {
 // List returns deep copies of all objects of kind whose labels match
 // selector (nil selector matches all), sorted by name.
 func (a *API) List(kind string, selector map[string]string) []Object {
+	return a.listFunc(kind, func(obj Object) bool {
+		return selector == nil || matchesSelector(obj.Meta().Labels, selector)
+	})
+}
+
+// listFunc is List with the choice left to keep, which sees the stored
+// object: only what it accepts is copied. keep must neither retain nor
+// modify its argument.
+func (a *API) listFunc(kind string, keep func(Object) bool) []Object {
 	a.requestLatency()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var out []Object
 	for _, obj := range a.objects[kind] {
-		if selector == nil || matchesSelector(obj.Meta().Labels, selector) {
+		if keep(obj) {
 			out = append(out, obj.DeepCopy())
 		}
 	}

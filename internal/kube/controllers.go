@@ -235,12 +235,13 @@ func startReplicaSetController(api *API, seed int64) {
 }
 
 func (c *replicaSetController) ownedPods(rsName string) []*Pod {
-	var out []*Pod
-	for _, obj := range c.api.List(KindPod, nil) {
+	owned := c.api.listFunc(KindPod, func(obj Object) bool {
 		p := obj.(*Pod)
-		if p.OwnerName == rsName && p.Status.Phase != PodFailed {
-			out = append(out, p)
-		}
+		return p.OwnerName == rsName && p.Status.Phase != PodFailed
+	})
+	out := make([]*Pod, len(owned))
+	for i, obj := range owned {
+		out[i] = obj.(*Pod)
 	}
 	return out
 }
@@ -356,11 +357,10 @@ func startEndpointsController(api *API, seed int64) {
 				queue.Add(obj.Name)
 			case *Pod:
 				// Any pod change may affect any service selecting it.
-				for _, svcObj := range c.api.List(KindService, nil) {
-					svc := svcObj.(*Service)
-					if matchesSelector(obj.Labels, svc.Spec.Selector) || ev.Type == Deleted {
-						queue.Add(svc.Name)
-					}
+				for _, svc := range c.api.listFunc(KindService, func(s Object) bool {
+					return ev.Type == Deleted || matchesSelector(obj.Labels, s.(*Service).Spec.Selector)
+				}) {
+					queue.Add(svc.Meta().Name)
 				}
 			}
 		}

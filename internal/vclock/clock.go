@@ -11,6 +11,7 @@
 package vclock
 
 import (
+	"runtime"
 	"sync"
 	"time"
 )
@@ -59,25 +60,60 @@ type waiter struct {
 	v    *Virtual // nil when owned by a Real clock
 	pool *sync.Pool
 	ch   chan struct{}
+
+	// Virtual only, guarded by v.mu: where the waiter is in one
+	// park/wake cycle, and its links on the clock's parked list while
+	// that is waiterParked. The goroutine that received the token owns
+	// both until it parks again (the send orders the accesses).
+	state      waiterState
+	next, prev *waiter
 }
+
+type waiterState uint8
+
+const (
+	waiterIdle   waiterState = iota
+	waiterParked             // on v.parked, no token sent
+	waiterWoken              // token sent or about to be; wait will not link
+	waiterDead               // token sent by the clock's stop: exit at the park
+)
 
 // wait parks the calling goroutine until wake is called.
 func (w *waiter) wait() {
-	if w.v != nil {
-		w.v.mu.Lock()
-		w.v.running--
-		w.v.maybeAdvanceLocked()
-		w.v.mu.Unlock()
+	if v := w.v; v != nil {
+		v.mu.Lock()
+		v.parkLocked(w)
+		v.running--
+		v.maybeAdvanceLocked()
+		v.mu.Unlock()
 	}
 	<-w.ch
+	w.resume()
 }
 
-// wake unparks the waiter. It must be called exactly once per wait.
+// resume runs on the parked goroutine once it holds its token: it ends
+// the goroutine if the token came from the clock's stop and otherwise
+// readies the waiter for its next cycle.
+func (w *waiter) resume() {
+	if w.state == waiterDead {
+		runtime.Goexit()
+	}
+	w.state = waiterIdle
+}
+
+// wake unparks the waiter. It must be called exactly once per wait, and
+// may come before it. A stopped clock ignores it: the waiter's goroutine
+// has been released already, or will be when it parks.
 func (w *waiter) wake() {
-	if w.v != nil {
-		w.v.mu.Lock()
-		w.v.running++
-		w.v.mu.Unlock()
+	if v := w.v; v != nil {
+		v.mu.Lock()
+		if v.stopped {
+			v.mu.Unlock()
+			return
+		}
+		v.unparkLocked(w)
+		v.running++
+		v.mu.Unlock()
 	}
 	w.ch <- struct{}{}
 }

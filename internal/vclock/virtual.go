@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +29,14 @@ type Virtual struct {
 	spawned int64 // goroutines started via Go and AfterFunc, guarded by mu
 	stopped bool
 	free    []*event // event freelist, guarded by mu
+
+	// What Run's stop releases: the waiters whose goroutines are parked
+	// (an intrusive list through waiter.next/prev, guarded by mu) and,
+	// in live, the goroutines startLocked launched that have not left
+	// through exit. Every live.Add is under mu on a clock not yet
+	// stopped, so none can race the stop's Wait.
+	parked *waiter
+	live   sync.WaitGroup
 
 	// The current time is base + offNS nanoseconds. offNS is written
 	// under mu, by the advancing goroutine only, and read lock-free:
@@ -104,10 +113,22 @@ func (v *Virtual) Now() time.Time {
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
 // Run executes fn on the calling goroutine with that goroutine tracked by
-// the clock, then stops the clock when fn returns. Goroutines still
-// parked at that point stay parked; a finished simulation does not keep
-// firing periodic timers. Run is how a test or main function enters a
+// the clock. When fn returns or panics the clock stops and releases what
+// it started: no further event fires, every goroutine parked on the
+// clock leaves through runtime.Goexit at its park point — its deferred
+// calls run, nothing after the park does — a goroutine still running
+// leaves the same way at its next park, and Run returns once the last
+// of them has exited, so nothing of a finished simulation runs beside
+// the caller that reads its results. On a stopped clock Go starts
+// nothing, AfterFunc, Post and Post2 file a call that never happens,
+// and a wake is ignored. Run is how a test or main function enters a
 // simulation.
+//
+// The one rule this adds for simulation code: never park between a Lock
+// and an Unlock that is not deferred. A released goroutine skips the
+// Unlock, and another one's deferred call that takes the same lock then
+// blocks Run for ever. (Cond.Wait parks with L released and exits
+// without taking it back, so its caller must not defer L.Unlock.)
 func (v *Virtual) Run(fn func()) {
 	v.mu.Lock()
 	if v.stopped {
@@ -121,9 +142,51 @@ func (v *Virtual) Run(fn func()) {
 		v.mu.Lock()
 		v.running--
 		v.stopped = true
+		for w := v.parked; w != nil; w = v.parked {
+			v.unparkLocked(w)
+			w.state = waiterDead
+			w.ch <- struct{}{}
+		}
 		v.mu.Unlock()
+		v.live.Wait()
 	}()
 	fn()
+}
+
+// parkLocked files w as parked unless its wake got here first. On a
+// stopped clock there is nothing left to wake it, so the goroutine exits
+// instead. Callers hold v.mu and are about to give up the processor.
+func (v *Virtual) parkLocked(w *waiter) {
+	if w.state == waiterWoken {
+		return
+	}
+	if v.stopped {
+		v.mu.Unlock()
+		runtime.Goexit()
+	}
+	w.state = waiterParked
+	w.next = v.parked
+	if w.next != nil {
+		w.next.prev = w
+	}
+	v.parked = w
+}
+
+// unparkLocked marks w as holding (or about to be sent) its token and
+// takes it off the parked list if it was on it. Callers hold v.mu.
+func (v *Virtual) unparkLocked(w *waiter) {
+	if w.state == waiterParked {
+		if w.prev != nil {
+			w.prev.next = w.next
+		} else {
+			v.parked = w.next
+		}
+		if w.next != nil {
+			w.next.prev = w.prev
+		}
+		w.next, w.prev = nil, nil
+	}
+	w.state = waiterWoken
 }
 
 // reserveStack grows the calling goroutine's stack past the depth of the
@@ -146,9 +209,17 @@ func reserveStack(out *byte, i int) {
 // Go starts fn in a goroutine tracked by this clock.
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
+	if !v.stopped {
+		v.startLocked(fn)
+	}
+	v.mu.Unlock()
+}
+
+// startLocked launches fn as a tracked goroutine. Callers hold v.mu.
+func (v *Virtual) startLocked(fn func()) {
 	v.running++
 	v.spawned++
-	v.mu.Unlock()
+	v.live.Add(1)
 	go func() {
 		defer v.exit()
 		var sink byte
@@ -167,11 +238,15 @@ func (v *Virtual) Spawned() int64 {
 	return v.spawned
 }
 
+// exit is a tracked goroutine's last act. It leaves the live count only
+// after its advance, which may run callbacks, so the stop waits for
+// those too.
 func (v *Virtual) exit() {
 	v.mu.Lock()
 	v.running--
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
+	v.live.Done()
 }
 
 // Sleep pauses the calling goroutine for d of virtual time.
@@ -181,6 +256,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	w := v.newWaiter()
 	v.mu.Lock()
+	v.parkLocked(w)
 	ev := v.getEventLocked(d, evWake)
 	ev.w = w
 	v.sched.push(ev)
@@ -188,6 +264,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
 	<-w.ch
+	w.resume()
 	w.release()
 }
 
@@ -313,19 +390,13 @@ func (v *Virtual) maybeAdvanceLocked() {
 		case evWake:
 			w := ev.w
 			v.putEventLocked(ev)
+			v.unparkLocked(w)
 			v.running++
 			w.ch <- struct{}{}
 		case evGo:
 			fn := ev.fn
 			v.putEventLocked(ev)
-			v.running++
-			v.spawned++
-			go func() {
-				defer v.exit()
-				var sink byte
-				reserveStack(&sink, 0)
-				fn()
-			}()
+			v.startLocked(fn)
 		case evPost:
 			fn := ev.fn
 			v.putEventLocked(ev)
