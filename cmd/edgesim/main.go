@@ -48,7 +48,6 @@ func main() {
 	warm := flag.Int("warm", testbed.DefaultWarmRequests, "warm requests for fig16")
 	parallel := flag.Int("parallel", 1, "workers for independent replications: 1 = sequential, 0 = GOMAXPROCS")
 	format := flag.String("format", "table", "output format for tabular results: table|csv")
-	noFastPath := flag.Bool("no-fastpath", false, "disable the datapath fast path (A/B verification; output must be identical)")
 	flows := flag.Int("flows", 0, "distinct flows for -exp load (default 20000; millions supported)")
 	rate := flag.Float64("rate", 0, "mean arrivals/s for -exp load (default 5000); mean handovers/s for -exp mobility (default 0.5)")
 	handovers := flag.Int("handovers", 0, "handover events for -exp mobility (default 16)")
@@ -69,7 +68,6 @@ func main() {
 	if *format == "csv" {
 		emit = func(t *metrics.Table) { fmt.Print(t.CSV()) }
 	}
-	testbed.DefaultNoFastPath = *noFastPath
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -214,7 +212,7 @@ func knownExp(name string) bool {
 // on mobile clients, a seeded random walk hopping them between the two
 // gNBs, make-before-break flow re-steering at each hop. Every number in
 // the table is virtual-time deterministic — byte-identical for a given
-// seed regardless of -parallel or -no-fastpath.
+// seed regardless of -parallel.
 func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
 	cfg := testbed.MobilityConfig{Handovers: handovers, Migrate: migrate, Seed: seed}
 	if rate > 0 {

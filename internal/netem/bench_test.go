@@ -104,13 +104,13 @@ func BenchmarkPacketSwitchingFanIn(b *testing.B) {
 	})
 }
 
-// benchBulkTransfer builds the cloud-traversal bulk topology of the
-// paper: client — RAN — core — transport — peering — cloud edge —
+// BenchmarkBulkTransfer measures one multi-hop 83 KiB POST over the
+// cloud-traversal bulk topology of the paper: client — RAN — core — transport — peering — cloud edge —
 // server, a five-router chain of rate-less links with propagation
 // delay. The workload mirrors the ResNet request of Table I: one
 // 83 KiB POST in MSS-sized application segments, answered by a short
 // response.
-func benchBulkTransfer(b *testing.B, fastpath bool) {
+func BenchmarkBulkTransfer(b *testing.B) {
 	const (
 		mss       = 1448
 		postBytes = 83 * 1024
@@ -119,7 +119,6 @@ func benchBulkTransfer(b *testing.B, fastpath bool) {
 	clk := vclock.New()
 	clk.Run(func() {
 		n := NewNetwork(clk, 1)
-		n.SetFastPath(fastpath)
 		client := n.NewHost("client", ParseIP("10.0.0.1"))
 		srv := n.NewHost("srv", ParseIP("10.0.1.1"))
 		var routers []*Router
@@ -179,17 +178,6 @@ func benchBulkTransfer(b *testing.B, fastpath bool) {
 		}
 	})
 }
-
-// BenchmarkBulkTransfer measures one multi-hop 83 KiB POST
-// (ResNet-shaped, Table I) with the datapath fast path on: segment
-// trains batch the same-instant sends and compiled flight plans deliver
-// each segment with a single composite event.
-func BenchmarkBulkTransfer(b *testing.B) { benchBulkTransfer(b, true) }
-
-// BenchmarkBulkTransferNoFastPath is the A/B baseline for
-// BenchmarkBulkTransfer with per-hop scheduling; the ratio between the
-// two is the fast path's bulk-transfer gain.
-func BenchmarkBulkTransferNoFastPath(b *testing.B) { benchBulkTransfer(b, false) }
 
 // hopDevice bounces every received packet straight back out its own
 // port, counting deliveries. It exercises the raw packet path — pooled

@@ -61,16 +61,6 @@ type Conn struct {
 
 	localClosed bool
 	peerClosed  bool
-
-	// Segment trains: when an application issues several Sends within
-	// the same virtual instant (bulk transfers), the first segment is
-	// transmitted inline and the rest queue here, flushed — in order,
-	// at the same instant — by one pooled train event instead of one
-	// scheduling round per segment. Retransmission state is untouched:
-	// every queued segment keeps its own pendingMsg and RTO timer.
-	train      []*Packet
-	trainArmed bool
-	lastSendAt time.Time
 }
 
 // pendingMsg tracks one unacknowledged message. It owns pkt (each
@@ -341,43 +331,9 @@ func (c *Conn) Send(payload []byte) error {
 	// live timer handle (the recycling rule depends on Stop's answer).
 	p.timer = c.host.clk.Post2(dataRTO, retryData, c, p)
 	clone := pkt.Clone()
-	if c.host.net.FastPathEnabled() {
-		now := c.host.clk.Now()
-		if c.lastSendAt.Equal(now) {
-			// Back-to-back segment within the same virtual instant:
-			// join the train. One flush event transmits the whole
-			// train, in order, at this same instant.
-			c.train = append(c.train, clone)
-			if !c.trainArmed {
-				c.trainArmed = true
-				c.host.clk.Post2(0, flushTrain, c, nil)
-			}
-			c.mu.Unlock()
-			return nil
-		}
-		c.lastSendAt = now
-	}
 	c.mu.Unlock()
-
 	c.transmit(clone)
 	return nil
-}
-
-// flushTrain is the Post2 callback transmitting a queued segment train.
-// It fires within the same virtual instant the segments were queued.
-func flushTrain(a, _ any) {
-	a.(*Conn).flushTrainNow()
-}
-
-func (c *Conn) flushTrainNow() {
-	c.mu.Lock()
-	segs := c.train
-	c.train = nil
-	c.trainArmed = false
-	c.mu.Unlock()
-	for _, pkt := range segs {
-		c.transmit(pkt)
-	}
 }
 
 // retryData is the Post2 callback of a data retransmission timer. It
@@ -453,9 +409,6 @@ func (c *Conn) releaseUnackedLocked() {
 
 // Close sends FIN (best effort) and releases connection state.
 func (c *Conn) Close() {
-	// Any same-instant train must leave before the FIN: on the baseline
-	// path those segments were transmitted inside Send already.
-	c.flushTrainNow()
 	c.mu.Lock()
 	if c.localClosed || c.state == stateFailed {
 		c.mu.Unlock()
@@ -474,7 +427,6 @@ func (c *Conn) Close() {
 
 // Abort resets the connection immediately, notifying the peer with RST.
 func (c *Conn) Abort() {
-	c.flushTrainNow()
 	c.transmit(c.newControlPacket(FlagRST))
 	c.fail(ErrReset)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/vclock"
@@ -40,13 +39,6 @@ type Host struct {
 	conns     map[connKey]*Conn
 	nextPort  uint16
 	dropped   int64 // packets for foreign addresses or dead connections
-
-	// Compiled flight plans for paths originating here (fastpath.go).
-	// planCount mirrors len(plans) so the no-plans case skips the lock.
-	planMu    sync.Mutex
-	plans     map[planKey]*flightPlan
-	planMasks []FieldMask
-	planCount atomic.Int64
 }
 
 type connKey struct {
@@ -95,12 +87,6 @@ func (h *Host) send(pkt *Packet) {
 		h.clk.Post2(50*time.Microsecond, deliverLoopback, pkt, h)
 		return
 	}
-	if h.net.FastPathEnabled() {
-		if h.tryCompiledSend(pkt) {
-			return
-		}
-		h.attachRecorder(pkt)
-	}
 	h.nic.Send(pkt)
 }
 
@@ -110,17 +96,6 @@ func (h *Host) send(pkt *Packet) {
 // slice, never the packet itself.
 func (h *Host) HandlePacket(pkt *Packet, in *Port) {
 	defer pkt.Release()
-	if r := pkt.rec; r != nil {
-		// The packet completed its path: compile the recording into a
-		// plan for the origin host (only if it actually arrived at the
-		// host owning its destination address).
-		pkt.rec = nil
-		if pkt.Dst.IP == h.ip {
-			h.finalizeRecording(r)
-		} else {
-			r.recycle()
-		}
-	}
 	if pkt.Dst.IP != h.ip {
 		h.mu.Lock()
 		h.dropped++

@@ -66,8 +66,8 @@ type Link struct {
 	b   *Port
 
 	// down marks the link administratively/physically dead: every packet
-	// offered while set is dropped. Atomic so the fast-path validator can
-	// check it without taking mu.
+	// offered while set is dropped. Atomic so SetDown and IsDown need no
+	// lock.
 	down atomic.Bool
 
 	mu sync.Mutex
@@ -107,9 +107,6 @@ func deliverPacket(a, b any) {
 func (l *Link) transmit(pkt *Packet, from *Port) {
 	if l.net != nil && l.net.captureActive() {
 		l.net.capturePacket(pkt)
-	}
-	if pkt.rec != nil {
-		pkt.recordLink(l, from == l.a)
 	}
 	l.mu.Lock()
 	var nextFree *time.Time

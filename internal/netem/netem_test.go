@@ -361,6 +361,50 @@ func TestLossyLinkStillDelivers(t *testing.T) {
 	})
 }
 
+// TestLossyLinkEchoStillFlows sends 20 messages across two lossy links
+// and a router and has each one echoed: retransmission must recover
+// every loss in both directions.
+func TestLossyLinkEchoStillFlows(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		_, a, b := pair(t, clk, LinkConfig{Latency: time.Millisecond, LossRate: 0.2})
+		ln, _ := b.Listen(80)
+		count := 0
+		clk.Go(func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			for {
+				msg, err := c.Recv()
+				if err != nil {
+					return
+				}
+				count++
+				c.Send(msg)
+			}
+		})
+		c, err := a.DialTimeout(b.Addr(80), time.Minute)
+		if err != nil {
+			t.Fatalf("Dial over lossy link: %v", err)
+		}
+		for i := 0; i < 20; i++ {
+			c.Send([]byte{byte(i)})
+			echo, err := c.Recv()
+			if err != nil {
+				t.Fatalf("echo %d over lossy link: %v", i, err)
+			}
+			if len(echo) != 1 || echo[0] != byte(i) {
+				t.Fatalf("echo %d = %v", i, echo)
+			}
+		}
+		if count != 20 {
+			t.Errorf("delivered %d/20 messages over 20%% lossy link", count)
+		}
+		c.Close()
+	})
+}
+
 func TestDialTimeoutExpires(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
@@ -723,6 +767,135 @@ func TestReliableDeliveryProperty(t *testing.T) {
 		}
 		if dialErr == nil {
 			t.Error("the seed no longer loses the SYN budget (the loss draws changed): find one that does, or this case checks nothing")
+		}
+	})
+}
+
+// echoServer accepts one connection on ln and echoes every message,
+// recording each arrival's virtual time.
+func echoServer(clk *vclock.Virtual, ln *Listener, at *[]time.Duration) {
+	clk.Go(func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		for {
+			msg, err := c.Recv()
+			if err != nil {
+				return
+			}
+			*at = append(*at, clk.Now().Sub(vclock.Epoch))
+			c.Send(msg)
+		}
+	})
+}
+
+// TestLinkDownMidPathRecovers cuts the middle link of client — r1 — r2
+// — srv under an established session: packets offered to the dead link
+// are dropped and counted there, never delivered through it, and the
+// transport's retransmission carries the message across once the link
+// is back.
+func TestLinkDownMidPathRecovers(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		n := NewNetwork(clk, 1)
+		client := n.NewHost("client", ParseIP("10.0.0.1"))
+		srv := n.NewHost("srv", ParseIP("10.0.1.1"))
+		r1 := NewRouter(n, "r1", 2)
+		r2 := NewRouter(n, "r2", 2)
+		cfg := LinkConfig{Latency: time.Millisecond}
+		n.Connect(client.NIC(), r1.Port(0), cfg)
+		mid := n.Connect(r1.Port(1), r2.Port(0), cfg)
+		n.Connect(r2.Port(1), srv.NIC(), cfg)
+		for _, r := range []*Router{r1, r2} {
+			r.AddRoute(srv.IP(), r.Port(1))
+			r.AddRoute(client.IP(), r.Port(0))
+		}
+		ln, _ := srv.Listen(80)
+		var srvAt []time.Duration
+		echoServer(clk, ln, &srvAt)
+		c, err := client.Dial(srv.Addr(80))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c.Send([]byte("warm"))
+		if _, err := c.Recv(); err != nil {
+			t.Fatalf("warm recv: %v", err)
+		}
+		clk.Sleep(100 * time.Millisecond)
+		// The first transmission and the first retransmit (RTO 500ms) hit
+		// the dead link; the link comes back at 1.2s, so the second
+		// retransmit (1.5s, doubled RTO) lands.
+		mid.SetDown(true)
+		clk.Post(1200*time.Millisecond, func() { mid.SetDown(false) })
+		start := clk.Now()
+		c.Send([]byte("dark"))
+		if _, err := c.Recv(); err != nil {
+			t.Fatalf("recv across the cut: %v", err)
+		}
+		if took := clk.Since(start); took < 1500*time.Millisecond {
+			t.Errorf("echo across the cut took %v, want >= 1.5s (second retransmit)", took)
+		}
+		if d := mid.Stats().DownDrops; d != 2 {
+			t.Errorf("down-drops = %d, want 2 (first send and first retransmit)", d)
+		}
+		if len(srvAt) != 2 {
+			t.Errorf("server saw %d messages, want 2", len(srvAt))
+		}
+		c.Close()
+	})
+}
+
+// TestRouteChangeMidFlow reroutes a session from a slow to a fast branch
+// of a diamond mid-stream: the very next messages take the new route,
+// which shows as a shorter gap between server arrivals.
+func TestRouteChangeMidFlow(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		n := NewNetwork(clk, 1)
+		client := n.NewHost("client", ParseIP("10.0.0.1"))
+		srv := n.NewHost("srv", ParseIP("10.0.1.1"))
+		r1 := NewRouter(n, "r1", 3) // port0 client, port1 slow branch, port2 fast branch
+		slow := NewRouter(n, "slow", 2)
+		fast := NewRouter(n, "fast", 2)
+		rj := NewRouter(n, "rj", 3) // join: port0 slow, port1 fast, port2 srv
+		n.Connect(client.NIC(), r1.Port(0), LinkConfig{Latency: time.Millisecond})
+		n.Connect(r1.Port(1), slow.Port(0), LinkConfig{Latency: 20 * time.Millisecond})
+		n.Connect(r1.Port(2), fast.Port(0), LinkConfig{Latency: 2 * time.Millisecond})
+		n.Connect(slow.Port(1), rj.Port(0), LinkConfig{Latency: time.Millisecond})
+		n.Connect(fast.Port(1), rj.Port(1), LinkConfig{Latency: time.Millisecond})
+		n.Connect(rj.Port(2), srv.NIC(), LinkConfig{Latency: time.Millisecond})
+		r1.AddRoute(srv.IP(), r1.Port(1)) // start on the slow branch
+		r1.AddRoute(client.IP(), r1.Port(0))
+		slow.AddRoute(srv.IP(), slow.Port(1))
+		slow.AddRoute(client.IP(), slow.Port(0))
+		fast.AddRoute(srv.IP(), fast.Port(1))
+		fast.AddRoute(client.IP(), fast.Port(0))
+		rj.AddRoute(srv.IP(), rj.Port(2))
+		rj.AddRoute(client.IP(), rj.Port(0)) // replies retrace the slow branch
+
+		ln, _ := srv.Listen(80)
+		var srvAt []time.Duration
+		echoServer(clk, ln, &srvAt)
+		c, err := client.Dial(srv.Addr(80))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		for i := 0; i < 3; i++ {
+			c.Send([]byte(fmt.Sprintf("slow%d", i)))
+			c.Recv()
+		}
+		r1.AddRoute(srv.IP(), r1.Port(2))
+		for i := 0; i < 3; i++ {
+			c.Send([]byte(fmt.Sprintf("fast%d", i)))
+			c.Recv()
+		}
+		c.Close()
+		if len(srvAt) != 6 {
+			t.Fatalf("server saw %d messages, want 6", len(srvAt))
+		}
+		if slowGap, fastGap := srvAt[2]-srvAt[1], srvAt[5]-srvAt[4]; fastGap >= slowGap {
+			t.Fatalf("reroute not visible: slow-branch gap %v, fast-branch gap %v", slowGap, fastGap)
 		}
 	})
 }

@@ -27,9 +27,6 @@ type Network struct {
 	// per-packet fast path is one load, no lock, and no packet Clone
 	// when no tap is registered.
 	capture atomic.Pointer[CaptureFunc]
-	// fastpathOff disables compiled delivery and segment trains; the
-	// zero value means the fast path is on. See SetFastPath.
-	fastpathOff atomic.Bool
 }
 
 // NewNetwork returns an empty topology driven by clk. seed feeds the

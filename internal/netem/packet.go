@@ -72,10 +72,6 @@ type Packet struct {
 	// It is debugging/capture metadata only: forwarding and demux use
 	// the address fields, which rewrites may change.
 	ConnID uint64
-	// rec, when non-nil, accumulates this packet's path as a flight
-	// plan (see fastpath.go). It belongs to this packet alone: clones
-	// never inherit it, and the pool never recycles a live recording.
-	rec *flightRec
 }
 
 // pktPool recycles Packet structs so the steady-state forwarding path
@@ -109,10 +105,6 @@ func NewPacket() *Packet {
 // of indefinitely retained copies (captures, controller-held packets)
 // can simply keep them.
 func (p *Packet) Release() {
-	if p.rec != nil {
-		p.rec.recycle()
-		p.rec = nil
-	}
 	livePackets.Add(-1)
 	pktPool.Put(p)
 }
@@ -125,7 +117,6 @@ func (p *Packet) WireSize() int { return headerOverhead + len(p.Payload) }
 func (p *Packet) Clone() *Packet {
 	q := pktPool.Get().(*Packet)
 	*q = *p
-	q.rec = nil
 	livePackets.Add(1)
 	return q
 }

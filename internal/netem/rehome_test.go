@@ -66,20 +66,19 @@ func fnvSum(h uint64, b []byte) uint64 {
 // TestRehomeSessionChecksum is the application-level continuity test: a
 // session straddling the re-home must deliver exactly the bytes sent —
 // zero lost, zero duplicated, in order — verified by checksumming both
-// ends and echo-comparing every message.
+// ends and echo-comparing every message. The handover comes either
+// between two echoes or right after a send, with that message and its
+// echo still on the wire.
 func TestRehomeSessionChecksum(t *testing.T) {
-	for _, fastpath := range []bool{true, false} {
-		name := "fastpath"
-		if !fastpath {
-			name = "nofastpath"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		midMessage bool
+	}{{"between_messages", false}, {"mid_message", true}} {
+		t.Run(tc.name, func(t *testing.T) {
 			clk := vclock.New()
 			var failure string
 			clk.Run(func() {
 				tp := buildRehomeTopo(clk)
-				tp.n.SetFastPath(fastpath)
-
 				ln, err := tp.server.Listen(80)
 				if err != nil {
 					failure = err.Error()
@@ -115,9 +114,7 @@ func TestRehomeSessionChecksum(t *testing.T) {
 				var cliSum = fnvOffset
 				var cliBytes int
 				for i := 0; i < msgs; i++ {
-					if i == msgs/2 {
-						// Mid-session handover, with the previous echo
-						// possibly still in flight.
+					if i == msgs/2 && !tc.midMessage {
 						tp.rehomeToR2(t)
 					}
 					payload := []byte(fmt.Sprintf("msg %03d on the move %0128d", i, i))
@@ -126,6 +123,9 @@ func TestRehomeSessionChecksum(t *testing.T) {
 					if err := conn.Send(payload); err != nil {
 						failure = fmt.Sprintf("send %d: %v", i, err)
 						return
+					}
+					if i == msgs/2 && tc.midMessage {
+						tp.rehomeToR2(t)
 					}
 					echo, err := conn.RecvTimeout(30 * time.Second)
 					if err != nil {
@@ -152,9 +152,9 @@ func TestRehomeSessionChecksum(t *testing.T) {
 	}
 }
 
-// TestRehomeDropsInGap verifies the cut-cable semantics: traffic
-// offered to the severed link is dropped and counted, and the client's
-// compiled plans are gone.
+// TestRehomeDropsInGap verifies the cut-cable semantics: the severed
+// link is marked down, and the session carries on over the new
+// attachment point.
 func TestRehomeDropsInGap(t *testing.T) {
 	clk := vclock.New()
 	var failure string
@@ -189,7 +189,6 @@ func TestRehomeDropsInGap(t *testing.T) {
 			failure = "dial: " + err.Error()
 			return
 		}
-		// Warm traffic compiles plans on the client.
 		for i := 0; i < 3; i++ {
 			if err := conn.Send([]byte("warm")); err != nil {
 				failure = err.Error()
@@ -200,16 +199,8 @@ func TestRehomeDropsInGap(t *testing.T) {
 				return
 			}
 		}
-		if tp.client.planCount.Load() == 0 {
-			failure = "expected compiled plans before the re-home"
-			return
-		}
 		oldLink := tp.client.NIC().link
 		tp.rehomeToR2(t)
-		if tp.client.planCount.Load() != 0 {
-			failure = "compiled plans survived the re-home"
-			return
-		}
 		if !oldLink.IsDown() {
 			failure = "severed link not marked down"
 			return

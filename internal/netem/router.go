@@ -21,15 +21,11 @@ type Router struct {
 	routes   map[IP]*Port
 	fallback *Port
 	// ForwardDelay models lookup/queuing latency per forwarded packet.
-	// Set it before traffic flows: compiled paths capture it.
 	ForwardDelay time.Duration
 
 	// dropped is atomic: stats reporters read it while clock goroutines
 	// forward packets.
 	dropped atomic.Int64
-	// epoch versions the routing state for compiled delivery; any
-	// change that can alter where a packet is forwarded bumps it.
-	epoch atomic.Uint64
 	// down marks the router crashed: every packet handed to it is
 	// dropped until Restart.
 	down atomic.Bool
@@ -54,15 +50,11 @@ func (r *Router) DeviceName() string { return r.name }
 // Port returns the i-th port.
 func (r *Router) Port(i int) *Port { return r.ports[i] }
 
-// PathEpoch implements PathDevice.
-func (r *Router) PathEpoch() uint64 { return r.epoch.Load() }
-
 // AddRoute directs traffic for ip out of the given port.
 func (r *Router) AddRoute(ip IP, out *Port) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.routes[ip] = out
-	r.epoch.Add(1)
 }
 
 // SetDefault directs traffic with no host route out of the given port.
@@ -70,27 +62,15 @@ func (r *Router) SetDefault(out *Port) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fallback = out
-	r.epoch.Add(1)
 }
 
 // Crash takes the router down: until Restart every packet handed to it
-// is dropped. The epoch bump invalidates compiled flight plans that
-// would otherwise tunnel packets through the dead device. Static routes
-// survive the crash (the modelled failure is power/forwarding-plane
-// loss, not configuration loss).
-func (r *Router) Crash() {
-	if !r.down.Swap(true) {
-		r.epoch.Add(1)
-	}
-}
+// is dropped. Static routes survive the crash (the modelled failure is
+// power/forwarding-plane loss, not configuration loss).
+func (r *Router) Crash() { r.down.Store(true) }
 
-// Restart brings a crashed router back. The epoch bump forces compiled
-// plans recorded against the crashed state to revalidate.
-func (r *Router) Restart() {
-	if r.down.Swap(false) {
-		r.epoch.Add(1)
-	}
-}
+// Restart brings a crashed router back.
+func (r *Router) Restart() { r.down.Store(false) }
 
 // IsDown reports whether the router is currently crashed.
 func (r *Router) IsDown() bool { return r.down.Load() }
@@ -119,11 +99,6 @@ func (r *Router) HandlePacket(pkt *Packet, in *Port) {
 	}
 	delay := r.ForwardDelay
 	r.mu.Unlock()
-	if pkt.Recording() {
-		// Routing examined the destination address only, so the
-		// resulting plan is shared across ports and sources.
-		pkt.RecordHop(r, r.epoch.Load(), Rewrite{}, FieldDstIP, delay, nil)
-	}
 	if delay <= 0 {
 		out.Send(pkt)
 		return

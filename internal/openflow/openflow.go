@@ -189,8 +189,26 @@ type FlowID struct {
 	srcIP, dstIP, toSrc, toDst netem.IP
 	srcPort, dstPort           uint16
 	toSrcPort, toDstPort       uint16
-	set                        netem.FieldMask
+	set                        fieldMask
 	term                       terminal
+}
+
+// fieldMask names the packet address fields a rewrite sets.
+type fieldMask uint8
+
+// Address field bits.
+const (
+	fieldSrcIP fieldMask = 1 << iota
+	fieldSrcPort
+	fieldDstIP
+	fieldDstPort
+)
+
+// rewrite is an action list's set-fields folded into one: the fields in
+// fields are overwritten with the corresponding values from src/dst.
+type rewrite struct {
+	fields   fieldMask
+	src, dst netem.HostPort
 }
 
 // ID computes f's identity. The action list is read the way the pipeline
@@ -202,10 +220,10 @@ func (f FlowSpec) ID() FlowID {
 	m := f.Match
 	return FlowID{
 		priority: f.Priority, inPort: m.InPort, outPort: port,
-		srcIP: m.SrcIP, dstIP: m.DstIP, toSrc: rw.Src.IP, toDst: rw.Dst.IP,
+		srcIP: m.SrcIP, dstIP: m.DstIP, toSrc: rw.src.IP, toDst: rw.dst.IP,
 		srcPort: m.SrcPort, dstPort: m.DstPort,
-		toSrcPort: rw.Src.Port, toDstPort: rw.Dst.Port,
-		set: rw.Fields, term: term,
+		toSrcPort: rw.src.Port, toDstPort: rw.dst.Port,
+		set: rw.fields, term: term,
 	}
 }
 
@@ -283,10 +301,8 @@ type Switch struct {
 	microOn     bool
 	microHits   int64
 	microMisses int64
-	// epoch versions the forwarding state for the microflow cache and
-	// for compiled delivery (netem.PathDevice). Written under mu, read
-	// lock-free by plan validation.
-	epoch atomic.Uint64
+	// epoch versions the forwarding state for the microflow cache.
+	epoch uint64
 
 	// counters
 	punted  int64
@@ -366,7 +382,7 @@ func (s *Switch) AddRoute(ip netem.IP, port int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.routes[ip] = port
-	s.epoch.Add(1)
+	s.epoch++
 }
 
 // rangeRoute is one NORMAL-forwarding prefix route: addresses matching
@@ -389,12 +405,12 @@ func (s *Switch) AddRouteRange(base, mask netem.IP, port int) {
 	for i, r := range s.ranges {
 		if r.base == base&mask && r.mask == mask {
 			s.ranges[i].port = port
-			s.epoch.Add(1)
+			s.epoch++
 			return
 		}
 	}
 	s.ranges = append(s.ranges, rangeRoute{base: base & mask, mask: mask, port: port})
-	s.epoch.Add(1)
+	s.epoch++
 }
 
 // SetDefaultRoute sets the NORMAL route for unknown destinations
@@ -403,12 +419,8 @@ func (s *Switch) SetDefaultRoute(port int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.defRoute = port
-	s.epoch.Add(1)
+	s.epoch++
 }
-
-// PathEpoch implements netem.PathDevice: the forwarding-state version
-// compiled delivery validates against.
-func (s *Switch) PathEpoch() uint64 { return s.epoch.Load() }
 
 // SetMicroflow enables or disables the microflow cache (enabled by
 // default); disabling clears it. Differential tests use this to compare
@@ -466,8 +478,7 @@ func (s *Switch) process(pkt *netem.Packet, inPort int) {
 	var best *flowEntry
 	normalPort := -1
 	key := microKey{inPort: inPort, src: pkt.Src, dst: pkt.Dst}
-	epoch := s.epoch.Load()
-	if me, ok := s.micro[key]; s.microOn && ok && me.epoch == epoch {
+	if me, ok := s.micro[key]; s.microOn && ok && me.epoch == s.epoch {
 		best, normalPort = me.entry, me.port
 		s.microHits++
 	} else {
@@ -490,11 +501,8 @@ func (s *Switch) process(pkt *netem.Packet, inPort int) {
 			if len(s.micro) >= microCap {
 				clear(s.micro)
 			}
-			s.micro[key] = microEntry{epoch: epoch, entry: best, port: normalPort}
+			s.micro[key] = microEntry{epoch: s.epoch, entry: best, port: normalPort}
 		}
-	}
-	if pkt.Recording() {
-		s.recordHopLocked(pkt, best, epoch)
 	}
 	if best == nil {
 		s.normal++
@@ -536,65 +544,6 @@ func (s *Switch) drop(pkt *netem.Packet) {
 	pkt.Release()
 }
 
-// recordHopLocked appends this switch to pkt's flight-plan recording,
-// or aborts it when the decision is not replayable (punt, drop). The
-// recorded field mask is the union of the fields any installed flow
-// matches on, plus the destination address the NORMAL route examines —
-// packets differing only in unexamined fields would classify
-// identically, so they may share the compiled path. Callers hold s.mu.
-func (s *Switch) recordHopLocked(pkt *netem.Packet, e *flowEntry, epoch uint64) {
-	mask := netem.FieldDstIP
-	for sig := range s.sigCount {
-		if sig&sigSrcIP != 0 {
-			mask |= netem.FieldSrcIP
-		}
-		if sig&sigSrcPort != 0 {
-			mask |= netem.FieldSrcPort
-		}
-		if sig&sigDstIP != 0 {
-			mask |= netem.FieldDstIP
-		}
-		if sig&sigDstPort != 0 {
-			mask |= netem.FieldDstPort
-		}
-		// sigInPort needs no key bit: a plan replays one concrete path,
-		// which fixes the ingress port.
-	}
-	if e == nil {
-		pkt.RecordHop(s, epoch, netem.Rewrite{}, mask, 0, s.touchNormal)
-		return
-	}
-	rw, term, _ := compileActions(e.Actions)
-	if term != termOutput && term != termNormal {
-		// Only a forwarding output can be replayed; punts and drops cannot.
-		pkt.AbortRecording()
-		return
-	}
-	pkt.RecordHop(s, epoch, rw, mask, 0, func(p *netem.Packet, at time.Time) {
-		s.touchFlow(e, p, at)
-	})
-}
-
-// touchFlow replays per-entry accounting for a compiled traversal; at
-// is the packet's arrival instant at the switch.
-func (s *Switch) touchFlow(e *flowEntry, pkt *netem.Packet, at time.Time) {
-	s.mu.Lock()
-	if !e.removed {
-		e.lastUsed = at
-		e.packets++
-		e.bytes += int64(pkt.WireSize())
-	}
-	s.mu.Unlock()
-}
-
-// touchNormal replays the NORMAL-forwarding counter for a compiled
-// traversal.
-func (s *Switch) touchNormal(_ *netem.Packet, _ time.Time) {
-	s.mu.Lock()
-	s.normal++
-	s.mu.Unlock()
-}
-
 // terminal is how an action list ends.
 type terminal uint8
 
@@ -608,21 +557,21 @@ const (
 // compileActions folds an action list into the rewrite its set-fields
 // add up to, the terminal that ends it, and the terminal's port (for
 // termOutput). Actions after the terminal never run and are ignored.
-func compileActions(actions []Action) (rw netem.Rewrite, term terminal, port int) {
+func compileActions(actions []Action) (rw rewrite, term terminal, port int) {
 	for _, a := range actions {
 		switch act := a.(type) {
 		case SetDstIP:
-			rw.Fields |= netem.FieldDstIP
-			rw.Dst.IP = act.IP
+			rw.fields |= fieldDstIP
+			rw.dst.IP = act.IP
 		case SetDstPort:
-			rw.Fields |= netem.FieldDstPort
-			rw.Dst.Port = act.Port
+			rw.fields |= fieldDstPort
+			rw.dst.Port = act.Port
 		case SetSrcIP:
-			rw.Fields |= netem.FieldSrcIP
-			rw.Src.IP = act.IP
+			rw.fields |= fieldSrcIP
+			rw.src.IP = act.IP
 		case SetSrcPort:
-			rw.Fields |= netem.FieldSrcPort
-			rw.Src.Port = act.Port
+			rw.fields |= fieldSrcPort
+			rw.src.Port = act.Port
 		case Output:
 			return rw, termOutput, act.Port
 		case OutputNormal:
@@ -754,7 +703,7 @@ func (s *Switch) installLocked(spec FlowSpec) *flowEntry {
 	s.table = append(s.table, e)
 	s.index[spec.Match] = append(s.index[spec.Match], e)
 	s.sigCount[spec.Match.signature()]++
-	s.epoch.Add(1)
+	s.epoch++
 	return e
 }
 
@@ -801,7 +750,7 @@ func (s *Switch) evict(e *flowEntry, idle bool) {
 	s.removedCount++
 	s.dropIndexLocked(e)
 	s.compactLocked()
-	s.epoch.Add(1)
+	s.epoch++
 	h := s.handler
 	s.mu.Unlock()
 	if h == nil {
@@ -845,7 +794,7 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 	}
 	s.table = kept
 	s.removedCount = 0
-	s.epoch.Add(1)
+	s.epoch++
 	return removed
 }
 
@@ -919,7 +868,7 @@ func (s *Switch) deleteExactLocked(m Match, priority int) bool {
 			s.removedCount++
 			s.dropIndexLocked(e)
 			s.compactLocked()
-			s.epoch.Add(1)
+			s.epoch++
 			return true
 		}
 	}
@@ -984,7 +933,7 @@ func (s *Switch) Restart() {
 }
 
 // wipeTableLocked drops every flow entry. Entries are marked removed
-// so in-flight idle/hard timers and compiled touch callbacks no-op.
+// so in-flight idle/hard timers no-op.
 // Callers hold s.mu.
 func (s *Switch) wipeTableLocked() {
 	for i, e := range s.table {
@@ -996,7 +945,7 @@ func (s *Switch) wipeTableLocked() {
 	clear(s.index)
 	clear(s.sigCount)
 	clear(s.micro)
-	s.epoch.Add(1)
+	s.epoch++
 }
 
 // ResyncFrom replaces the whole flow table with specs in one reliable

@@ -404,16 +404,21 @@ func TestMatchWildcardWideningProperty(t *testing.T) {
 // route installed: exact host routes beat the range, the range beats
 // the default, non-matching addresses still take the default, and
 // installing or updating a range bumps the forwarding epoch (the
-// microflow cache and compiled paths must notice).
+// microflow cache must notice).
 func TestRangeRoute(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		env := newOFEnv(clk)
 		sw := env.sw
 		base, mask := netem.ParseIP("100.64.0.0"), netem.ParseIP("255.192.0.0")
-		before := sw.PathEpoch()
+		sw.mu.Lock()
+		before := sw.epoch
+		sw.mu.Unlock()
 		sw.AddRouteRange(base, mask, 3)
-		if sw.PathEpoch() == before {
+		sw.mu.Lock()
+		bumped := sw.epoch != before
+		sw.mu.Unlock()
+		if !bumped {
 			t.Fatal("AddRouteRange did not bump the forwarding epoch")
 		}
 		sw.mu.Lock()

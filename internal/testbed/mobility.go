@@ -28,8 +28,7 @@ var mobileAccess = netem.LinkConfig{
 // run in datapath-safe order:
 //
 //  1. physical — Network.Rehome cuts the old access link and attaches
-//     the host to the reserved port on the target switch (epoch bumps
-//     invalidate compiled plans and microflow caches);
+//     the host to the reserved port on the target switch;
 //  2. control — Controller.Handover re-steers the client's redirect
 //     flows make-before-break and re-tags its tracked location;
 //  3. routing — the target switch learns the direct route, the old

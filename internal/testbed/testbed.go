@@ -125,18 +125,9 @@ type Options struct {
 	// DeployTimeout overrides the controller's end-to-end deployment
 	// deadline.
 	DeployTimeout time.Duration
-	// NoFastPath disables the datapath fast path (microflow cache,
-	// compiled delivery, segment trains) for A/B verification; outputs
-	// must be byte-identical either way.
-	NoFastPath bool
 	// Seed drives all deterministic jitter.
 	Seed int64
 }
-
-// DefaultNoFastPath is the process-wide default for Options.NoFastPath,
-// set by edgesim's -no-fastpath flag so every testbed an experiment
-// builds (including those inside parallel replications) inherits it.
-var DefaultNoFastPath bool
 
 func (o Options) withDefaults() Options {
 	if o.Clients <= 0 {
@@ -153,9 +144,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if DefaultNoFastPath {
-		o.NoFastPath = true
 	}
 	return o
 }
@@ -222,9 +210,6 @@ func New(clk vclock.Clock, opts Options) (*Testbed, error) {
 	opts = opts.withDefaults()
 	tb := &Testbed{Opts: opts, Clock: clk}
 	n := netem.NewNetwork(clk, opts.Seed)
-	if opts.NoFastPath {
-		n.SetFastPath(false)
-	}
 	tb.Net = n
 
 	// Registries.
