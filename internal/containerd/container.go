@@ -174,11 +174,12 @@ func (c *Container) Start() error {
 	if delay > 0 && c.spec.ReadySigma > 0 {
 		delay = c.rt.rng.LogNormal(delay, c.spec.ReadySigma)
 	}
-	c.rt.clk.AfterFunc(delay, func() { c.finishInit(stop, ready) })
+	c.rt.clk.Post(delay, func() { c.finishInit(stop, ready) })
 	return nil
 }
 
-// finishInit opens the service port and marks the container ready.
+// finishInit opens the service port and marks the container ready. It
+// runs as a clock event: nothing in it waits.
 func (c *Container) finishInit(stop, ready *vclock.Gate) {
 	c.mu.Lock()
 	if c.state != StateRunning || c.stop != stop {

@@ -3,7 +3,8 @@ package kube
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,11 +82,15 @@ type Event struct {
 	Object Object
 }
 
-// Watch is a subscription to one object kind.
+// Watch is a subscription to one object kind. An event carries the
+// stored object itself, shared with the store and every other watcher:
+// read it, never modify it (DeepCopy it first).
 type Watch struct {
-	api    *API
-	kind   string
-	events *vclock.Mailbox[Event]
+	api     *API
+	kind    string
+	events  *vclock.Mailbox[Event] // nil when fn takes the events
+	fn      func(Event)
+	stopped bool // set by Stop, under api.mu, before it closes events
 }
 
 // Recv blocks for the next event; ok is false after Stop.
@@ -94,9 +99,10 @@ func (w *Watch) Recv() (Event, bool) { return w.events.Recv() }
 // RecvTimeout is Recv with a deadline.
 func (w *Watch) RecvTimeout(d time.Duration) (Event, bool) { return w.events.RecvTimeout(d) }
 
-// Stop cancels the subscription and discards queued events.
+// Stop cancels the subscription, discarding queued and in-flight events.
 func (w *Watch) Stop() {
 	w.api.mu.Lock()
+	w.stopped = true
 	ws := w.api.watchers[w.kind]
 	for i, other := range ws {
 		if other == w {
@@ -114,7 +120,9 @@ func (w *Watch) Stop() {
 }
 
 // API is the emulated API server: a versioned object store with watch
-// fan-out and per-request latency.
+// fan-out and per-request latency. Create and Update store a private copy
+// that nothing edits afterwards, so the package reads stored objects in
+// place; Get and List hand out copies.
 type API struct {
 	clk    vclock.Clock
 	rng    *vclock.Rand
@@ -171,7 +179,7 @@ func (a *API) Create(obj Object) error {
 	stored.Meta().ResourceVersion = a.rv
 	stored.Meta().CreatedAt = a.clk.Now()
 	byName[name] = stored
-	a.notifyLocked(Event{Type: Added, Object: stored.DeepCopy()})
+	a.notifyLocked(Event{Type: Added, Object: stored})
 	a.mu.Unlock()
 	// Reflect the server-assigned fields back to the caller's copy.
 	obj.Meta().ResourceVersion = stored.Meta().ResourceVersion
@@ -186,6 +194,15 @@ var ErrConflict = errors.New("kube: resource version conflict")
 // Update replaces an existing object. It fails with ErrConflict when the
 // stored object changed since the caller read it.
 func (a *API) Update(obj Object) error {
+	stored := obj.DeepCopy()
+	err := a.update(stored) // on failure stored keeps obj's version
+	obj.Meta().ResourceVersion = stored.Meta().ResourceVersion
+	return err
+}
+
+// update is Update for an object the caller hands over: on success the
+// store keeps obj itself, and the caller must not touch it again.
+func (a *API) update(obj Object) error {
 	a.requestLatency()
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -199,27 +216,26 @@ func (a *API) Update(obj Object) error {
 		return fmt.Errorf("kube: update of %s %q: %w", kind, name, ErrConflict)
 	}
 	a.rv++
-	stored = obj.DeepCopy()
-	stored.Meta().ResourceVersion = a.rv
-	a.objects[kind][name] = stored
-	a.notifyLocked(Event{Type: Modified, Object: stored.DeepCopy()})
 	obj.Meta().ResourceVersion = a.rv
+	a.objects[kind][name] = obj
+	a.notifyLocked(Event{Type: Modified, Object: obj})
 	return nil
 }
 
-// Mutate applies fn to the live object and writes it back, retrying on
-// ErrConflict. fn returns false to skip the write. Mutate returns false
-// if the object does not exist.
+// Mutate applies fn to a copy of the live object and writes it back,
+// retrying on ErrConflict. fn returns false to skip the write. Mutate
+// returns false if the object does not exist.
 func (a *API) Mutate(kind, name string, fn func(Object) bool) (bool, error) {
 	for {
-		obj, ok := a.Get(kind, name)
+		obj, ok := a.get(kind, name)
 		if !ok {
 			return false, nil
 		}
+		obj = obj.DeepCopy()
 		if !fn(obj) {
 			return true, nil
 		}
-		err := a.Update(obj)
+		err := a.update(obj)
 		if err == nil {
 			return true, nil
 		}
@@ -231,27 +247,37 @@ func (a *API) Mutate(kind, name string, fn func(Object) bool) (bool, error) {
 
 // Get returns a deep copy of the named object.
 func (a *API) Get(kind, name string) (Object, bool) {
-	a.requestLatency()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	obj, ok := a.objects[kind][name]
+	obj, ok := a.get(kind, name)
 	if !ok {
 		return nil, false
 	}
 	return obj.DeepCopy(), true
 }
 
+// get is Get without the copy: the caller must not modify the object.
+func (a *API) get(kind, name string) (Object, bool) {
+	a.requestLatency()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	obj, ok := a.objects[kind][name]
+	return obj, ok
+}
+
 // List returns deep copies of all objects of kind whose labels match
 // selector (nil selector matches all), sorted by name.
 func (a *API) List(kind string, selector map[string]string) []Object {
-	return a.listFunc(kind, func(obj Object) bool {
+	out := a.listFunc(kind, func(obj Object) bool {
 		return selector == nil || matchesSelector(obj.Meta().Labels, selector)
 	})
+	for i, obj := range out {
+		out[i] = obj.DeepCopy()
+	}
+	return out
 }
 
-// listFunc is List with the choice left to keep, which sees the stored
-// object: only what it accepts is copied. keep must neither retain nor
-// modify its argument.
+// listFunc is List with the choice left to keep and without the copies:
+// it returns the stored objects keep accepts, sorted by name, and the
+// caller must not modify them.
 func (a *API) listFunc(kind string, keep func(Object) bool) []Object {
 	a.requestLatency()
 	a.mu.Lock()
@@ -259,10 +285,10 @@ func (a *API) listFunc(kind string, keep func(Object) bool) []Object {
 	var out []Object
 	for _, obj := range a.objects[kind] {
 		if keep(obj) {
-			out = append(out, obj.DeepCopy())
+			out = append(out, obj)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Meta().Name < out[j].Meta().Name })
+	slices.SortFunc(out, func(x, y Object) int { return strings.Compare(x.Meta().Name, y.Meta().Name) })
 	return out
 }
 
@@ -277,7 +303,7 @@ func (a *API) Delete(kind, name string) error {
 	}
 	delete(a.objects[kind], name)
 	a.rv++
-	a.notifyLocked(Event{Type: Deleted, Object: obj.DeepCopy()})
+	a.notifyLocked(Event{Type: Deleted, Object: obj})
 	return nil
 }
 
@@ -285,19 +311,34 @@ func (a *API) Delete(kind, name string) error {
 // events (the informer list+watch pattern), then live events follow.
 func (a *API) Watch(kind string) *Watch {
 	w := &Watch{api: a, kind: kind, events: vclock.NewMailbox[Event](a.clk)}
+	a.subscribe(w)
+	return w
+}
+
+// watchInto is Watch into a mailbox that several watches may share:
+// their events arrive in the order they were made.
+func (a *API) watchInto(kind string, events *vclock.Mailbox[Event]) {
+	a.subscribe(&Watch{api: a, kind: kind, events: events})
+}
+
+// watchFunc is Watch for a consumer that only enqueues: fn takes each
+// event inline on the clock's event loop and must not block.
+func (a *API) watchFunc(kind string, fn func(Event)) {
+	a.subscribe(&Watch{api: a, kind: kind, fn: fn})
+}
+
+func (a *API) subscribe(w *Watch) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	names := make([]string, 0, len(a.objects[kind]))
-	for name := range a.objects[kind] {
+	names := make([]string, 0, len(a.objects[w.kind]))
+	for name := range a.objects[w.kind] {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
-		ev := Event{Type: Added, Object: a.objects[kind][name].DeepCopy()}
-		a.deliverLocked(w, ev)
+		a.deliverLocked(w, Event{Type: Added, Object: a.objects[w.kind][name]})
 	}
-	a.watchers[kind] = append(a.watchers[kind], w)
-	return w
+	a.watchers[w.kind] = append(a.watchers[w.kind], w)
 }
 
 // notifyLocked fans an event out to all subscribers of its kind.
@@ -307,16 +348,21 @@ func (a *API) notifyLocked(ev Event) {
 	}
 }
 
-// deliverLocked schedules delayed delivery of one event, preserving
-// per-watcher ordering because all deliveries use the same latency and
-// the clock fires same-instant events FIFO.
+// deliverLocked schedules delivery of one event as a clock event: it
+// only enqueues, so it needs no goroutine. Per-watcher order holds
+// because all deliveries use the same latency and the clock fires
+// same-instant events FIFO. A delivery racing Stop is dropped: it reads
+// Stop's mark and sends under a.mu (Send never blocks).
 func (a *API) deliverLocked(w *Watch, ev Event) {
-	a.clk.AfterFunc(a.timing.WatchLatency, func() {
-		defer func() {
-			// The watcher may race Stop with an in-flight delivery;
-			// sending to a closed mailbox is acceptable to drop.
-			recover()
-		}()
-		w.events.Send(ev)
+	a.clk.Post(a.timing.WatchLatency, func() {
+		if w.fn != nil {
+			w.fn(ev)
+			return
+		}
+		a.mu.Lock()
+		if !w.stopped {
+			w.events.Send(ev)
+		}
+		a.mu.Unlock()
 	})
 }

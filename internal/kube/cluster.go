@@ -126,13 +126,13 @@ func (c *Cluster) Scale(deployment string, replicas int) error {
 // HasDeployment reports whether the deployment object exists (the
 // dispatcher's "created?" check).
 func (c *Cluster) HasDeployment(name string) bool {
-	_, ok := c.api.Get(KindDeployment, name)
+	_, ok := c.api.get(KindDeployment, name)
 	return ok
 }
 
 // Replicas returns the desired replica count of a deployment.
 func (c *Cluster) Replicas(name string) (int, bool) {
-	obj, ok := c.api.Get(KindDeployment, name)
+	obj, ok := c.api.get(KindDeployment, name)
 	if !ok {
 		return 0, false
 	}
@@ -141,7 +141,7 @@ func (c *Cluster) Replicas(name string) (int, bool) {
 
 // ReadyEndpoints returns the ready addresses behind a service.
 func (c *Cluster) ReadyEndpoints(service string) []netem.HostPort {
-	obj, ok := c.api.Get(KindEndpoints, service)
+	obj, ok := c.api.get(KindEndpoints, service)
 	if !ok {
 		return nil
 	}

@@ -10,25 +10,6 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// mergeWatches funnels several watches into one mailbox so a controller
-// can process heterogeneous events in arrival order.
-func mergeWatches(clk vclock.Clock, watches ...*Watch) *vclock.Mailbox[Event] {
-	out := vclock.NewMailbox[Event](clk)
-	for _, w := range watches {
-		w := w
-		clk.Go(func() {
-			for {
-				ev, ok := w.Recv()
-				if !ok {
-					return
-				}
-				out.Send(ev)
-			}
-		})
-	}
-	return out
-}
-
 // keyQueue is a deduplicating work queue, the coalescing mechanism of
 // real controllers: a key added many times while queued is reconciled
 // once. Without it, a deployment burst (Fig. 10: up to eight per
@@ -47,8 +28,11 @@ func newKeyQueue(clk vclock.Clock) *keyQueue {
 	return q
 }
 
-// Add enqueues key unless it is already pending.
+// Add enqueues key unless it is empty (no owner) or already pending.
 func (q *keyQueue) Add(key string) {
+	if key == "" {
+		return
+	}
 	q.mu.Lock()
 	if !q.set[key] {
 		q.set[key] = true
@@ -103,28 +87,13 @@ type deploymentController struct {
 func startDeploymentController(api *API, seed int64) {
 	c := &deploymentController{controllerBase{api: api, clk: api.clk, rng: vclock.NewRand(seed)}}
 	queue := newKeyQueue(api.clk)
-	events := mergeWatches(api.clk, api.Watch(KindDeployment), api.Watch(KindReplicaSet))
-	api.clk.Go(func() {
-		for {
-			ev, ok := events.Recv()
-			if !ok {
-				return
-			}
-			switch obj := ev.Object.(type) {
-			case *Deployment:
-				queue.Add(obj.Name)
-			case *ReplicaSet:
-				if obj.OwnerName != "" {
-					queue.Add(obj.OwnerName)
-				}
-			}
-		}
-	})
+	api.watchFunc(KindDeployment, func(ev Event) { queue.Add(ev.Object.Meta().Name) })
+	api.watchFunc(KindReplicaSet, func(ev Event) { queue.Add(ev.Object.Meta().OwnerName) })
 	queue.runWorker(c.reconcile)
 }
 
 func (c *deploymentController) reconcile(name string) {
-	obj, ok := c.api.Get(KindDeployment, name)
+	obj, ok := c.api.get(KindDeployment, name)
 	if !ok {
 		// Deployment gone: reap the owned ReplicaSet.
 		c.work()
@@ -135,18 +104,19 @@ func (c *deploymentController) reconcile(name string) {
 	c.work()
 
 	rsName := rsNameFor(d.Name)
-	cur, exists := c.api.Get(KindReplicaSet, rsName)
+	cur, exists := c.api.get(KindReplicaSet, rsName)
 	if !exists {
+		// Create stores a copy, so the new object may share d's maps.
 		rs := &ReplicaSet{
 			ObjectMeta: ObjectMeta{
 				Name:      rsName,
-				Labels:    copyMap(d.Spec.Template.Labels),
+				Labels:    d.Spec.Template.Labels,
 				OwnerName: d.Name,
 			},
 			Spec: ReplicaSetSpec{
 				Replicas: d.Spec.Replicas,
-				Selector: copyMap(d.Spec.Selector),
-				Template: d.Spec.Template.deepCopy(),
+				Selector: d.Spec.Selector,
+				Template: d.Spec.Template,
 			},
 		}
 		c.api.Create(rs)
@@ -214,23 +184,8 @@ type replicaSetController struct {
 func startReplicaSetController(api *API, seed int64) {
 	c := &replicaSetController{controllerBase{api: api, clk: api.clk, rng: vclock.NewRand(seed)}}
 	queue := newKeyQueue(api.clk)
-	events := mergeWatches(api.clk, api.Watch(KindReplicaSet), api.Watch(KindPod))
-	api.clk.Go(func() {
-		for {
-			ev, ok := events.Recv()
-			if !ok {
-				return
-			}
-			switch obj := ev.Object.(type) {
-			case *ReplicaSet:
-				queue.Add(obj.Name)
-			case *Pod:
-				if obj.OwnerName != "" {
-					queue.Add(obj.OwnerName)
-				}
-			}
-		}
-	})
+	api.watchFunc(KindReplicaSet, func(ev Event) { queue.Add(ev.Object.Meta().Name) })
+	api.watchFunc(KindPod, func(ev Event) { queue.Add(ev.Object.Meta().OwnerName) })
 	queue.runWorker(c.reconcile)
 }
 
@@ -247,7 +202,7 @@ func (c *replicaSetController) ownedPods(rsName string) []*Pod {
 }
 
 func (c *replicaSetController) reconcile(rsName string) {
-	obj, ok := c.api.Get(KindReplicaSet, rsName)
+	obj, ok := c.api.get(KindReplicaSet, rsName)
 	if !ok {
 		// ReplicaSet gone: reap the owned pods.
 		c.work()
@@ -292,7 +247,8 @@ func (c *replicaSetController) reconcile(rsName string) {
 	})
 }
 
-// newPod builds the next pod for rs, choosing a free ordinal suffix.
+// newPod builds the next pod for rs, choosing a free ordinal suffix. It
+// shares rs's template, which Create copies.
 func (c *replicaSetController) newPod(rs *ReplicaSet, existing []*Pod) *Pod {
 	used := make(map[string]bool, len(existing))
 	for _, p := range existing {
@@ -308,12 +264,12 @@ func (c *replicaSetController) newPod(rs *ReplicaSet, existing []*Pod) *Pod {
 	return &Pod{
 		ObjectMeta: ObjectMeta{
 			Name:      name,
-			Labels:    copyMap(rs.Spec.Template.Labels),
+			Labels:    rs.Spec.Template.Labels,
 			OwnerName: rs.Name,
 		},
 		Spec: PodSpec{
-			Containers:    append([]ContainerSpec(nil), rs.Spec.Template.Containers...),
-			Volumes:       append([]string(nil), rs.Spec.Template.Volumes...),
+			Containers:    rs.Spec.Template.Containers,
+			Volumes:       rs.Spec.Template.Volumes,
 			SchedulerName: rs.Spec.Template.SchedulerName,
 		},
 		Status: PodStatus{Phase: PodPending},
@@ -345,7 +301,10 @@ type endpointsController struct {
 func startEndpointsController(api *API, seed int64) {
 	c := &endpointsController{controllerBase{api: api, clk: api.clk, rng: vclock.NewRand(seed)}}
 	queue := newKeyQueue(api.clk)
-	events := mergeWatches(api.clk, api.Watch(KindService), api.Watch(KindPod))
+	// Its Pod handler lists Services, which waits: one loop takes both kinds.
+	events := vclock.NewMailbox[Event](api.clk)
+	api.watchInto(KindService, events)
+	api.watchInto(KindPod, events)
 	api.clk.Go(func() {
 		for {
 			ev, ok := events.Recv()
@@ -369,7 +328,7 @@ func startEndpointsController(api *API, seed int64) {
 }
 
 func (c *endpointsController) reconcile(svcName string) {
-	obj, ok := c.api.Get(KindService, svcName)
+	obj, ok := c.api.get(KindService, svcName)
 	if !ok {
 		c.api.Delete(KindEndpoints, svcName)
 		return
@@ -378,7 +337,9 @@ func (c *endpointsController) reconcile(svcName string) {
 	c.work()
 
 	var addrs []netem.HostPort
-	for _, podObj := range c.api.List(KindPod, svc.Spec.Selector) {
+	for _, podObj := range c.api.listFunc(KindPod, func(obj Object) bool {
+		return svc.Spec.Selector == nil || matchesSelector(obj.Meta().Labels, svc.Spec.Selector)
+	}) {
 		p := podObj.(*Pod)
 		if p.Status.Ready && !p.Addr().IsZero() {
 			addrs = append(addrs, p.Addr())
@@ -388,7 +349,7 @@ func (c *endpointsController) reconcile(svcName string) {
 		return strings.Compare(addrs[i].String(), addrs[j].String()) < 0
 	})
 
-	cur, exists := c.api.Get(KindEndpoints, svc.Name)
+	cur, exists := c.api.get(KindEndpoints, svc.Name)
 	if !exists {
 		c.api.Create(&Endpoints{
 			ObjectMeta: ObjectMeta{Name: svc.Name, OwnerName: svc.Name},

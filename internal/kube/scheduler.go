@@ -18,7 +18,8 @@ const DefaultSchedulerName = "default-scheduler"
 // matching-based schedulers as examples) implement this.
 type NodePicker interface {
 	// Pick returns the chosen node name. nodes only contains nodes with
-	// free capacity.
+	// free capacity, and are Pick's own copies; pod is the API server's
+	// stored object and must not be modified.
 	Pick(nodes []*Node, pod *Pod) (string, error)
 }
 
@@ -81,26 +82,15 @@ func startScheduler(api *API, seed int64, name string, picker NodePicker) {
 		picker: picker,
 		queue:  make(map[string]bool),
 	}
-	w := api.Watch(KindPod)
-	api.clk.Go(func() {
-		for {
-			ev, ok := w.Recv()
-			if !ok {
-				return
-			}
-			p := ev.Object.(*Pod)
-			if ev.Type == Deleted {
-				s.mu.Lock()
-				delete(s.queue, p.Name)
-				s.mu.Unlock()
-				continue
-			}
-			if p.Spec.NodeName == "" && s.owns(p) {
-				s.mu.Lock()
-				s.queue[p.Name] = true
-				s.mu.Unlock()
-			}
+	api.watchFunc(KindPod, func(ev Event) {
+		p := ev.Object.(*Pod)
+		s.mu.Lock()
+		if ev.Type == Deleted {
+			delete(s.queue, p.Name)
+		} else if p.Spec.NodeName == "" && s.owns(p) {
+			s.queue[p.Name] = true
 		}
+		s.mu.Unlock()
 	})
 	s.scheduleCycle()
 }
@@ -114,36 +104,39 @@ func (s *scheduler) owns(p *Pod) bool {
 	return want == s.name
 }
 
-// scheduleCycle arms the periodic scheduling loop.
+// scheduleCycle draws the next period and arms the next tick.
 func (s *scheduler) scheduleCycle() {
 	period := s.rng.Jitter(s.api.timing.SchedulerCycle, s.api.timing.JitterFrac)
-	s.clk.AfterFunc(period, func() {
-		s.runCycle()
-		s.scheduleCycle()
-	})
+	s.clk.Post(period, s.tick)
 }
 
-func (s *scheduler) runCycle() {
+// tick runs one scheduling cycle. An idle cycle arms the next tick
+// inline; one with pending pods binds them on a goroutine, because the
+// API calls wait, and arms the next tick after the last bind.
+func (s *scheduler) tick() {
 	s.mu.Lock()
 	if len(s.queue) == 0 {
 		s.mu.Unlock()
+		s.scheduleCycle()
 		return
 	}
 	names := make([]string, 0, len(s.queue))
 	for name := range s.queue {
 		names = append(names, name)
 	}
-	s.queue = make(map[string]bool)
+	clear(s.queue)
 	s.mu.Unlock()
 	sort.Strings(names)
-
-	for _, name := range names {
-		s.bind(name)
-	}
+	s.clk.Go(func() {
+		for _, name := range names {
+			s.bind(name)
+		}
+		s.scheduleCycle()
+	})
 }
 
 func (s *scheduler) bind(podName string) {
-	obj, ok := s.api.Get(KindPod, podName)
+	obj, ok := s.api.get(KindPod, podName)
 	if !ok {
 		return
 	}
@@ -152,11 +145,11 @@ func (s *scheduler) bind(podName string) {
 		return
 	}
 	var free []*Node
-	for _, nObj := range s.api.List(KindNode, nil) {
-		n := nObj.(*Node)
-		if n.Status.Ready && n.Status.Pods < n.Spec.Capacity {
-			free = append(free, n)
-		}
+	for _, nObj := range s.api.listFunc(KindNode, func(obj Object) bool {
+		n := obj.(*Node)
+		return n.Status.Ready && n.Status.Pods < n.Spec.Capacity
+	}) {
+		free = append(free, nObj.DeepCopy().(*Node))
 	}
 	nodeName, err := s.picker.Pick(free, p)
 	if err != nil {

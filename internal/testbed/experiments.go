@@ -149,8 +149,7 @@ func runPhaseExperiment(serviceKey string, kind cluster.Kind, n int, seed int64,
 			// measured phase begins.
 			clk.Sleep(3 * time.Second)
 		}
-		tr := trace.Generate(deployTrace(n, seed))
-		replay := tb.ReplayFirstRequests(tr, handles)
+		replay := tb.ReplayFirstRequests(trace.FirstRequests(deployTrace(n, seed)), handles)
 		res.Errors += replay.Errors
 		for _, d := range replay.Totals.Samples() {
 			res.Totals.Add(d)

@@ -86,24 +86,23 @@ type ReplayResult struct {
 }
 
 // ReplayFirstRequests fires the first request of every registered
-// service at its trace first-occurrence time and measures time_total —
-// the measurement behind Figs. 11 and 12 ("we scaled up 42 instances
-// for each test, see Fig. 10").
-func (tb *Testbed) ReplayFirstRequests(tr *trace.Trace, handles []*ServiceHandle) *ReplayResult {
+// service (first[i], from trace.FirstRequests, for handle i) at its
+// trace first-occurrence time and measures time_total — the measurement
+// behind Figs. 11 and 12 ("we scaled up 42 instances for each test, see
+// Fig. 10").
+func (tb *Testbed) ReplayFirstRequests(first []trace.Request, handles []*ServiceHandle) *ReplayResult {
 	res := &ReplayResult{Totals: metrics.NewSeries("time_total")}
 	start := tb.Clock.Now()
-	first := tr.FirstOccurrences()
 	var g vclock.Group
 	var mu sync.Mutex
 	results := make([]time.Duration, len(handles))
 	errs := make([]error, len(handles))
 	for i, h := range handles {
 		i, h := i, h
-		at := first[i%len(first)]
-		client := clientOfFirstRequest(tr, i)
+		req := first[i%len(first)]
 		g.Go(tb.Clock, func() {
-			tb.Clock.Sleep(at)
-			r, err := tb.Request(client, h)
+			tb.Clock.Sleep(req.At)
+			r, err := tb.Request(req.Client, h)
 			if err != nil {
 				errs[i] = err
 				return
@@ -123,17 +122,6 @@ func (tb *Testbed) ReplayFirstRequests(tr *trace.Trace, handles []*ServiceHandle
 		res.Totals.Add(results[i])
 	}
 	return res
-}
-
-// clientOfFirstRequest finds which client issues service i's first
-// request in the trace.
-func clientOfFirstRequest(tr *trace.Trace, service int) int {
-	for _, r := range tr.Requests {
-		if r.Service == service%len(tr.Counts) {
-			return r.Client
-		}
-	}
-	return 0
 }
 
 // ReplayTrace replays the full request trace (all 1708 requests) and

@@ -11,13 +11,14 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/netem"
-	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
 // Config parameterizes workload synthesis.
@@ -121,6 +122,39 @@ func ClientAddr(i int) netem.IP { return clientBase + netem.IP(i) + 10 }
 // Generate synthesizes a workload from cfg. The result is deterministic
 // in cfg.Seed and always satisfies the exact totals in cfg.
 func Generate(cfg Config) *Trace {
+	var reqs []Request
+	counts := draw(&cfg, func(r Request) { reqs = append(reqs, r) })
+	slices.SortFunc(reqs, func(a, b Request) int {
+		if a.At != b.At {
+			return cmp.Compare(a.At, b.At)
+		}
+		return cmp.Compare(a.Service, b.Service)
+	})
+	return &Trace{Config: cfg, Requests: reqs, Counts: counts}
+}
+
+// FirstRequests returns each hot service's first request, indexed by
+// service: the entry Generate(cfg).Requests holds first for it, found
+// without building or sorting the trace. A service without requests
+// gets the zero request.
+func FirstRequests(cfg Config) []Request {
+	first := make([]Request, cfg.HotServices)
+	seen := make([]bool, cfg.HotServices)
+	draw(&cfg, func(r Request) {
+		if !seen[r.Service] || r.At < first[r.Service].At {
+			seen[r.Service] = true
+			first[r.Service] = r
+		}
+	})
+	return first
+}
+
+// draw makes the workload's random draws in their one order, which
+// Generate and FirstRequests share, and hands each hot-service request
+// to emit, service by service. It checks cfg, defaults its client count
+// and returns the per-service counts. The draws come from the generator
+// vclock.NewRand wraps, without the lock a shared Rand takes per draw.
+func draw(cfg *Config, emit func(Request)) []int {
 	if cfg.HotServices <= 0 || cfg.TotalRequests < cfg.HotServices*cfg.MinPerService {
 		panic(fmt.Sprintf("trace: infeasible config: %d services × %d min > %d total",
 			cfg.HotServices, cfg.MinPerService, cfg.TotalRequests))
@@ -128,31 +162,23 @@ func Generate(cfg Config) *Trace {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
-	rng := vclock.NewRand(cfg.Seed)
-	counts := popularityCounts(cfg, rng)
-
-	var reqs []Request
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	counts := popularityCounts(*cfg)
 	for svc, n := range counts {
 		for k := 0; k < n; k++ {
-			reqs = append(reqs, Request{
-				At:      arrivalTime(cfg, rng),
+			emit(Request{
+				At:      arrivalTime(*cfg, rng),
 				Service: svc,
 				Client:  rng.Intn(cfg.Clients),
 			})
 		}
 	}
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].At != reqs[j].At {
-			return reqs[i].At < reqs[j].At
-		}
-		return reqs[i].Service < reqs[j].Service
-	})
-	return &Trace{Config: cfg, Requests: reqs, Counts: counts}
+	return counts
 }
 
 // popularityCounts assigns per-service request counts: a guaranteed
 // minimum plus a Zipf-distributed surplus, summing exactly to the total.
-func popularityCounts(cfg Config, rng *vclock.Rand) []int {
+func popularityCounts(cfg Config) []int {
 	n := cfg.HotServices
 	counts := make([]int, n)
 	surplus := cfg.TotalRequests - n*cfg.MinPerService
@@ -173,13 +199,12 @@ func popularityCounts(cfg Config, rng *vclock.Rand) []int {
 		counts[i]++
 		assigned++
 	}
-	_ = rng
 	return counts
 }
 
 // arrivalTime draws one arrival offset: front-loaded with probability
 // FrontLoadFrac, otherwise uniform over the capture.
-func arrivalTime(cfg Config, rng *vclock.Rand) time.Duration {
+func arrivalTime(cfg Config, rng *rand.Rand) time.Duration {
 	window := cfg.Duration
 	if cfg.FrontLoadFrac > 0 && rng.Float64() < cfg.FrontLoadFrac {
 		window = cfg.FrontLoadWindow
