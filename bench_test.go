@@ -1,13 +1,13 @@
 package transparentedge
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design decisions DESIGN.md calls out. Each
-// iteration runs a complete experiment on the virtual clock; the
-// reported custom metrics carry the *simulated* medians (sim-ms), which
-// are the reproduced quantities — wall-clock ns/op only measures the
-// emulator itself.
+// Ablation benches for the design decisions DESIGN.md calls out, and the
+// paper's future-work variant. Each iteration runs a complete scenario
+// on the virtual clock; the reported custom metrics carry *simulated*
+// times (sim-ms) — wall-clock ns/op only measures the emulator itself.
+// The paper's tables and figures are reproduced by `edgesim -exp <name>`
+// and measured end to end by `go run ./bench` (workload figures).
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Ablation|FutureWork' -benchtime 1x .
 
 import (
 	"fmt"
@@ -15,420 +15,13 @@ import (
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/catalog"
-	"github.com/c3lab/transparentedge/internal/cluster"
 	"github.com/c3lab/transparentedge/internal/core"
-	"github.com/c3lab/transparentedge/internal/faultinject"
 	"github.com/c3lab/transparentedge/internal/testbed"
 	"github.com/c3lab/transparentedge/internal/trace"
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// benchDeployments keeps per-iteration experiments small; the medians
-// are insensitive to the count (the paper uses 42).
-const benchDeployments = 6
-
-var benchServices = []string{"asm", "nginx", "resnet", "nginxpy"}
-
-var benchKinds = []struct {
-	name string
-	kind cluster.Kind
-}{
-	{"docker", cluster.Docker},
-	{"k8s", cluster.Kubernetes},
-}
-
 func simMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// BenchmarkTableI regenerates the service catalog table.
-func BenchmarkTableI(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = testbed.TableI().String()
-	}
-	if len(out) == 0 {
-		b.Fatal("empty table")
-	}
-}
-
-// BenchmarkFig09Workload regenerates the request distribution: 1708
-// requests to 42 services recovered from the synthesized capture.
-func BenchmarkFig09Workload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := testbed.RunWorkload(trace.DefaultBigFlows())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Trace.TotalRequests() != 1708 || len(res.Trace.Counts) != 42 {
-			b.Fatalf("workload = %d requests / %d services", res.Trace.TotalRequests(), len(res.Trace.Counts))
-		}
-	}
-}
-
-// BenchmarkFig10DeploymentBurst regenerates the deployment distribution.
-func BenchmarkFig10DeploymentBurst(b *testing.B) {
-	burst := 0
-	for i := 0; i < b.N; i++ {
-		res, err := testbed.RunWorkload(trace.DefaultBigFlows())
-		if err != nil {
-			b.Fatal(err)
-		}
-		burst = 0
-		for _, n := range res.DeploymentsPerSec {
-			if n > burst {
-				burst = n
-			}
-		}
-	}
-	b.ReportMetric(float64(burst), "max-deploys/s")
-}
-
-// BenchmarkFig11ScaleUp regenerates the scale-up medians per service
-// and cluster kind.
-func BenchmarkFig11ScaleUp(b *testing.B) {
-	for _, key := range benchServices {
-		for _, k := range benchKinds {
-			b.Run(key+"/"+k.name, func(b *testing.B) {
-				var med time.Duration
-				for i := 0; i < b.N; i++ {
-					res, err := testbed.RunScaleUp(key, k.kind, benchDeployments, int64(i+1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Errors > 0 {
-						b.Fatalf("%d deployment errors", res.Errors)
-					}
-					med = res.Totals.Median()
-				}
-				b.ReportMetric(simMS(med), "sim-ms-median")
-			})
-		}
-	}
-}
-
-// BenchmarkFig12CreateScaleUp regenerates the create+scale-up medians.
-func BenchmarkFig12CreateScaleUp(b *testing.B) {
-	for _, key := range benchServices {
-		for _, k := range benchKinds {
-			b.Run(key+"/"+k.name, func(b *testing.B) {
-				var med time.Duration
-				for i := 0; i < b.N; i++ {
-					res, err := testbed.RunCreateScaleUp(key, k.kind, benchDeployments, int64(i+1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					med = res.Totals.Median()
-				}
-				b.ReportMetric(simMS(med), "sim-ms-median")
-			})
-		}
-	}
-}
-
-// BenchmarkFig13Pull regenerates the pull times from the WAN registries
-// vs the private registry.
-func BenchmarkFig13Pull(b *testing.B) {
-	for _, key := range benchServices {
-		for _, src := range []struct {
-			name    string
-			private bool
-		}{{"wan", false}, {"private", true}} {
-			b.Run(key+"/"+src.name, func(b *testing.B) {
-				var med time.Duration
-				for i := 0; i < b.N; i++ {
-					res, err := testbed.RunPull(key, src.private, 5, int64(i+1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					med = res.Times.Median()
-				}
-				b.ReportMetric(simMS(med), "sim-ms-median")
-			})
-		}
-	}
-}
-
-// BenchmarkFig14Wait regenerates the wait-until-ready medians after
-// scale-up.
-func BenchmarkFig14Wait(b *testing.B) {
-	for _, key := range benchServices {
-		for _, k := range benchKinds {
-			b.Run(key+"/"+k.name, func(b *testing.B) {
-				var med time.Duration
-				for i := 0; i < b.N; i++ {
-					res, err := testbed.RunScaleUp(key, k.kind, benchDeployments, int64(i+1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					med = res.Waits.Median()
-				}
-				b.ReportMetric(simMS(med), "sim-ms-median")
-			})
-		}
-	}
-}
-
-// BenchmarkFig15WaitCreate regenerates the wait-until-ready medians
-// after create+scale-up.
-func BenchmarkFig15WaitCreate(b *testing.B) {
-	for _, key := range benchServices {
-		for _, k := range benchKinds {
-			b.Run(key+"/"+k.name, func(b *testing.B) {
-				var med time.Duration
-				for i := 0; i < b.N; i++ {
-					res, err := testbed.RunCreateScaleUp(key, k.kind, benchDeployments, int64(i+1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					med = res.Waits.Median()
-				}
-				b.ReportMetric(simMS(med), "sim-ms-median")
-			})
-		}
-	}
-}
-
-// BenchmarkFig16Warm regenerates the warm-path request medians.
-func BenchmarkFig16Warm(b *testing.B) {
-	for _, key := range benchServices {
-		for _, k := range benchKinds {
-			b.Run(key+"/"+k.name, func(b *testing.B) {
-				var med time.Duration
-				for i := 0; i < b.N; i++ {
-					res, err := testbed.RunWarm(key, k.kind, 20, int64(i+1))
-					if err != nil {
-						b.Fatal(err)
-					}
-					med = res.Totals.Median()
-				}
-				b.ReportMetric(simMS(med), "sim-ms-median")
-			})
-		}
-	}
-}
-
-// BenchmarkTransparentAccessOverhead measures the redirection mechanism
-// itself — the original 2019 paper's evaluation focus: direct path vs
-// installed flows vs FlowMemory hit vs full cold dispatch, all with the
-// instance already running.
-func BenchmarkTransparentAccessOverhead(b *testing.B) {
-	var res *testbed.AccessOverheadResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = testbed.RunAccessOverhead("asm", 10, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(simMS(res.Direct.Median()), "sim-ms-direct")
-	b.ReportMetric(simMS(res.WarmFlow.Median()), "sim-ms-warm-flow")
-	b.ReportMetric(simMS(res.MemoryHit.Median()), "sim-ms-memory-hit")
-	b.ReportMetric(simMS(res.ColdDispatch.Median()), "sim-ms-cold-dispatch")
-}
-
-// BenchmarkScaleDispatch runs the control-plane scale experiment: a
-// packet-in storm from a large client population against one
-// pre-deployed service — a cold wave of FlowMemory misses sharing one
-// candidate snapshot, then a warm wave of FlowMemory hits.
-func BenchmarkScaleDispatch(b *testing.B) {
-	for _, clients := range []int{20, 100} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			var res *testbed.ScaleResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = testbed.RunScale("nginx", clients, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(simMS(res.Cold.Median()), "sim-ms-cold")
-			b.ReportMetric(simMS(res.Warm.Median()), "sim-ms-warm")
-			b.ReportMetric(float64(res.Stats.CandidateHits), "cand-hits")
-			b.ReportMetric(float64(res.Stats.CandidateMisses), "cand-misses")
-		})
-	}
-}
-
-// BenchmarkOpenLoopLoad drives the open-loop load engine at the 250k-
-// concurrent-flow scale (enlarged from 100k once streaming telemetry
-// made measurement O(1) per event): a Poisson arrival process over
-// Zipf-assigned services via the O(1) alias sampler, every flow holding
-// FlowMemory state and a redirect pair with idle timers — the
-// pending-timer population the hierarchical timing wheel serves, with
-// dispatch latency streamed into a constant-memory histogram. One
-// iteration is one complete run (cold wave plus revisits); allocs/op is
-// gated in CI (make bench-load-guard).
-func BenchmarkOpenLoopLoad(b *testing.B) {
-	var res *testbed.LoadResult
-	var err error
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err = testbed.RunLoad(testbed.LoadConfig{
-			Flows: 250_000,
-			Rate:  100_000,
-			Seed:  int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Arrivals), "arrivals/op")
-	b.ReportMetric(float64(res.Arrivals)/res.Wall.Seconds(), "arrivals/s-wall")
-	b.ReportMetric(simMS(res.Dispatch.Median()), "sim-ms-dispatch-p50")
-	b.ReportMetric(float64(res.Punts), "punts")
-	b.ReportMetric(float64(res.PeakHeap)/(1<<20), "peak-heap-MiB")
-}
-
-// BenchmarkOpenLoopLoadSharded is the sharded twin of
-// BenchmarkOpenLoopLoad: the identical 250k-flow run service-
-// partitioned across four clocks (testbed.LoadConfig.Shards). Its
-// merged result carries the same fingerprint as the sequential run —
-// TestShardFingerprintInvariance gates that — so the delta between the
-// two benchmarks is pure engine parallelism. Read it with the archived
-// gomaxprocs/numcpu fields: on a single-core host the shards time-slice
-// one CPU and the ratio measures overhead, not speedup.
-func BenchmarkOpenLoopLoadSharded(b *testing.B) {
-	var res *testbed.LoadResult
-	var err error
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err = testbed.RunLoad(testbed.LoadConfig{
-			Flows:  250_000,
-			Rate:   100_000,
-			Seed:   int64(i + 1),
-			Shards: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(4, "shards")
-	b.ReportMetric(float64(res.Arrivals), "arrivals/op")
-	b.ReportMetric(float64(res.Arrivals)/res.Wall.Seconds(), "arrivals/s-wall")
-	b.ReportMetric(simMS(res.Dispatch.Median()), "sim-ms-dispatch-p50")
-	b.ReportMetric(float64(res.Punts), "punts")
-	b.ReportMetric(float64(res.PeakHeap)/(1<<20), "peak-heap-MiB")
-}
-
-// BenchmarkHandover measures the steady-churn handover path: one mobile
-// client with a live session ping-pongs between the two gNBs, each
-// iteration performing one complete re-home (physical link move,
-// make-before-break flow re-steering, route convergence) followed by a
-// verified request/response round on the surviving connection — so an
-// iteration that broke session continuity fails the benchmark instead
-// of mis-measuring it. allocs/op covers the full handover (Rehome's
-// link rebuild, the bundle exchanges, the FlowMemory snapshot) and is
-// gated in CI (make bench-load-guard).
-func BenchmarkHandover(b *testing.B) {
-	b.ReportAllocs()
-	var p50 time.Duration
-	clk := vclock.New()
-	clk.Run(func() {
-		tb, err := testbed.New(clk, testbed.Options{
-			TwoZones:       true,
-			MobileClients:  1,
-			SwitchFlowIdle: time.Hour,
-			MemoryIdle:     time.Hour,
-			Seed:           1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		asm, _ := catalog.ByKey("asm")
-		h, err := tb.RegisterCatalogService(asm, trace.ServiceAddr(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tb.PrePull(h, "edge-docker")
-		if _, err := tb.Controller.PreDeploy(h.Addr, "edge-docker"); err != nil {
-			b.Fatal(err)
-		}
-		conn, err := tb.MobileClient(0).DialTimeout(h.Addr, 30*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		req := []byte("GET / HTTP/1.1\r\n\r\n")
-		exchange := func() {
-			if err := conn.Send(req); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := conn.RecvTimeout(30 * time.Second); err != nil {
-				b.Fatal(err)
-			}
-		}
-		exchange() // installs the redirect flows the handovers re-steer
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tb.RehomeClient(0, i%2 == 0)
-			clk.Sleep(time.Second) // let retransmissions settle
-			exchange()
-		}
-		b.StopTimer()
-		p50 = tb.Controller.HandoverLatency().Median()
-		if n := tb.Controller.Stats().ContinuityBreaks; n != 0 {
-			b.Fatalf("%d continuity breaks", n)
-		}
-	})
-	b.ReportMetric(simMS(p50), "sim-ms-handover-p50")
-}
-
-// BenchmarkTraceReplay runs a reduced end-to-end replay of the bigFlows
-// workload through the complete system.
-func BenchmarkTraceReplay(b *testing.B) {
-	cfg := trace.DefaultBigFlows()
-	cfg.HotServices = 8
-	cfg.TotalRequests = 320
-	var med, p99 time.Duration
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		res, err := testbed.RunTraceReplay("nginx", cluster.Docker, cfg, cfg.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		med, p99 = res.Totals.Median(), res.Totals.Percentile(99)
-	}
-	b.ReportMetric(simMS(med), "sim-ms-p50")
-	b.ReportMetric(simMS(p99), "sim-ms-p99")
-}
-
-// BenchmarkFaultRecovery runs the reduced replay fault-free and under
-// 10 % pull/scale-up failures, reporting the latency the resilience
-// machinery (retry, failover, breaker, cloud fallback) pays to keep
-// every request alive.
-func BenchmarkFaultRecovery(b *testing.B) {
-	cfg := trace.DefaultBigFlows()
-	cfg.HotServices = 8
-	cfg.TotalRequests = 320
-	for _, mode := range []struct {
-		name    string
-		faulted bool
-	}{{"baseline", false}, {"faulted", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var med, p99 time.Duration
-			var retries, failovers int64
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				faults := faultinject.Config{Seed: cfg.Seed}
-				if mode.faulted {
-					faults = testbed.DefaultFaultConfig(cfg.Seed)
-				}
-				res, err := testbed.RunFaultReplay("nginx", cfg, faults, cfg.Seed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors > 0 {
-					b.Fatalf("%d of %d requests blackholed", res.Errors, res.Requests)
-				}
-				med, p99 = res.Totals.Median(), res.Totals.Percentile(99)
-				retries, failovers = res.Stats.Retries, res.Stats.Failovers
-			}
-			b.ReportMetric(simMS(med), "sim-ms-p50")
-			b.ReportMetric(simMS(p99), "sim-ms-p99")
-			b.ReportMetric(float64(retries), "retries")
-			b.ReportMetric(float64(failovers), "failovers")
-		})
-	}
-}
 
 // ablationScenario measures repeated requests from one client with the
 // switch flow expiring between them, so every request needs the

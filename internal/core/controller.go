@@ -524,10 +524,9 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 	if c.cfg.ProactiveDeploy {
 		// Proactive deployment (Fig. 1): bring the service up at the
 		// nearest hosting cluster in the background.
-		spec := svc.Annotated.Spec
 		var best cluster.Cluster
 		for _, cl := range c.cfg.Clusters {
-			if !cl.CanHost(c.specForCluster(spec, cl)) {
+			if !cl.CanHost(c.specFor(svc, cl)) {
 				continue
 			}
 			if best == nil || cl.Location().Latency < best.Location().Latency {
@@ -544,14 +543,6 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 		}
 	}
 	return svc, nil
-}
-
-// specForCluster applies the per-cluster Local Scheduler to a spec.
-func (c *Controller) specForCluster(spec cluster.Spec, cl cluster.Cluster) cluster.Spec {
-	if name, ok := c.cfg.LocalSchedulers[cl.Name()]; ok {
-		spec.SchedulerName = name
-	}
-	return spec
 }
 
 // ServiceByAddr returns the service registered at addr.

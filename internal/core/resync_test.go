@@ -465,12 +465,17 @@ func TestOverlappingAuditsShareNoBuffers(t *testing.T) {
 // set-fields), nothing per flow in the snapshot, the identity or the
 // diff, whose buffers the controller keeps from the audit before. The
 // string identity took 155 allocations; fresh buffers every audit, 3.0
-// as well but 480 bytes, which is what the byte ceiling is for.
+// as well but 480 bytes, which is what the byte ceiling is for. An audit
+// of a table 1 % wrong, which also builds and applies the repair bundle,
+// is held to 3.32 per flow, the ceiling BenchmarkAudit had at 1 k, 10 k
+// and 100 k flows.
 func TestAuditAllocations(t *testing.T) {
 	const (
-		flows        = 4096
-		ceiling      = 13500  // measured 12 288, + 10 %
-		bytesCeiling = 604000 // measured 548 864, + 10 %
+		flows            = 4096
+		ceiling          = 13500  // measured 12 288, + 10 %
+		bytesCeiling     = 604000 // measured 548 864, + 10 %
+		divergentCeiling = 3.32 * flows
+		divergentRounds  = 10
 	)
 	clk := vclock.New()
 	clk.Run(func() {
@@ -491,6 +496,26 @@ func TestAuditAllocations(t *testing.T) {
 		t.Logf("%.0f allocs, %d bytes per audit of %d flows (%.2f, %.0f per flow)", got, bytes, flows, got/flows, float64(bytes)/flows)
 		if (got > ceiling || bytes > bytesCeiling) && !raceEnabled {
 			t.Errorf("%.0f allocs, %d bytes per audit of %d flows, ceilings %d, %d", got, bytes, flows, ceiling, bytesCeiling)
+		}
+
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
+		var mallocs uint64
+		for i := 0; i < divergentRounds; i++ {
+			missing, orphans := rig.diverge(i)
+			before := rig.ctrl.Stats()
+			runtime.ReadMemStats(&m0)
+			rig.ctrl.auditSwitch(rig.sw)
+			runtime.ReadMemStats(&m1)
+			mallocs += m1.Mallocs - m0.Mallocs
+			after := rig.ctrl.Stats()
+			if got := int(after.OrphanFlowsRemoved - before.OrphanFlowsRemoved + after.ReinstalledFlows - before.ReinstalledFlows); got != missing+orphans {
+				t.Errorf("audit repaired %d flows, %d were wrong", got, missing+orphans)
+			}
+		}
+		perAudit := float64(mallocs) / divergentRounds
+		t.Logf("%.0f allocs per audit of %d flows 1 %% wrong (%.2f per flow)", perAudit, flows, perAudit/flows)
+		if perAudit > divergentCeiling && !raceEnabled {
+			t.Errorf("%.0f allocs per audit of %d flows 1 %% wrong, ceiling %.0f", perAudit, flows, float64(divergentCeiling))
 		}
 	})
 }

@@ -16,7 +16,7 @@
 //     (e.g. parsed from a mobility trace) and validated/ordered here;
 //   - RandomWalk: a seeded generator in which clients hop between zones
 //     at jittered intervals — the steady-churn workload the mobility
-//     experiment and BenchmarkHandover drive.
+//     experiment drives.
 package mobility
 
 import (

@@ -142,8 +142,8 @@ func DecodeTCP(frame []byte) (*TCPSegment, error) {
 		return nil, ErrNotTCPIPv4
 	}
 	totalLen := int(be.Uint16(ip[2:]))
-	if totalLen > len(ip) {
-		return nil, fmt.Errorf("pcap: IPv4 total length %d exceeds frame", totalLen)
+	if totalLen < ihl || totalLen > len(ip) {
+		return nil, fmt.Errorf("pcap: IPv4 total length %d outside header length %d to frame length %d", totalLen, ihl, len(ip))
 	}
 	tcp := ip[ihl:totalLen]
 	if len(tcp) < tcpHeaderLen {

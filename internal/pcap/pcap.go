@@ -120,6 +120,9 @@ func (pr *Reader) ReadPacket() (ts time.Time, frame []byte, err error) {
 	sec := le.Uint32(hdr[0:])
 	usec := le.Uint32(hdr[4:])
 	inclLen := le.Uint32(hdr[8:])
+	if usec >= 1e6 {
+		return time.Time{}, nil, fmt.Errorf("pcap: record microseconds %d out of range", usec)
+	}
 	if inclLen > defaultSnapLen {
 		return time.Time{}, nil, fmt.Errorf("pcap: record length %d exceeds snaplen", inclLen)
 	}

@@ -83,36 +83,6 @@ func classified(err error) bool {
 		errors.Is(err, netem.ErrReset) || errors.Is(err, netem.ErrClosed)
 }
 
-// replayTraceClassified replays the trace like ReplayTrace but keeps
-// every request's error for invariant classification instead of
-// collapsing failures to a count.
-func (tb *Testbed) replayTraceClassified(tr *trace.Trace, handles []*ServiceHandle) (*metrics.Series, []error) {
-	totals := metrics.NewSeries("time_total")
-	var g vclock.Group
-	results := make([]time.Duration, len(tr.Requests))
-	errs := make([]error, len(tr.Requests))
-	for i, req := range tr.Requests {
-		i, req := i, req
-		g.Go(tb.Clock, func() {
-			tb.Clock.Sleep(req.At)
-			h := handles[req.Service%len(handles)]
-			r, err := tb.Request(req.Client, h)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = r.Total
-		})
-	}
-	g.Wait(tb.Clock)
-	for i := range results {
-		if errs[i] == nil {
-			totals.Add(results[i])
-		}
-	}
-	return totals, errs
-}
-
 // RunChaos replays the request trace on a two-edge testbed while the
 // given network chaos schedule runs, then checks the invariants:
 // after a drain grace and one reconciliation audit, request outcomes

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -108,5 +109,35 @@ func TestLoadRegimes(t *testing.T) {
 			t.Fatalf("service 0 (%d arrivals) not the Zipf mode: service %d has %d",
 				res.ServiceArrivals[0], i, res.ServiceArrivals[i])
 		}
+	}
+}
+
+// TestRunLoadAllocsPerArrival holds the open-loop load engine, end to
+// end, to 13.52 allocations per arrival — sequential and across four
+// shards. The ceiling is the one the 250 k-flow run had (6.76 M per
+// 500 k arrivals); this run is 5 000 flows at the same rate and, after
+// AllocsPerRun's warm-up run, measures 10.7–10.9 sequential and
+// 11.8–12.2 sharded.
+func TestRunLoadAllocsPerArrival(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply under -race")
+	}
+	const ceiling = 13.52
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var res *LoadResult
+			var err error
+			allocs := testing.AllocsPerRun(1, func() {
+				res, err = RunLoad(LoadConfig{Flows: 5000, Rate: 100_000, Seed: 1, Shards: shards})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			perArrival := allocs / float64(res.Arrivals)
+			t.Logf("%.0f allocs, %.2f per arrival", allocs, perArrival)
+			if perArrival > ceiling {
+				t.Errorf("%.2f allocs per arrival, ceiling %v", perArrival, ceiling)
+			}
+		})
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/c3lab/transparentedge/internal/catalog"
 	"github.com/c3lab/transparentedge/internal/mobility"
+	"github.com/c3lab/transparentedge/internal/trace"
+	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
 // TestMobilitySessionContinuity drives the full mobility experiment on
@@ -87,4 +90,68 @@ func TestMobilityMigration(t *testing.T) {
 	if res.Stats.ContinuityBreaks != 0 {
 		t.Errorf("ContinuityBreaks = %d, want 0", res.Stats.ContinuityBreaks)
 	}
+}
+
+// TestHandoverAllocs holds one complete handover to 64 allocations
+// (measured 22): one mobile client with a live session ping-pongs
+// between the two gNBs, and each op is a re-home (link move,
+// make-before-break re-steer, route convergence) followed by a verified
+// request/response round on the surviving connection, so a handover
+// that broke the session fails the test instead of being measured.
+func TestHandoverAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply under -race")
+	}
+	const ceiling = 64
+	clk := vclock.New()
+	clk.Run(func() {
+		tb, err := New(clk, Options{
+			TwoZones:       true,
+			MobileClients:  1,
+			SwitchFlowIdle: time.Hour,
+			MemoryIdle:     time.Hour,
+			Seed:           1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm, _ := catalog.ByKey("asm")
+		h, err := tb.RegisterCatalogService(asm, trace.ServiceAddr(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.PrePull(h, "edge-docker")
+		if _, err := tb.Controller.PreDeploy(h.Addr, "edge-docker"); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := tb.MobileClient(0).DialTimeout(h.Addr, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		req := []byte("GET / HTTP/1.1\r\n\r\n")
+		exchange := func() {
+			if err := conn.Send(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.RecvTimeout(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exchange() // installs the redirect flows the handovers re-steer
+		toB := true
+		got := testing.AllocsPerRun(50, func() {
+			tb.RehomeClient(0, toB)
+			toB = !toB
+			clk.Sleep(time.Second) // let retransmissions settle
+			exchange()
+		})
+		t.Logf("%v allocs per handover", got)
+		if got > ceiling {
+			t.Errorf("%v allocs per handover, ceiling %d", got, ceiling)
+		}
+		if n := tb.Controller.Stats().ContinuityBreaks; n != 0 {
+			t.Errorf("%d continuity breaks", n)
+		}
+	})
 }

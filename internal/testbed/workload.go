@@ -129,10 +129,24 @@ func (tb *Testbed) ReplayFirstRequests(first []trace.Request, handles []*Service
 // fault injection, a non-zero error count means clients saw blackholed
 // flows.
 func (tb *Testbed) ReplayTrace(tr *trace.Trace, handles []*ServiceHandle) (*metrics.Series, int) {
+	totals, errs := tb.replayTraceClassified(tr, handles)
+	failed := 0
+	for _, err := range errs {
+		if err != nil {
+			failed++
+		}
+	}
+	return totals, failed
+}
+
+// replayTraceClassified replays the trace and keeps every request's
+// error, in trace order, for callers that classify failures instead of
+// counting them.
+func (tb *Testbed) replayTraceClassified(tr *trace.Trace, handles []*ServiceHandle) (*metrics.Series, []error) {
 	totals := metrics.NewSeries("time_total")
 	var g vclock.Group
 	results := make([]time.Duration, len(tr.Requests))
-	ok := make([]bool, len(tr.Requests))
+	errs := make([]error, len(tr.Requests))
 	for i, req := range tr.Requests {
 		i, req := i, req
 		g.Go(tb.Clock, func() {
@@ -140,20 +154,17 @@ func (tb *Testbed) ReplayTrace(tr *trace.Trace, handles []*ServiceHandle) (*metr
 			h := handles[req.Service%len(handles)]
 			r, err := tb.Request(req.Client, h)
 			if err != nil {
+				errs[i] = err
 				return
 			}
 			results[i] = r.Total
-			ok[i] = true
 		})
 	}
 	g.Wait(tb.Clock)
-	errors := 0
 	for i := range results {
-		if ok[i] {
+		if errs[i] == nil {
 			totals.Add(results[i])
-		} else {
-			errors++
 		}
 	}
-	return totals, errors
+	return totals, errs
 }

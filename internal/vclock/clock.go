@@ -28,13 +28,11 @@ type Clock interface {
 	// Sleep pauses the calling goroutine for d of clock time.
 	// Non-positive durations yield without advancing time.
 	Sleep(d time.Duration)
-	// AfterFunc schedules fn to run in its own tracked goroutine after d.
-	AfterFunc(d time.Duration, fn func()) *Timer
 	// Post schedules fn to run inline on the clock's event loop after d.
 	// fn must not block: it may schedule further events, send to
 	// mailboxes, and wake waiters, but must never park. Under a Virtual
 	// clock this fires with no per-event goroutine; code that blocks
-	// belongs in AfterFunc.
+	// belongs in a goroutine started by Go.
 	Post(d time.Duration, fn func()) Pending
 	// Post2 is Post for a pre-bound callback fn(a, b). With a top-level
 	// fn and pointer operands the call allocates nothing.
@@ -126,7 +124,7 @@ func (w *waiter) release() {
 	}
 }
 
-// Pending is a handle to one scheduled Post/Post2 (or AfterFunc) call.
+// Pending is a handle to one scheduled Post/Post2 call.
 // The zero value is valid and refers to nothing; Stop on it reports
 // false.
 type Pending struct {
@@ -147,18 +145,4 @@ func (p Pending) Stop() bool {
 		return false
 	}
 	return p.v.stopEvent(p.ev, p.gen)
-}
-
-// A Timer represents a single scheduled call created by AfterFunc.
-type Timer struct {
-	p Pending
-}
-
-// Stop cancels the timer. It reports whether the call was prevented from
-// running; false means it already ran or was already stopped.
-func (t *Timer) Stop() bool {
-	if t == nil {
-		return false
-	}
-	return t.p.Stop()
 }

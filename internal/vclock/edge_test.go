@@ -9,7 +9,7 @@ import (
 )
 
 // TestTimerStopRacesFiring hammers the Stop-vs-fire race: a tracked
-// goroutine stops a timer while virtual time is advancing through its
+// goroutine stops a Post while virtual time is advancing through its
 // deadline. Run under -race this exercises the freelist generation
 // check; semantically, a Stop that reports true must have prevented the
 // callback from running.
@@ -19,14 +19,14 @@ func TestTimerStopRacesFiring(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			var fired atomic.Int32
 			var stopped atomic.Bool
-			tm := v.AfterFunc(time.Microsecond, func() { fired.Add(1) })
+			p := v.Post(time.Microsecond, func() { fired.Add(1) })
 			late := i%2 == 1
 			var g Group
 			g.Go(v, func() {
 				if late {
 					v.Sleep(2 * time.Microsecond) // let the timer win
 				}
-				if tm.Stop() {
+				if p.Stop() {
 					stopped.Store(true)
 				}
 			})
@@ -97,15 +97,12 @@ func TestSameInstantOrderStableAfterReuse(t *testing.T) {
 			var order []int
 			for i := 0; i < 8; i++ {
 				i := i
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					v.Post(time.Millisecond, func() { order = append(order, i) })
-				case 1:
+				} else {
 					v.Post2(time.Millisecond, func(a, b any) {
 						order = append(order, a.(int))
 					}, i, nil)
-				default:
-					v.AfterFunc(time.Millisecond, func() { order = append(order, i) })
 				}
 			}
 			v.Sleep(2 * time.Millisecond)

@@ -61,17 +61,8 @@ func (r *Real) Sleep(d time.Duration) {
 	time.Sleep(time.Duration(float64(d) / r.scale()))
 }
 
-// AfterFunc schedules fn after d of clock time.
-func (r *Real) AfterFunc(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	t := time.AfterFunc(time.Duration(float64(d)/r.scale()), fn)
-	return &Timer{p: Pending{rt: t}}
-}
-
 // Post schedules fn after d of clock time. Under a wall clock it runs on
-// the timer goroutine like AfterFunc; the no-blocking contract only
+// the goroutine time.AfterFunc starts; the no-blocking contract only
 // constrains virtual-clock call sites.
 func (r *Real) Post(d time.Duration, fn func()) Pending {
 	if d < 0 {

@@ -105,11 +105,10 @@ func TestRunReleasesParkedGoroutines(t *testing.T) {
 	checkNoneLeft(t, before, "Run")
 
 	v.Go(func() { t.Error("Go ran on a stopped clock") })
-	timer := v.AfterFunc(0, func() { t.Error("AfterFunc fired on a stopped clock") })
-	v.Post(0, func() { t.Error("Post fired on a stopped clock") })
-	checkNoneLeft(t, before, "Go and AfterFunc on the stopped clock")
-	if !timer.Stop() {
-		t.Error("Stop on a timer filed after the stop reports it already ran")
+	p := v.Post(0, func() { t.Error("Post fired on a stopped clock") })
+	checkNoneLeft(t, before, "Go and Post on the stopped clock")
+	if !p.Stop() {
+		t.Error("Stop on a Post filed after the stop reports it already ran")
 	}
 	if got := v.Spawned(); got != spawned {
 		t.Errorf("Spawned() = %d after the stop, %d before", got, spawned)

@@ -65,7 +65,7 @@ func TestVirtualSameInstantFIFO(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			i := i
 			g.Add(1)
-			v.AfterFunc(time.Second, func() {
+			v.Post(time.Second, func() {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
@@ -81,13 +81,13 @@ func TestVirtualSameInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestAfterFuncRunsAtDeadline(t *testing.T) {
+func TestPostRunsAtDeadline(t *testing.T) {
 	v := New()
 	v.Run(func() {
 		start := v.Now()
 		var fired time.Time
 		g := NewGate()
-		v.AfterFunc(500*time.Millisecond, func() {
+		v.Post(500*time.Millisecond, func() {
 			fired = v.Now()
 			g.Open()
 		})
@@ -102,25 +102,21 @@ func TestTimerStopPreventsRun(t *testing.T) {
 	v := New()
 	v.Run(func() {
 		ran := false
-		tm := v.AfterFunc(time.Second, func() { ran = true })
-		if !tm.Stop() {
+		p := v.Post(time.Second, func() { ran = true })
+		if !p.Stop() {
 			t.Error("Stop returned false for pending timer")
 		}
-		if tm.Stop() {
+		if p.Stop() {
 			t.Error("second Stop returned true")
+		}
+		if (Pending{}).Stop() {
+			t.Error("Stop on the zero Pending returned true")
 		}
 		v.Sleep(2 * time.Second)
 		if ran {
 			t.Error("stopped timer still ran")
 		}
 	})
-}
-
-func TestNilTimerStop(t *testing.T) {
-	var tm *Timer
-	if tm.Stop() {
-		t.Error("nil timer Stop returned true")
-	}
 }
 
 func TestDeadlockPanics(t *testing.T) {
@@ -143,9 +139,9 @@ func TestRunStopsPeriodicTimers(t *testing.T) {
 		var tick func()
 		tick = func() {
 			ticks++
-			v.AfterFunc(time.Second, tick)
+			v.Post(time.Second, tick)
 		}
-		v.AfterFunc(time.Second, tick)
+		v.Post(time.Second, tick)
 		v.Sleep(3500 * time.Millisecond)
 	})
 	// Ticks at 1s, 2s, 3s; the simulation stops at 3.5s.
@@ -175,7 +171,7 @@ func TestMailboxBlockingRecv(t *testing.T) {
 	v.Run(func() {
 		mb := NewMailbox[string](v)
 		start := v.Now()
-		v.AfterFunc(2*time.Second, func() { mb.Send("hello") })
+		v.Post(2*time.Second, func() { mb.Send("hello") })
 		got, ok := mb.Recv()
 		if !ok || got != "hello" {
 			t.Fatalf("Recv = %q,%v", got, ok)
@@ -199,7 +195,7 @@ func TestMailboxRecvTimeout(t *testing.T) {
 			t.Errorf("timeout after %v, want 1s", d)
 		}
 		// A value arriving before the deadline is delivered.
-		v.AfterFunc(200*time.Millisecond, func() { mb.Send(7) })
+		v.Post(200*time.Millisecond, func() { mb.Send(7) })
 		got, ok := mb.RecvTimeout(time.Second)
 		if !ok || got != 7 {
 			t.Fatalf("RecvTimeout = %d,%v want 7,true", got, ok)
@@ -337,7 +333,7 @@ func TestCondWaitTimeoutSignalled(t *testing.T) {
 	v.Run(func() {
 		var mu sync.Mutex
 		c := NewCond(v, &mu)
-		v.AfterFunc(200*time.Millisecond, c.Signal)
+		v.Post(200*time.Millisecond, c.Signal)
 		mu.Lock()
 		ok := c.WaitTimeout(time.Second)
 		mu.Unlock()
@@ -388,7 +384,7 @@ func TestGateWaitTimeout(t *testing.T) {
 		if g.WaitTimeout(v, time.Second) {
 			t.Error("WaitTimeout true on closed gate")
 		}
-		v.AfterFunc(100*time.Millisecond, g.Open)
+		v.Post(100*time.Millisecond, g.Open)
 		if !g.WaitTimeout(v, time.Second) {
 			t.Error("WaitTimeout false on opened gate")
 		}
@@ -424,11 +420,11 @@ func TestRealClockBasics(t *testing.T) {
 		t.Errorf("scaled Sleep advanced only %v", d)
 	}
 	fired := make(chan struct{})
-	r.AfterFunc(100*time.Millisecond, func() { close(fired) })
+	r.Post(100*time.Millisecond, func() { close(fired) })
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
-		t.Error("scaled AfterFunc never fired")
+		t.Error("scaled Post never fired")
 	}
 }
 
@@ -467,7 +463,7 @@ func TestRandLogNormalPositive(t *testing.T) {
 	}
 }
 
-// Property: for any set of non-negative delays, AfterFunc callbacks fire
+// Property: for any set of non-negative delays, Post callbacks fire
 // in non-decreasing virtual-time order and each at exactly start+delay.
 func TestTimerOrderingProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
@@ -487,7 +483,7 @@ func TestTimerOrderingProperty(t *testing.T) {
 			for _, ms := range raw {
 				d := time.Duration(ms) * time.Millisecond
 				g.Add(1)
-				v.AfterFunc(d, func() {
+				v.Post(d, func() {
 					mu.Lock()
 					fired = append(fired, v.Since(start))
 					mu.Unlock()

@@ -26,15 +26,15 @@ type Virtual struct {
 	seq     uint64
 	sched   wheelSched // pending events
 	running int
-	spawned int64 // goroutines started via Go and AfterFunc, guarded by mu
+	spawned int64 // goroutines started via Go, guarded by mu
 	stopped bool
 	free    []*event // event freelist, guarded by mu
 
 	// What Run's stop releases: the waiters whose goroutines are parked
 	// (an intrusive list through waiter.next/prev, guarded by mu) and,
-	// in live, the goroutines startLocked launched that have not left
-	// through exit. Every live.Add is under mu on a clock not yet
-	// stopped, so none can race the stop's Wait.
+	// in live, the goroutines Go launched that have not left through
+	// exit. Every live.Add is under mu on a clock not yet stopped, so
+	// none can race the stop's Wait.
 	parked *waiter
 	live   sync.WaitGroup
 
@@ -56,8 +56,6 @@ const (
 	// evWake unparks the event's waiter (Sleep wake-ups). Fires with the
 	// clock mutex held; only touches scheduler state.
 	evWake eventKind = iota
-	// evGo spawns a fresh tracked goroutine running fn (AfterFunc).
-	evGo
 	// evPost runs fn inline on the advancing goroutine, without the
 	// clock mutex. fn must not block.
 	evPost
@@ -120,7 +118,7 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // leaves the same way at its next park, and Run returns once the last
 // of them has exited, so nothing of a finished simulation runs beside
 // the caller that reads its results. On a stopped clock Go starts
-// nothing, AfterFunc, Post and Post2 file a call that never happens,
+// nothing, Post and Post2 file a call that never happens,
 // and a wake is ignored. Run is how a test or main function enters a
 // simulation.
 //
@@ -209,14 +207,10 @@ func reserveStack(out *byte, i int) {
 // Go starts fn in a goroutine tracked by this clock.
 func (v *Virtual) Go(fn func()) {
 	v.mu.Lock()
-	if !v.stopped {
-		v.startLocked(fn)
+	defer v.mu.Unlock()
+	if v.stopped {
+		return
 	}
-	v.mu.Unlock()
-}
-
-// startLocked launches fn as a tracked goroutine. Callers hold v.mu.
-func (v *Virtual) startLocked(fn func()) {
 	v.running++
 	v.spawned++
 	v.live.Add(1)
@@ -228,10 +222,9 @@ func (v *Virtual) startLocked(fn func()) {
 	}()
 }
 
-// Spawned reports how many goroutines the clock has started so far, via
-// Go and via fired AfterFunc timers. Event-driven code paths assert on
-// its delta: a path that runs to completion on the event loop spawns
-// none.
+// Spawned reports how many goroutines the clock has started so far, all
+// of them through Go. Event-driven code paths assert on its delta: a
+// path that runs to completion on the event loop spawns none.
 func (v *Virtual) Spawned() int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -268,25 +261,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 	w.release()
 }
 
-// AfterFunc schedules fn to run in its own tracked goroutine after d of
-// virtual time. Use Post instead when fn does not block: it avoids the
-// per-firing goroutine.
-func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ev := v.getEventLocked(d, evGo)
-	ev.fn = fn
-	v.sched.push(ev)
-	return &Timer{p: Pending{v: v, ev: ev, gen: ev.gen}}
-}
-
 // Post schedules fn to run inline on the advancing goroutine after d of
 // virtual time, with no goroutine spawned per firing. fn must not block:
 // it may schedule, send to mailboxes, and wake waiters, but anything
-// that parks must go through AfterFunc or Go instead.
+// that parks must go through Go instead.
 func (v *Virtual) Post(d time.Duration, fn func()) Pending {
 	if d < 0 {
 		d = 0
@@ -393,10 +371,6 @@ func (v *Virtual) maybeAdvanceLocked() {
 			v.unparkLocked(w)
 			v.running++
 			w.ch <- struct{}{}
-		case evGo:
-			fn := ev.fn
-			v.putEventLocked(ev)
-			v.startLocked(fn)
 		case evPost:
 			fn := ev.fn
 			v.putEventLocked(ev)

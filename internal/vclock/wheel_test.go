@@ -10,7 +10,7 @@ import (
 )
 
 // clockModel predicts a Virtual's trace from the reference queue alone:
-// it mirrors every Post/AfterFunc/Sleep as a (now+d, seq) entry in a
+// it mirrors every Post/Post2/Sleep as a (now+d, seq) entry in a
 // refQueue — the clock stamps one seq per call, Sleep's wake-up
 // included — and replays a Sleep by popping the reference up to the
 // wake-up, logging what each popped entry's callback would log.
@@ -70,7 +70,7 @@ func diffTraces(t *testing.T, got, want []string) {
 }
 
 // TestWheelHeapDifferential replays a seeded random schedule of
-// Post/Post2/Stop/AfterFunc/Sleep through a Virtual — whose queue is
+// Post/Post2/Stop/Sleep through a Virtual — whose queue is
 // the wheel and the near heap together — and through clockModel, and
 // asserts the fire order, every firing instant and every Stop outcome
 // are identical. The queue-level counterpart, with removals and
@@ -93,12 +93,11 @@ func TestWheelHeapDifferential(t *testing.T) {
 		v.Run(func() {
 			rng := NewRand(seed)
 			var pending []Pending
-			var timers []*Timer
-			var mPending, mTimers []*event
+			var mPending []*event
 			for i := 0; i < 3000; i++ {
 				d := durs[rng.Intn(len(durs))]
 				switch rng.Intn(10) {
-				case 0, 1, 2, 3:
+				case 0, 1, 2, 3, 6:
 					label := fmt.Sprintf("post %d", i)
 					pending = append(pending, v.Post(d, logAt(label)))
 					mPending = append(mPending, m.post(d, label))
@@ -106,21 +105,11 @@ func TestWheelHeapDifferential(t *testing.T) {
 					label := fmt.Sprintf("post2 %d", i)
 					pending = append(pending, v.Post2(d, post2, label, nil))
 					mPending = append(mPending, m.post(d, label))
-				case 6:
-					label := fmt.Sprintf("after %d", i)
-					timers = append(timers, v.AfterFunc(d, logAt(label)))
-					mTimers = append(mTimers, m.post(d, label))
-				case 7:
+				case 7, 8:
 					if len(pending) > 0 {
 						j := rng.Intn(len(pending))
 						log = append(log, fmt.Sprintf("stop %d -> %v", j, pending[j].Stop()))
 						m.log = append(m.log, fmt.Sprintf("stop %d -> %v", j, m.stop(mPending[j])))
-					}
-				case 8:
-					if len(timers) > 0 {
-						j := rng.Intn(len(timers))
-						log = append(log, fmt.Sprintf("tstop %d -> %v", j, timers[j].Stop()))
-						m.log = append(m.log, fmt.Sprintf("tstop %d -> %v", j, m.stop(mTimers[j])))
 					}
 				case 9:
 					d := time.Duration(rng.Intn(int(5 * time.Second)))
@@ -330,9 +319,9 @@ func TestDenseTick(t *testing.T) {
 
 // TestMaxDurationTimers posts at the far end of the time axis. The
 // firing instant must saturate instead of wrapping negative: a
-// max-duration Post, AfterFunc and RecvTimeout neither fire nor hang
-// within a simulated year, the first two are still there to be stopped,
-// and the clock keeps firing later events.
+// max-duration Post and RecvTimeout neither fire nor hang within a
+// simulated year, the Post is still there to be stopped, and the clock
+// keeps firing later events.
 func TestMaxDurationTimers(t *testing.T) {
 	const forever = time.Duration(math.MaxInt64)
 	v := New()
@@ -340,7 +329,6 @@ func TestMaxDurationTimers(t *testing.T) {
 		v.Sleep(time.Second) // any instant after the base: now + forever overflows
 		fired := false
 		p := v.Post(forever, func() { fired = true })
-		tm := v.AfterFunc(forever, func() { fired = true })
 		mb := NewMailbox[int](v)
 		var g Group
 		g.Go(v, func() {
@@ -360,9 +348,6 @@ func TestMaxDurationTimers(t *testing.T) {
 		g.Wait(v)
 		if !p.Stop() {
 			t.Error("Stop on a max-duration Post reported false")
-		}
-		if !tm.Stop() {
-			t.Error("Stop on a max-duration AfterFunc reported false")
 		}
 		later := false
 		v.Post(time.Minute, func() { later = true })

@@ -1,8 +1,8 @@
 // Package yaml implements the subset of YAML used by Kubernetes
 // Deployment and Service definition files: block mappings and sequences
-// nested by indentation, plain/quoted scalars, comments, and
-// multi-document streams. Values parse into map[string]any, []any,
-// string, int64, float64, bool, and nil.
+// nested by indentation, plain/quoted scalars (double quotes take Go's
+// escapes), comments, and multi-document streams. Values parse into
+// map[string]any, []any, string, int64, float64, bool, and nil.
 //
 // The SDN controller stores every edge-service definition in this format
 // (the paper: "We use the established and well-defined Kubernetes
@@ -13,9 +13,11 @@ package yaml
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Unmarshal parses the first document in data.
@@ -102,6 +104,10 @@ func stripComment(s string) string {
 	inSingle, inDouble := false, false
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
+		case '\\':
+			if inDouble {
+				i++ // an escaped character never ends the string
+			}
 		case '\'':
 			if !inDouble {
 				inSingle = !inSingle
@@ -245,11 +251,8 @@ func looksLikeMapping(s string) bool {
 		return false
 	}
 	if s[0] == '"' || s[0] == '\'' {
-		end := strings.IndexByte(s[1:], s[0])
-		if end < 0 {
-			return false
-		}
-		return strings.HasPrefix(s[2+end:], ":")
+		end := quotedEnd(s)
+		return end > 0 && strings.HasPrefix(s[end+1:], ":")
 	}
 	return strings.Contains(s, ": ") || strings.HasSuffix(s, ":")
 }
@@ -258,13 +261,12 @@ func looksLikeMapping(s string) bool {
 func splitKey(ln line) (key, rest string, err error) {
 	content := ln.content
 	if strings.HasPrefix(content, "\"") || strings.HasPrefix(content, "'") {
-		quote := content[0]
-		end := strings.IndexByte(content[1:], quote)
+		end := quotedEnd(content)
 		if end < 0 {
 			return "", "", fmt.Errorf("yaml: line %d: unterminated quoted key", ln.num)
 		}
-		key = content[1 : 1+end]
-		content = content[2+end:]
+		key, _ = parseScalar(content[:end+1]).(string) // a quoted scalar is a string
+		content = content[end+1:]
 		if !strings.HasPrefix(content, ":") {
 			return "", "", fmt.Errorf("yaml: line %d: missing ':' after quoted key", ln.num)
 		}
@@ -289,6 +291,19 @@ func splitKey(ln line) (key, rest string, err error) {
 	return strings.TrimSpace(content[:idx]), strings.TrimSpace(content[idx+1:]), nil
 }
 
+// quotedEnd returns the index of the quote that closes the one s starts
+// with, or -1. Inside double quotes a backslash escapes the next byte.
+func quotedEnd(s string) int {
+	for i := 1; i < len(s); i++ {
+		if s[i] == '\\' && s[0] == '"' {
+			i++
+		} else if s[i] == s[0] {
+			return i
+		}
+	}
+	return -1
+}
+
 // parseScalar interprets one inline value.
 func parseScalar(s string) any {
 	switch {
@@ -303,18 +318,17 @@ func parseScalar(s string) any {
 	case s == "false":
 		return false
 	}
-	if len(s) >= 2 {
-		if s[0] == '"' && s[len(s)-1] == '"' {
-			return strings.ReplaceAll(s[1:len(s)-1], `\"`, `"`)
+	if len(s) >= 2 && (s[0] == '"' || s[0] == '\'') && s[len(s)-1] == s[0] {
+		if u, err := strconv.Unquote(s); err == nil && s[0] == '"' {
+			return u
 		}
-		if s[0] == '\'' && s[len(s)-1] == '\'' {
-			return s[1 : len(s)-1]
-		}
+		return s[1 : len(s)-1] // single quotes, or an escape Go rejects (YAML's \/, \e ...)
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	// NaN and the infinities are strings: YAML spells them .nan and .inf.
+	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 		return f
 	}
 	return s
@@ -414,10 +428,20 @@ func writeChild(b *strings.Builder, v any, indent int) {
 }
 
 func encodeKey(k string) string {
-	if k == "" || strings.ContainsAny(k, ":#'\" ") {
-		return `"` + k + `"`
+	if k == "" || !plain(k) || strings.ContainsAny(k, ":#' ") {
+		return strconv.Quote(k)
 	}
 	return k
+}
+
+// plain reports whether strconv.Quote would write s without escapes.
+func plain(s string) bool {
+	for _, r := range s {
+		if r == '"' || r == '\\' || r == utf8.RuneError || !strconv.IsPrint(r) {
+			return false
+		}
+	}
+	return true
 }
 
 func encodeScalar(v any) string {
@@ -431,7 +455,11 @@ func encodeScalar(v any) string {
 	case int64:
 		return strconv.FormatInt(val, 10)
 	case float64:
-		return strconv.FormatFloat(val, 'g', -1, 64)
+		s := strconv.FormatFloat(val, 'g', -1, 64)
+		if strings.Trim(s, "-0123456789") == "" {
+			s += ".0" // an integral float must not read back as an int
+		}
+		return s
 	case string:
 		return encodeString(val)
 	default:
@@ -440,29 +468,16 @@ func encodeScalar(v any) string {
 }
 
 // encodeString quotes strings that would otherwise parse as another type
-// or break the line grammar.
+// or break the line grammar, and those with bytes strconv.Quote escapes.
 func encodeString(s string) string {
-	if s == "" {
-		return `""`
-	}
-	needsQuote := false
-	switch s {
-	case "null", "~", "true", "false", "{}", "[]":
-		needsQuote = true
-	}
-	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
-		needsQuote = true
-	}
-	if _, err := strconv.ParseFloat(s, 64); err == nil {
-		needsQuote = true
-	}
-	if strings.ContainsAny(s, "#\n'\"") || strings.Contains(s, ": ") ||
-		strings.HasPrefix(s, "- ") || strings.HasPrefix(s, " ") || strings.HasSuffix(s, ":") ||
-		strings.HasSuffix(s, " ") {
-		needsQuote = true
-	}
-	if needsQuote {
-		return `"` + strings.ReplaceAll(s, `"`, `\"`) + `"`
+	_, errInt := strconv.ParseInt(s, 10, 64)
+	_, errFloat := strconv.ParseFloat(s, 64)
+	switch {
+	case s == "", s == "null", s == "~", s == "true", s == "false", s == "{}", s == "[]", s == "-",
+		errInt == nil, errFloat == nil, !plain(s),
+		strings.ContainsAny(s, "#'"), strings.Contains(s, ": "), strings.HasPrefix(s, "- "),
+		strings.HasPrefix(s, " "), strings.HasSuffix(s, ":"), strings.HasSuffix(s, " "):
+		return strconv.Quote(s)
 	}
 	return s
 }

@@ -74,6 +74,9 @@ j: 'single # quoted'
 k: {}
 l: []
 m: "42"
+n: "tab\there"
+o: "x\/y"
+"p\/q": r
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +87,7 @@ m: "42"
 		"f": nil, "g": nil, "h": "hello world",
 		"i": "quoted: string", "j": "single # quoted",
 		"k": map[string]any{}, "l": []any{}, "m": "42",
+		"n": "tab\there", "o": `x\/y`, `p\/q`: "r", // an escape Go rejects keeps its backslash
 	}
 	if !reflect.DeepEqual(m, want) {
 		t.Errorf("got %#v\nwant %#v", m, want)
