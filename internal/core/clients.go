@@ -14,6 +14,11 @@ type clientTable struct {
 	mu      sync.Mutex
 	clients map[netem.IP]ClientLocation
 	pending map[flowKey]bool
+	// moves counts the clients first seen and the clients seen behind
+	// another switch than before: the changes to which switch each
+	// client's redirects belong on, the only part of a location the
+	// reconciler's desired state reads.
+	moves uint64
 }
 
 func newClientTable() *clientTable {
@@ -31,7 +36,7 @@ func newClientTable() *clientTable {
 func (t *clientTable) trackAndClaim(key flowKey, loc ClientLocation) (dup bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.clients[key.client] = loc
+	t.setLocked(key.client, loc)
 	if t.pending[key] {
 		return true
 	}
@@ -49,8 +54,24 @@ func (t *clientTable) release(key flowKey) {
 // track records the client's location without claiming a flow key.
 func (t *clientTable) track(ip netem.IP, loc ClientLocation) {
 	t.mu.Lock()
-	t.clients[ip] = loc
+	t.setLocked(ip, loc)
 	t.mu.Unlock()
+}
+
+// setLocked records a location, counting a move when the client was
+// unknown or behind another switch. Callers hold t.mu.
+func (t *clientTable) setLocked(ip netem.IP, loc ClientLocation) {
+	if old, ok := t.clients[ip]; !ok || old.Switch != loc.Switch {
+		t.moves++
+	}
+	t.clients[ip] = loc
+}
+
+// moveCount reads moves (see there).
+func (t *clientTable) moveCount() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.moves
 }
 
 // location returns the client's last-seen location.

@@ -370,6 +370,9 @@ type Controller struct {
 	started     bool
 	// breakers are the per-cluster circuit breakers.
 	breakers map[string]*breakerState
+	// clean is, per switch, what its last audit that found nothing to
+	// repair read (resync.go).
+	clean map[*openflow.Switch]cleanAudit
 	// handoverLat is the control-plane latency of each handover: from
 	// entering Handover to the old gNB's flows strict-deleted (Hist is
 	// not safe for concurrent use).
@@ -429,6 +432,7 @@ func New(clk vclock.Clock, cfg Config) (*Controller, error) {
 		cands:       newCandCache(cfg.CandidateTTL),
 		deployments: make(map[deployKey]*deployState),
 		breakers:    make(map[string]*breakerState),
+		clean:       make(map[*openflow.Switch]cleanAudit),
 		handoverLat: metrics.NewHist("handover"),
 	}
 	c.svc.Store(&svcTables{

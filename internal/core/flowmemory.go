@@ -43,6 +43,10 @@ type FlowMemory struct {
 	// sweepArmed reports whether the expiry timer is pending. Deadlines
 	// only move later, so a pending timer is never late for the head.
 	sweepArmed bool
+	// gen counts the changes to the set of mappings: every Remember and
+	// every drop. Uses only reorder the list, so they leave it alone.
+	// The reconciler reads it as part of its desired-state generation.
+	gen uint64
 }
 
 type flowKey struct {
@@ -82,6 +86,7 @@ func (fm *FlowMemory) use(e *memEntry) {
 
 // drop removes e and reports whether it was its service's last entry.
 func (fm *FlowMemory) drop(e *memEntry) (idle bool) {
+	fm.gen++
 	delete(fm.entries, e.key)
 	e.prev.next, e.next.prev = e.next, e.prev
 	return fm.dropCount(e.svcName)
@@ -129,6 +134,7 @@ func (fm *FlowMemory) Remember(client netem.IP, service netem.HostPort, svcName 
 	fm.counts[svcName]++
 	e.instance, e.svcName = inst, svcName
 	fm.use(e)
+	fm.gen++
 	if fm.Idle > 0 && !fm.sweepArmed {
 		// No timer pending: the memory was empty, e is the head.
 		fm.sweepArmed = true
@@ -253,6 +259,13 @@ func (fm *FlowMemory) EntriesFor(client netem.IP) []Entry {
 		return out[i].Service.Port < out[j].Service.Port
 	})
 	return out
+}
+
+// generation reads gen (see there).
+func (fm *FlowMemory) generation() uint64 {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	return fm.gen
 }
 
 // Len reports the number of memorized flows.

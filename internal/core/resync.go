@@ -75,9 +75,39 @@ func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []open
 	return buf.desired
 }
 
+// desiredGen versions what desiredFlows reads: the service registry
+// (copy-on-write, so its pointer is its version), the FlowMemory's set
+// of mappings, and which switch each client is behind. Nothing else it
+// reads can change.
+type desiredGen struct {
+	tables *svcTables
+	memory uint64
+	moves  uint64
+}
+
+func (c *Controller) desiredGen() desiredGen {
+	return desiredGen{tables: c.svc.Load(), memory: c.fm.generation(), moves: c.clients.moveCount()}
+}
+
+// cleanAudit is what a switch's last audit that found nothing to
+// repair read: the table at one version, the desired state at one
+// generation. While both still hold, an audit would find nothing again.
+type cleanAudit struct {
+	table   uint64
+	desired desiredGen
+}
+
 // auditSwitch runs one reconciliation pass against sw: orphans are
 // deleted first (this also clears stale-action entries for a match the
-// memory now maps elsewhere), then missing rules are re-installed.
+// memory now maps elsewhere), then missing rules are re-installed. It
+// reports whether it skipped the diff:
+//
+// An audit whose table version and desired generation both equal its
+// switch's last clean audit's stops after the flow-stats round trip:
+// the table and the desired state are the ones that audit found equal.
+// The generation is read after the round trip, at the instant the full
+// audit would compute the desired state, so a mapping remembered while
+// the request was in flight is seen.
 //
 // The live table is snapshotted before the desired state. Any flow
 // installed concurrently between the two snapshots therefore shows up
@@ -87,9 +117,19 @@ func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []open
 // flow's memory entry exists before the flow is installed, so every
 // flow in the early snapshot has its justification visible to the late
 // snapshot, and everything the audit deletes is genuinely unjustified.
-func (c *Controller) auditSwitch(sw *openflow.Switch) {
+func (c *Controller) auditSwitch(sw *openflow.Switch) (skipped bool) {
 	atomic.AddInt64(&c.stats.ResyncRuns, 1)
-	deletes, installs := c.diffSwitch(sw)
+	var gen desiredGen
+	deletes, installs, version, fresh := c.diffSwitch(sw, func() (uint64, bool) {
+		gen = c.desiredGen()
+		c.mu.Lock()
+		last, ok := c.clean[sw]
+		c.mu.Unlock()
+		return last.table, ok && last.desired == gen
+	})
+	if !fresh {
+		return true
+	}
 	if c.cfg.DisableFlowMemory {
 		// Redirects are not derivable without the memory: leave them to
 		// their idle timeouts.
@@ -97,25 +137,50 @@ func (c *Controller) auditSwitch(sw *openflow.Switch) {
 			return spec.Priority != puntPriority
 		})
 	}
+	c.mu.Lock()
 	if len(deletes) == 0 && len(installs) == 0 {
-		return
+		c.clean[sw] = cleanAudit{table: version, desired: gen}
+		c.mu.Unlock()
+		return false
 	}
+	delete(c.clean, sw)
+	c.mu.Unlock()
+	// The table was read in install order; the deletes go down in
+	// FlowTable's, so that the bundle is the one a sorted read gave.
+	slices.SortStableFunc(deletes, compareFlows)
 	deleted := sw.ApplyBundle(deletes, installs)
 	atomic.AddInt64(&c.stats.OrphanFlowsRemoved, int64(deleted))
 	atomic.AddInt64(&c.stats.ReinstalledFlows, int64(len(installs)))
+	return false
+}
+
+// compareFlows is FlowTable's order less its install-order tiebreak:
+// priority descending, then match field by field in the order
+// Match.String renders them, wildcards first.
+func compareFlows(a, b openflow.FlowSpec) int {
+	x, y := a.Match, b.Match
+	return cmp.Or(cmp.Compare(b.Priority, a.Priority),
+		cmp.Compare(x.InPort, y.InPort), cmp.Compare(x.SrcIP, y.SrcIP), cmp.Compare(x.SrcPort, y.SrcPort),
+		cmp.Compare(x.DstIP, y.DstIP), cmp.Compare(x.DstPort, y.DstPort))
 }
 
 // diffSwitch reads sw's table, then the desired state, and diffs them,
 // in the buffers the last audit left — or in fresh ones while another
-// audit, asleep in its flow-stats read, holds those.
-func (c *Controller) diffSwitch(sw *openflow.Switch) (orphans, missing []openflow.FlowSpec) {
+// audit, asleep in its flow-stats read, holds those. since is passed to
+// the table read: when the read reports the table unchanged (fresh
+// false), nothing was diffed.
+func (c *Controller) diffSwitch(sw *openflow.Switch, since func() (uint64, bool)) (orphans, missing []openflow.FlowSpec, version uint64, fresh bool) {
 	buf := c.audit.Swap(nil)
 	if buf == nil {
 		buf = &auditBuffers{want: make(map[openflow.FlowID]bool)}
 	}
 	defer c.audit.Store(buf)
-	buf.actual = sw.AppendFlowTable(buf.actual[:0])
-	return diffFlows(buf.actual, c.desiredFlows(sw, buf), buf.want)
+	buf.actual, version, fresh = sw.AppendTableSince(buf.actual[:0], since)
+	if !fresh {
+		return nil, nil, version, false
+	}
+	orphans, missing = diffFlows(buf.actual, c.desiredFlows(sw, buf), buf.want)
+	return orphans, missing, version, true
 }
 
 // diffFlows compares a switch's table with the desired state by flow
@@ -159,9 +224,10 @@ func distinctFlows(specs []openflow.FlowSpec) int {
 // AuditDiff reports how many flows differ between sw's live table and
 // the controller's desired state — the symmetric set difference, with
 // identical duplicates collapsing — without repairing anything. Tests
-// use it to assert post-chaos convergence.
+// use it to assert post-chaos convergence. It always diffs: the skip
+// auditSwitch takes is what it checks.
 func (c *Controller) AuditDiff(sw *openflow.Switch) int {
-	orphans, missing := c.diffSwitch(sw)
+	orphans, missing, _, _ := c.diffSwitch(sw, nil)
 	return distinctFlows(orphans) + distinctFlows(missing)
 }
 
@@ -199,6 +265,9 @@ func (c *Controller) watchSwitch(sw *openflow.Switch) {
 // resyncFromScratch rebuilds a restarted switch's entire table.
 func (c *Controller) resyncFromScratch(sw *openflow.Switch) {
 	atomic.AddInt64(&c.stats.ResyncRuns, 1)
+	c.mu.Lock()
+	delete(c.clean, sw)
+	c.mu.Unlock()
 	specs := c.desiredFlows(sw, new(auditBuffers))
 	sw.ResyncFrom(specs)
 	atomic.AddInt64(&c.stats.ReinstalledFlows, int64(len(specs)))

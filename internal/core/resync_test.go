@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,15 @@ type auditRig struct {
 // from the block above the clients.
 var auditBase = netem.ParseIP("100.64.0.0")
 
+// auditRoute is a host route an auditRig adds when it is built and
+// touch adds again.
+var auditRoute = netem.ParseIP("198.51.100.1")
+
+// touch bumps the switch's table version and changes nothing the audit
+// reads, so that the next audit takes the full path: it re-adds a route
+// the switch already has.
+func (rig *auditRig) touch() { rig.sw.AddRoute(auditRoute, 1) }
+
 func newAuditRig(t testing.TB, clk vclock.Clock, flows int, mut func(*Config)) *auditRig {
 	t.Helper()
 	near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}, pulled: true, created: true}
@@ -48,6 +58,7 @@ func newAuditRig(t testing.TB, clk vclock.Clock, flows int, mut func(*Config)) *
 		specs = append(specs, rig.ctrl.redirectSpecs(client, rig.svc, rig.inst)...)
 	}
 	rig.sw.ApplyBundle(nil, specs)
+	rig.touch()
 	// Without the memory the redirects are not desired state, only exempt.
 	if d := rig.ctrl.AuditDiff(rig.sw); d != 0 && !rig.ctrl.cfg.DisableFlowMemory {
 		t.Fatalf("fresh audit rig differs from desired state by %d flows", d)
@@ -102,6 +113,8 @@ func BenchmarkAudit(b *testing.B) {
 						if divergent {
 							missing, orphans := rig.diverge(i)
 							wrong = missing + orphans
+						} else {
+							rig.touch() // or the pass skips the diff
 						}
 						before := rig.ctrl.Stats()
 						runtime.ReadMemStats(&ms)
@@ -361,6 +374,31 @@ func TestDiffFlowsMatchesStringOracle(t *testing.T) {
 	})
 }
 
+// TestOrphanOrderIsFlowTableOrder: the audit reads the table in install
+// order and stable-sorts only its orphans with compareFlows; over random
+// tables, with duplicates, deletes and the compaction they trigger, a
+// stable sort of the whole install-order read is FlowTable's order, so
+// the orphans go down in the order a sorted read gave them.
+func TestOrphanOrderIsFlowTableOrder(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		rng := rand.New(rand.NewSource(1))
+		for round := 0; round < 50; round++ {
+			rig := newAuditRig(t, clk, 0, nil)
+			specs := randomSpecs(rng, 1+rng.Intn(200))
+			specs = append(specs, specs[:rng.Intn(len(specs))]...) // duplicates, installed later
+			rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+			rig.sw.ApplyBundle(nil, specs)
+			rig.sw.ApplyBundle(specs[:rng.Intn(len(specs))], specs[:rng.Intn(len(specs))])
+			read, _, _ := rig.sw.AppendTableSince(nil, nil)
+			slices.SortStableFunc(read, compareFlows)
+			if want := rig.sw.FlowTable(); !reflect.DeepEqual(read, want) {
+				t.Fatalf("round %d: install-order read, stable-sorted:\n%v\nFlowTable:\n%v", round, read, want)
+			}
+		}
+	})
+}
+
 // TestAuditMatchesStringOracle runs one audit over a deliberately wrong
 // table twice — through auditSwitch, and through the reconciler's former
 // procedure (string sets, the DisableFlowMemory exemption, deletes then
@@ -465,10 +503,12 @@ func TestOverlappingAuditsShareNoBuffers(t *testing.T) {
 // set-fields), nothing per flow in the snapshot, the identity or the
 // diff, whose buffers the controller keeps from the audit before. The
 // string identity took 155 allocations; fresh buffers every audit, 3.0
-// as well but 480 bytes, which is what the byte ceiling is for. An audit
-// of a table 1 % wrong, which also builds and applies the repair bundle,
-// is held to 3.32 per flow, the ceiling BenchmarkAudit had at 1 k, 10 k
-// and 100 k flows.
+// as well but 480 bytes, which is what the byte ceiling is for. Each
+// converged round bumps the table version first (touch), or the audit
+// would skip the diff. An audit of an untouched table after a clean one
+// does skip it, and allocates nothing. An audit of a table 1 % wrong,
+// which also builds and applies the repair bundle, is held to 3.32 per
+// flow, the ceiling BenchmarkAudit had at 1 k, 10 k and 100 k flows.
 func TestAuditAllocations(t *testing.T) {
 	const (
 		flows            = 4096
@@ -476,6 +516,7 @@ func TestAuditAllocations(t *testing.T) {
 		bytesCeiling     = 604000 // measured 548 864, + 10 %
 		divergentCeiling = 3.32 * flows
 		divergentRounds  = 10
+		unchangedRounds  = 10
 	)
 	clk := vclock.New()
 	clk.Run(func() {
@@ -484,6 +525,7 @@ func TestAuditAllocations(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		var bytes uint64
 		got := testing.AllocsPerRun(10, func() {
+			rig.touch()
 			runtime.ReadMemStats(&m0)
 			rig.ctrl.auditSwitch(rig.sw)
 			runtime.ReadMemStats(&m1)
@@ -499,6 +541,21 @@ func TestAuditAllocations(t *testing.T) {
 		}
 
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
+		before = rig.ctrl.Stats()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < unchangedRounds; i++ {
+			rig.ctrl.auditSwitch(rig.sw)
+		}
+		runtime.ReadMemStats(&m1)
+		after = rig.ctrl.Stats()
+		if after.ResyncRuns-before.ResyncRuns != unchangedRounds || after.ReinstalledFlows != before.ReinstalledFlows || after.OrphanFlowsRemoved != before.OrphanFlowsRemoved {
+			t.Errorf("%d audits of an unchanged table: %+v → %+v", unchangedRounds, before, after)
+		}
+		t.Logf("%d allocs in %d audits of an unchanged table of %d flows", m1.Mallocs-m0.Mallocs, unchangedRounds, flows)
+		if m1.Mallocs != m0.Mallocs && !raceEnabled {
+			t.Errorf("%d audits of an unchanged table of %d flows allocated %d times, want 0", unchangedRounds, flows, m1.Mallocs-m0.Mallocs)
+		}
+
 		var mallocs uint64
 		for i := 0; i < divergentRounds; i++ {
 			missing, orphans := rig.diverge(i)

@@ -37,7 +37,19 @@ func ParseIP(s string) IP {
 
 // String renders the address in dotted-quad notation.
 func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var buf [len("255.255.255.255")]byte
+	return string(ip.appendTo(buf[:0]))
+}
+
+// appendTo appends the dotted quad to b.
+func (ip IP) appendTo(b []byte) []byte {
+	for i, o := range ip.Octets() {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(o), 10)
+	}
+	return b
 }
 
 // Octets returns the four address bytes, most significant first.
@@ -58,7 +70,9 @@ type HostPort struct {
 
 // String renders "a.b.c.d:port".
 func (hp HostPort) String() string {
-	return fmt.Sprintf("%s:%d", hp.IP, hp.Port)
+	var buf [len("255.255.255.255:65535")]byte
+	b := append(hp.IP.appendTo(buf[:0]), ':')
+	return string(strconv.AppendUint(b, uint64(hp.Port), 10))
 }
 
 // ParseHostPort parses "a.b.c.d:port", panicking on malformed input.

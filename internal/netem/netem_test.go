@@ -20,6 +20,30 @@ func TestParseIPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddrStringMatchesFmt: IP.String and HostPort.String render what
+// their former fmt.Sprintf forms rendered, and allocate only the result.
+func TestAddrStringMatchesFmt(t *testing.T) {
+	f := func(ip IP, port uint16) bool {
+		wantIP := fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+		hp := HostPort{IP: ip, Port: port}
+		return ip.String() == wantIP && hp.String() == fmt.Sprintf("%s:%d", wantIP, port)
+	}
+	for _, ip := range []IP{0, 1, 0xffffffff, ParseIP("10.0.0.255")} {
+		for _, port := range []uint16{0, 9, 80, 65535} {
+			if !f(ip, port) {
+				t.Errorf("%d:%d renders %q, %q", uint32(ip), port, ip.String(), HostPort{ip, port}.String())
+			}
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	hp := ParseHostPort("192.168.100.200:65535")
+	if n := testing.AllocsPerRun(100, func() { _ = hp.String() }); n != 1 && !raceEnabled {
+		t.Errorf("HostPort.String allocates %.0f times, want 1", n)
+	}
+}
+
 func TestParseIPMalformedPanics(t *testing.T) {
 	for _, s := range []string{"", "1.2.3", "1.2.3.4.5", "256.1.1.1", "a.b.c.d", "-1.0.0.0"} {
 		func() {

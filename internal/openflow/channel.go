@@ -1,8 +1,8 @@
 package openflow
 
 import (
-	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +57,20 @@ func (f *ChannelFaults) rng(key string) *vclock.Rand {
 	}
 	r, ok := f.rngs[key]
 	if !ok {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d/%s", f.Seed, key)
-		r = vclock.NewRand(int64(h.Sum64() >> 1))
+		r = vclock.NewRand(streamSeed(f.Seed, key))
 		f.rngs[key] = r
 	}
 	return r
+}
+
+// streamSeed derives one key's stream seed from the plan seed: the
+// FNV-1a hash of "seed/key", halved to stay non-negative.
+func streamSeed(seed int64, key string) int64 {
+	b := strconv.AppendInt(make([]byte, 0, 21+len(key)), seed, 10)
+	b = append(append(b, '/'), key...)
+	h := fnv.New64a()
+	h.Write(b)
+	return int64(h.Sum64() >> 1)
 }
 
 // drop draws the loss decision for one message.
@@ -135,7 +143,9 @@ func (s *Switch) channel(class msgClass, prefix string, subject func() string) (
 // flowName is the stream-key subject of packet-in and packet-out
 // messages: the packet's address pair.
 func flowName(pkt *netem.Packet) string {
-	return pkt.Src.String() + ">" + pkt.Dst.String()
+	var buf [len("255.255.255.255:65535>255.255.255.255:65535")]byte
+	b := append(appendHostPort(buf[:0], pkt.Src), '>')
+	return string(appendHostPort(b, pkt.Dst))
 }
 
 // ctrlMsg is one control message in flight: the operand, next to the

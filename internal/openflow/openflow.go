@@ -12,7 +12,6 @@ package openflow
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strconv"
 	"sync"
@@ -115,14 +114,30 @@ func (m Match) Covers(pkt *netem.Packet, inPort int) bool {
 
 // String renders the match compactly for diagnostics.
 func (m Match) String() string {
-	return fmt.Sprintf("in=%d %s:%d>%s:%d", m.InPort, wild(m.SrcIP.String(), m.SrcIP == 0), m.SrcPort, wild(m.DstIP.String(), m.DstIP == 0), m.DstPort)
+	var buf [len("in=-9223372036854775808 255.255.255.255:65535>255.255.255.255:65535")]byte
+	b := strconv.AppendInt(append(buf[:0], "in="...), int64(m.InPort), 10)
+	b = appendEndpoint(append(b, ' '), m.SrcIP, m.SrcPort)
+	b = appendEndpoint(append(b, '>'), m.DstIP, m.DstPort)
+	return string(b)
 }
 
-func wild(s string, isWild bool) string {
-	if isWild {
-		return "*"
+// appendEndpoint appends "ip:port", with * for a wildcard (zero) ip.
+func appendEndpoint(b []byte, ip netem.IP, port uint16) []byte {
+	if ip == 0 {
+		return strconv.AppendUint(append(b, '*', ':'), uint64(port), 10)
 	}
-	return s
+	return appendHostPort(b, netem.HostPort{IP: ip, Port: port})
+}
+
+// appendHostPort appends hp as netem.HostPort.String renders it.
+func appendHostPort(b []byte, hp netem.HostPort) []byte {
+	for i, o := range hp.IP.Octets() {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(o), 10)
+	}
+	return strconv.AppendUint(append(b, ':'), uint64(hp.Port), 10)
 }
 
 // Action is one instruction applied to a matching packet.
@@ -301,7 +316,10 @@ type Switch struct {
 	microOn     bool
 	microHits   int64
 	microMisses int64
-	// epoch versions the forwarding state for the microflow cache.
+	// epoch versions the forwarding state: the microflow cache checks
+	// its entries against it, and AppendTableSince reports it as the
+	// table version. Every install, eviction, delete, wipe and route
+	// change bumps it.
 	epoch uint64
 
 	// counters
@@ -1016,15 +1034,14 @@ func (s *Switch) snapshotLocked() []*flowEntry {
 
 // FlowTable reads back the live table as FlowSpecs (a flow-stats
 // round trip), sorted by priority descending, then match field by
-// field, then install order. The reconciler audits this snapshot
-// against its desired state.
+// field, then install order.
 func (s *Switch) FlowTable() []FlowSpec {
 	return s.AppendFlowTable(nil)
 }
 
-// AppendFlowTable is FlowTable appending to dst: a caller that audits
-// periodically hands back the buffer of its last audit, and a read of an
-// unchanged table then allocates nothing.
+// AppendFlowTable is FlowTable appending to dst: a caller that reads
+// periodically hands back the buffer of its last read, and a read of a
+// table no larger then allocates nothing.
 func (s *Switch) AppendFlowTable(dst []FlowSpec) []FlowSpec {
 	s.clk.Sleep(2 * s.CtrlLatency)
 	s.mu.Lock()
@@ -1036,6 +1053,35 @@ func (s *Switch) AppendFlowTable(dst []FlowSpec) []FlowSpec {
 	clear(live)
 	s.mu.Unlock()
 	return dst
+}
+
+// AppendTableSince is the reconciler's flow-stats read. It pays
+// AppendFlowTable's round trip, then asks since for the table version
+// of the caller's last read that it still trusts (ok false: none). If
+// the table is still at that version, nothing has been installed,
+// evicted, deleted or wiped since: it leaves dst alone and reports
+// fresh false. Otherwise it appends the live entries in install order —
+// unsorted, unlike AppendFlowTable — and returns the version they were
+// read at. A nil since always reads.
+func (s *Switch) AppendTableSince(dst []FlowSpec, since func() (version uint64, ok bool)) (out []FlowSpec, version uint64, fresh bool) {
+	s.clk.Sleep(2 * s.CtrlLatency)
+	var last uint64
+	var trusted bool
+	if since != nil {
+		last, trusted = since()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if trusted && s.epoch == last {
+		return dst, last, false
+	}
+	dst = slices.Grow(dst, len(s.table))
+	for _, e := range s.table {
+		if !e.removed {
+			dst = append(dst, e.FlowSpec)
+		}
+	}
+	return dst, s.epoch, true
 }
 
 // PacketOut re-injects a packet held by the controller, applying the

@@ -40,6 +40,11 @@ type Result struct {
 	Response []byte
 }
 
+// requestHeader renders the request line and Host header.
+func requestHeader(method, path string, target netem.HostPort) string {
+	return method + " " + path + " HTTP/1.1\r\nHost: " + target.String() + "\r\n\r\n"
+}
+
 // Do runs one measured request from the client host. It mirrors
 // timecurl.sh: start the clock, connect, send, await the response.
 func Do(clk vclock.Clock, client *netem.Host, req Request) (Result, error) {
@@ -64,7 +69,7 @@ func Do(clk vclock.Clock, client *netem.Host, req Request) (Result, error) {
 	defer conn.Close()
 	res := Result{Connect: clk.Since(start)}
 
-	header := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: %s\r\n\r\n", method, path, req.Target)
+	header := requestHeader(method, path, req.Target)
 	body := make([]byte, len(header)+req.PayloadSize)
 	copy(body, header)
 	if err := conn.Send(body); err != nil {

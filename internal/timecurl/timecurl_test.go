@@ -2,7 +2,9 @@ package timecurl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/netem"
@@ -121,4 +123,19 @@ func TestDoPayloadSizeAffectsTotal(t *testing.T) {
 			t.Errorf("POST 83KiB (%v) not slower than GET (%v)", large.Total, small.Total)
 		}
 	})
+}
+
+// TestRequestHeaderMatchesFmt: the request header is byte for byte what
+// its former fmt.Sprintf form rendered.
+func TestRequestHeaderMatchesFmt(t *testing.T) {
+	f := func(method, path string, ip uint32, port uint16) bool {
+		target := netem.HostPort{IP: netem.IP(ip), Port: port}
+		return requestHeader(method, path, target) == fmt.Sprintf("%s %s HTTP/1.1\r\nHost: %s\r\n\r\n", method, path, target)
+	}
+	if !f("GET", "/", uint32(netem.ParseIP("203.0.113.1")), 80) {
+		t.Errorf("GET / to 203.0.113.1:80 renders %q", requestHeader("GET", "/", netem.ParseHostPort("203.0.113.1:80")))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
 }
