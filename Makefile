@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s -fuzzminimizetime 1s ./internal/vclock/
 	$(GO) test -run '^$$' -fuzz FuzzFlowMemory -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAuditSkip -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzFlowID -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 20s -fuzzminimizetime 1s ./internal/openflow/
 	$(GO) test -run '^$$' -fuzz FuzzYAML -fuzztime 20s -fuzzminimizetime 1s ./internal/yaml/
 	$(GO) test -run '^$$' -fuzz FuzzPcapReader -fuzztime 20s -fuzzminimizetime 1s ./internal/pcap/

@@ -302,7 +302,7 @@ func (appResolver) Resolve(image string) (containerd.AppModel, error) {
 func staticFile(content string, size int, proc time.Duration) containerd.Handler {
 	body := make([]byte, size)
 	copy(body, content)
-	return containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+	return containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 		clk.Sleep(proc)
 		return body
 	})
@@ -311,7 +311,7 @@ func staticFile(content string, size int, proc time.Duration) containerd.Handler
 // volumeFile serves a file from the shared volume (the Nginx side of
 // Nginx+Py).
 func volumeFile(vol *containerd.Volume, path string, proc time.Duration) containerd.Handler {
-	return containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+	return containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 		clk.Sleep(proc)
 		if data, ok := vol.Read(path); ok {
 			return data
@@ -326,7 +326,7 @@ func inference(median time.Duration, sigma float64, respSize int) containerd.Han
 	rng := vclock.NewRand(int64(median))
 	resp := make([]byte, respSize)
 	copy(resp, `{"predictions":[{"label":"tabby cat","score":0.82}]}`)
-	return containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+	return containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 		clk.Sleep(rng.LogNormal(median, sigma))
 		return resp
 	})
@@ -335,8 +335,8 @@ func inference(median time.Duration, sigma float64, respSize int) containerd.Han
 // envWriter is the Python application: once per second it writes the
 // gathered environment info and current timestamp to index.html on the
 // shared volume.
-func envWriter(www *containerd.Volume) func(clk vclock.Clock, stop *vclock.Gate) {
-	return func(clk vclock.Clock, stop *vclock.Gate) {
+func envWriter(www *containerd.Volume) func(clk *vclock.Virtual, stop *vclock.Gate) {
+	return func(clk *vclock.Virtual, stop *vclock.Gate) {
 		if www == nil {
 			return
 		}

@@ -30,14 +30,14 @@ func testResolver() mapResolver {
 			ReadyDelay: 40 * time.Millisecond,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				return containerd.AppInstance{Handler: containerd.HandlerFunc(
-					func(clk vclock.Clock, req []byte) []byte { return []byte("hello") })}
+					func(clk *vclock.Virtual, req []byte) []byte { return []byte("hello") })}
 			},
 		},
 		"side": {ReadyDelay: 10 * time.Millisecond},
 	}
 }
 
-func testRegistry(clk vclock.Clock) *registry.Registry {
+func testRegistry(clk *vclock.Virtual) *registry.Registry {
 	reg := registry.New(clk, 3, registry.Private())
 	reg.Push(registry.Image{Ref: "web", Layers: []registry.Layer{{Digest: "sha256:web", Size: 10 * registry.MiB}}})
 	reg.Push(registry.Image{Ref: "side", Layers: []registry.Layer{{Digest: "sha256:side", Size: registry.MiB}}})

@@ -10,7 +10,7 @@ import (
 // instance: the request handler and an optional background process.
 type AppInstance struct {
 	Handler    Handler
-	Background func(clk vclock.Clock, stop *vclock.Gate)
+	Background func(clk *vclock.Virtual, stop *vclock.Gate)
 }
 
 // AppModel describes how containers of a given image behave. The
@@ -37,7 +37,7 @@ type AppResolver interface {
 // instantiate is a nil-safe helper for building the app instance.
 func (m AppModel) instantiate(vols map[string]*Volume) AppInstance {
 	if m.Instantiate == nil {
-		return AppInstance{Handler: HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+		return AppInstance{Handler: HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 			return []byte("ok")
 		})}
 	}

@@ -13,14 +13,14 @@ import (
 // request payload and produces the response, sleeping on clk for any
 // modelled processing time (e.g. ResNet inference).
 type Handler interface {
-	Serve(clk vclock.Clock, req []byte) []byte
+	Serve(clk *vclock.Virtual, req []byte) []byte
 }
 
 // HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(clk vclock.Clock, req []byte) []byte
+type HandlerFunc func(clk *vclock.Virtual, req []byte) []byte
 
 // Serve implements Handler.
-func (f HandlerFunc) Serve(clk vclock.Clock, req []byte) []byte { return f(clk, req) }
+func (f HandlerFunc) Serve(clk *vclock.Virtual, req []byte) []byte { return f(clk, req) }
 
 // Spec describes a container to create. It is the runtime-level
 // equivalent of one container entry in a pod/service definition.
@@ -43,7 +43,7 @@ type Spec struct {
 	Handler Handler
 	// Background, if set, runs for the life of the container (the
 	// env-writer sidecar uses this to update the shared volume).
-	Background func(clk vclock.Clock, stop *vclock.Gate)
+	Background func(clk *vclock.Virtual, stop *vclock.Gate)
 	// Labels are free-form metadata; the SDN controller labels edge
 	// services to address and query them distinctly.
 	Labels map[string]string

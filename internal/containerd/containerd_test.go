@@ -43,7 +43,7 @@ func imageOf(ref string, layerSizes ...int64) registry.Image {
 }
 
 func echoHandler() Handler {
-	return HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+	return HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 		return append([]byte("ok:"), req...)
 	})
 }
@@ -290,7 +290,7 @@ func TestStopClosesPortAndAbortsInFlight(t *testing.T) {
 			Name:  "c",
 			Image: "img",
 			Port:  80,
-			Handler: HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+			Handler: HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 				clk.Sleep(5 * time.Second) // slow request
 				return []byte("late")
 			}),
@@ -371,7 +371,7 @@ func TestBackgroundRunsUntilStop(t *testing.T) {
 		c, _ := e.rt.Create(Spec{
 			Name:  "writer",
 			Image: "py",
-			Background: func(clk vclock.Clock, stop *vclock.Gate) {
+			Background: func(clk *vclock.Virtual, stop *vclock.Gate) {
 				for !stop.IsOpen() {
 					ticks++
 					vol.Write("index.html", []byte(clk.Now().String()))

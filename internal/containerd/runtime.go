@@ -13,7 +13,7 @@ import (
 // Runtime is one containerd instance bound to a host: it owns the image
 // store, creates containers, and maps their ports onto the host.
 type Runtime struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	rng    *vclock.Rand
 	host   *netem.Host
 	timing Timing
@@ -25,14 +25,14 @@ type Runtime struct {
 }
 
 // NewRuntime returns a runtime on host with an empty image store.
-func NewRuntime(clk vclock.Clock, seed int64, host *netem.Host, timing Timing) *Runtime {
+func NewRuntime(clk *vclock.Virtual, seed int64, host *netem.Host, timing Timing) *Runtime {
 	return NewRuntimeWithStore(clk, seed, host, timing, NewStore(clk, seed+1, timing))
 }
 
 // NewRuntimeWithStore returns a runtime sharing an existing image store.
 // The evaluation's EGS runs Docker and Kubernetes over the same
 // containerd, so a pull by one is a cache hit for the other.
-func NewRuntimeWithStore(clk vclock.Clock, seed int64, host *netem.Host, timing Timing, store *Store) *Runtime {
+func NewRuntimeWithStore(clk *vclock.Virtual, seed int64, host *netem.Host, timing Timing, store *Store) *Runtime {
 	return &Runtime{
 		clk:        clk,
 		rng:        vclock.NewRand(seed),
@@ -53,7 +53,7 @@ func (r *Runtime) SetPortBase(base uint16) {
 }
 
 // Clock returns the runtime's time source.
-func (r *Runtime) Clock() vclock.Clock { return r.clk }
+func (r *Runtime) Clock() *vclock.Virtual { return r.clk }
 
 // Host returns the host the runtime serves ports on.
 func (r *Runtime) Host() *netem.Host { return r.host }

@@ -15,7 +15,7 @@ import (
 // actually missing — the behaviour the paper's Delete phase discussion
 // relies on.
 type Store struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	rng    *vclock.Rand
 	timing Timing
 
@@ -36,7 +36,7 @@ type inflightPull struct {
 }
 
 // NewStore returns an empty image store.
-func NewStore(clk vclock.Clock, seed int64, timing Timing) *Store {
+func NewStore(clk *vclock.Virtual, seed int64, timing Timing) *Store {
 	return &Store{
 		clk:    clk,
 		rng:    vclock.NewRand(seed),

@@ -9,8 +9,7 @@ import (
 
 // handlePacketIn feeds one packet-in to the controller and blocks until
 // the punt has run to completion — claim dropped, held packet released
-// — so tests can drive the event-driven path from plain goroutines, on
-// either clock.
+// — so tests can drive the event-driven path from clock goroutines.
 func (c *Controller) handlePacketIn(sw *openflow.Switch, pin openflow.PacketIn) {
 	done := vclock.NewGate()
 	c.packetIn(sw, pin, done.Open)

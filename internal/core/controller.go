@@ -343,7 +343,7 @@ type Controller struct {
 	stats Stats
 
 	cfg   Config
-	clk   vclock.Clock
+	clk   *vclock.Virtual
 	sched GlobalScheduler
 	fm    *FlowMemory
 
@@ -411,7 +411,7 @@ type deployState struct {
 // New builds a controller. The switches are connected immediately, so
 // packet-ins and flow removals are handled from here on; Start launches
 // the background loops.
-func New(clk vclock.Clock, cfg Config) (*Controller, error) {
+func New(clk *vclock.Virtual, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Host == nil || cfg.Switch == nil {
 		return nil, fmt.Errorf("core: controller needs a host and a switch")

@@ -26,7 +26,7 @@ import (
 // memorized flows; an entry still expires exactly at its own deadline,
 // because a sweep re-arms for the new head's.
 type FlowMemory struct {
-	clk vclock.Clock
+	clk *vclock.Virtual
 	// Idle is the memory-side idle timeout.
 	Idle time.Duration
 	// OnServiceIdle, if set, fires when the last memorized flow of a
@@ -63,7 +63,7 @@ type memEntry struct {
 }
 
 // NewFlowMemory returns an empty memory with the given idle timeout.
-func NewFlowMemory(clk vclock.Clock, idle time.Duration) *FlowMemory {
+func NewFlowMemory(clk *vclock.Virtual, idle time.Duration) *FlowMemory {
 	fm := &FlowMemory{
 		clk:     clk,
 		Idle:    idle,

@@ -25,7 +25,7 @@ type handoverRig struct {
 // watchers) off: handover and reconciliation are direct calls, so tests
 // that need a deterministic mid-handover switch restart can keep the
 // restart watcher from racing the handover's own bundle exchanges.
-func newHandoverRig(t *testing.T, clk vclock.Clock, start bool, mut func(*Config), stubs ...*stubCluster) *handoverRig {
+func newHandoverRig(t *testing.T, clk *vclock.Virtual, start bool, mut func(*Config), stubs ...*stubCluster) *handoverRig {
 	t.Helper()
 	n := netem.NewNetwork(clk, 1)
 	gnb1 := openflow.NewSwitch(n, "gnb1", len(stubs)+2)

@@ -19,7 +19,7 @@ import (
 // can be slowed down, and ScaleUp opens a real listener on the stub's
 // host so the controller's port probing works end to end.
 type stubCluster struct {
-	clk  vclock.Clock
+	clk  *vclock.Virtual
 	name string
 	loc  cluster.Location
 	host *netem.Host
@@ -162,7 +162,7 @@ type resilienceRig struct {
 	svc  *Service
 }
 
-func newResilienceRig(t testing.TB, clk vclock.Clock, mut func(*Config), stubs ...*stubCluster) *resilienceRig {
+func newResilienceRig(t testing.TB, clk *vclock.Virtual, mut func(*Config), stubs ...*stubCluster) *resilienceRig {
 	t.Helper()
 	n := netem.NewNetwork(clk, 1)
 	sw := openflow.NewSwitch(n, "ovs", len(stubs)+2)

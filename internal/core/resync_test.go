@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +37,7 @@ var auditRoute = netem.ParseIP("198.51.100.1")
 // the switch already has.
 func (rig *auditRig) touch() { rig.sw.AddRoute(auditRoute, 1) }
 
-func newAuditRig(t testing.TB, clk vclock.Clock, flows int, mut func(*Config)) *auditRig {
+func newAuditRig(t testing.TB, clk *vclock.Virtual, flows int, mut func(*Config)) *auditRig {
 	t.Helper()
 	near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}, pulled: true, created: true}
 	rig := &auditRig{resilienceRig: newResilienceRig(t, clk, func(cfg *Config) {
@@ -302,6 +301,78 @@ func TestFlowIDMatchesStringIdentity(t *testing.T) {
 	})
 }
 
+// flowIDFields is how many bytes decodeFlowIDPair reads per spec: one
+// per field, in the order decodeFlowIDSpec lists them.
+const flowIDFields = 14
+
+// decodeFlowIDSpec builds a well-formed spec the way randomSpecs does —
+// each set-field at most once, in the constructors' order, then one
+// terminal — from one byte per field, each taken modulo a domain small
+// enough that equal specs are common.
+func decodeFlowIDSpec(b *[flowIDFields]byte) openflow.FlowSpec {
+	ips := []netem.IP{0, netem.ParseIP("10.0.0.2"), netem.ParseIP("192.168.1.10")}
+	ports := []uint16{0, 80, 20000}
+	spec := openflow.FlowSpec{
+		Priority: []int{puntPriority, redirectPriority}[b[0]%2],
+		Match: openflow.Match{
+			SrcIP: ips[b[1]%3], DstPort: ports[b[2]%3],
+			InPort: int(b[3] % 2), DstIP: ips[b[4]%3], SrcPort: ports[b[5]%3],
+		},
+		// Not part of either identity.
+		IdleTimeout: time.Duration(b[6]%3) * time.Second,
+		HardTimeout: time.Duration(b[7]%3) * time.Second,
+		Cookie:      uint64(b[8] % 3),
+	}
+	if i := b[9] % 3; i > 0 {
+		spec.Actions = append(spec.Actions, openflow.SetSrcIP{IP: ips[i]})
+	}
+	if i := b[10] % 3; i > 0 {
+		spec.Actions = append(spec.Actions, openflow.SetSrcPort{Port: ports[i]})
+	}
+	if i := b[11] % 3; i > 0 {
+		spec.Actions = append(spec.Actions, openflow.SetDstIP{IP: ips[i]})
+	}
+	if i := b[12] % 3; i > 0 {
+		spec.Actions = append(spec.Actions, openflow.SetDstPort{Port: ports[i]})
+	}
+	spec.Actions = append(spec.Actions, []openflow.Action{
+		openflow.Output{Port: 1}, openflow.Output{Port: 2},
+		openflow.OutputNormal{}, openflow.OutputController{}, openflow.Drop{},
+	}[b[13]%5])
+	return spec
+}
+
+// decodeFlowIDPair reads two specs from data. The first flowIDFields
+// bytes are the first spec's fields; the next flowIDFields bytes are
+// XORed onto them to give the second's. Missing bytes read as zero, so
+// a short input decodes to two equal specs and each later byte changes
+// one field of the second.
+func decodeFlowIDPair(data []byte) (a, b openflow.FlowSpec) {
+	var fa, fb [flowIDFields]byte
+	copy(fa[:], data)
+	fb = fa
+	if len(data) > flowIDFields {
+		for i, d := range data[flowIDFields:min(len(data), 2*flowIDFields)] {
+			fb[i] ^= d
+		}
+	}
+	return decodeFlowIDSpec(&fa), decodeFlowIDSpec(&fb)
+}
+
+// FuzzFlowID is openflow.FlowID's oracle: two well-formed specs have the
+// same ID exactly when the reconciler's former string identity, given
+// the action types its %v drops, is the same.
+func FuzzFlowID(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := decodeFlowIDPair(data)
+		sameID := a.ID() == b.ID()
+		sameStr := flowIdent(a)+"|"+actionTypes(a) == flowIdent(b)+"|"+actionTypes(b)
+		if sameID != sameStr {
+			t.Fatalf("FlowID equal = %v, string identity equal = %v for\n%+v\n%+v", sameID, sameStr, a, b)
+		}
+	})
+}
+
 // TestDiffFlowsMatchesStringOracle: on random (actual, desired) tables
 // built from the controller's own specs — with rules missing, stray
 // rules, rules for the right match with another instance's actions, and
@@ -468,33 +539,34 @@ func TestAuditMatchesStringOracle(t *testing.T) {
 	}
 }
 
-// TestOverlappingAuditsShareNoBuffers: an audit sleeps in its flow-stats
-// read, so audits can overlap, and only one of them can have the buffers
-// the controller keeps. On the wall clock, where overlapping audits run
-// in parallel, eight at a time over a table with known differences must
-// each see exactly those, and the race detector no buffer in two hands.
-// (A virtual clock wakes one sleeper at a time: it would hide a shared
-// buffer.)
+// TestOverlappingAuditsShareNoBuffers: an audit parks in its flow-stats
+// read, so audits overlap across that park, each in the buffers it took
+// from the controller or in fresh ones. Eight audits at a time over a
+// table with known differences must each see exactly those. Go starts
+// the eight in parallel until they park, so under -race at several Ps
+// they take the kept buffers at the same moment: a hand-off that is not
+// one atomic Swap shows as a race report.
 func TestOverlappingAuditsShareNoBuffers(t *testing.T) {
-	rig := newAuditRig(t, vclock.NewReal(), 512, nil)
-	missing, orphans := rig.diverge(0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				if d := rig.ctrl.AuditDiff(rig.sw); d != missing+orphans {
-					t.Errorf("overlapping audit saw %d differences, the table has %d", d, missing+orphans)
+	clk := vclock.New()
+	clk.Run(func() {
+		rig := newAuditRig(t, clk, 512, nil)
+		missing, orphans := rig.diverge(0)
+		var audits vclock.Group
+		for i := 0; i < 8; i++ {
+			audits.Go(clk, func() {
+				for round := 0; round < 20; round++ {
+					if d := rig.ctrl.AuditDiff(rig.sw); d != missing+orphans {
+						t.Errorf("overlapping audit saw %d differences, the table has %d", d, missing+orphans)
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	rig.ctrl.ResyncNow()
-	if d := rig.ctrl.AuditDiff(rig.sw); d != 0 {
-		t.Errorf("%d differences left after the repair", d)
-	}
+			})
+		}
+		audits.Wait(clk)
+		rig.ctrl.ResyncNow()
+		if d := rig.ctrl.AuditDiff(rig.sw); d != 0 {
+			t.Errorf("%d differences left after the repair", d)
+		}
+	})
 }
 
 // TestAuditAllocations pins what an audit of a converged table costs in

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,16 +13,23 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// TestConcurrentPacketInStress drives the control plane with
-// genuinely parallel packet-ins (real clock, many goroutines — run with
-// -race): memory hits, dispatch misses, SYN-retransmit dedup, and
-// flow-removed refreshes interleave across many clients behind two
-// ingress switches, with a service registration landing mid-storm.
-// Afterwards the stats must be internally consistent, no pending claim
-// may leak, and every non-duplicate packet-in must have released its
-// held packet through a redirect flow.
+// TestConcurrentPacketInStress drives the control plane with many
+// packet-ins in flight at once — run with -race at several Ps: memory
+// hits, dispatch misses, SYN-retransmit dedup, and flow-removed
+// refreshes interleave across many clients behind two ingress switches,
+// with a service registration landing mid-storm. Every client, duplicate
+// and reader is a clock goroutine, and Go starts them in parallel until
+// they park, so their packet-ins race through the pending-claim table,
+// the FlowMemory and the copy-on-write service tables. Afterwards the
+// stats must be internally consistent, no pending claim may leak, and
+// every non-duplicate packet-in must have released its held packet
+// through a redirect flow.
 func TestConcurrentPacketInStress(t *testing.T) {
-	clk := vclock.NewReal()
+	clk := vclock.New()
+	clk.Run(func() { packetInStorm(t, clk) })
+}
+
+func packetInStorm(t *testing.T, clk *vclock.Virtual) {
 	n := netem.NewNetwork(clk, 1)
 
 	const (
@@ -82,30 +90,23 @@ func TestConcurrentPacketInStress(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
+	var storm vclock.Group
 	var total, registered int64
 	var countMu sync.Mutex
 	for si, sw := range []*openflow.Switch{sw1, sw2} {
 		for i := 0; i < clientsPerSwitch; i++ {
 			client := netem.ParseIP(fmt.Sprintf("192.168.%d.%d", si+1, i+10))
-			sw := sw
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
+			storm.Go(clk, func() {
 				sent, reg := int64(0), int64(0)
 				for r := 0; r < rounds; r++ {
 					switch r {
 					case 1:
 						// SYN retransmission: a concurrent duplicate of the
 						// same flow, racing the original.
-						var dup sync.WaitGroup
-						dup.Add(1)
-						go func() {
-							defer dup.Done()
-							ctrl.handlePacketIn(sw, mkPin(client, svc.Addr))
-						}()
+						var dup vclock.Group
+						dup.Go(clk, func() { ctrl.handlePacketIn(sw, mkPin(client, svc.Addr)) })
 						ctrl.handlePacketIn(sw, mkPin(client, svc.Addr))
-						dup.Wait()
+						dup.Wait(clk)
 						sent, reg = sent+2, reg+2
 					case 2:
 						// Flow-removed refresh racing other packet-ins.
@@ -125,40 +126,34 @@ func TestConcurrentPacketInStress(t *testing.T) {
 				total += sent
 				registered += reg
 				countMu.Unlock()
-			}()
+			})
 		}
 	}
 
 	// A registration lands mid-storm: the copy-on-write service tables
 	// and the punt-rule installs race the packet-in fast path.
-	regErr := make(chan error, 1)
-	go func() {
-		_, err := ctrl.RegisterService(netem.ParseHostPort("203.0.113.2:80"), leanNginx)
-		regErr <- err
-	}()
-	// Concurrent readers of the shared state.
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = ctrl.Stats()
-				_ = ctrl.FlowMemory().Len()
-				_, _ = ctrl.ClientLocation(netem.ParseIP("192.168.1.10"))
-			}
+	var regErr error
+	storm.Go(clk, func() {
+		_, regErr = ctrl.RegisterService(netem.ParseHostPort("203.0.113.2:80"), leanNginx)
+	})
+	// A concurrent reader of the shared state. It sleeps between reads:
+	// a loop that never parks would stop virtual time.
+	var stop atomic.Bool
+	var readers vclock.Group
+	readers.Go(clk, func() {
+		for !stop.Load() {
+			_ = ctrl.Stats()
+			_ = ctrl.FlowMemory().Len()
+			_, _ = ctrl.ClientLocation(netem.ParseIP("192.168.1.10"))
+			clk.Sleep(100 * time.Microsecond)
 		}
-	}()
+	})
 
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if err := <-regErr; err != nil {
-		t.Fatalf("mid-storm registration: %v", err)
+	storm.Wait(clk)
+	stop.Store(true)
+	readers.Wait(clk)
+	if regErr != nil {
+		t.Fatalf("mid-storm registration: %v", regErr)
 	}
 
 	s := ctrl.Stats()

@@ -33,7 +33,7 @@ func DefaultTiming() Timing {
 
 // Engine is one Docker daemon.
 type Engine struct {
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	rng      *vclock.Rand
 	rt       *containerd.Runtime
 	resolver containerd.AppResolver
@@ -44,7 +44,7 @@ type Engine struct {
 }
 
 // NewEngine returns a daemon driving the given runtime.
-func NewEngine(clk vclock.Clock, seed int64, rt *containerd.Runtime, resolver containerd.AppResolver, timing Timing) *Engine {
+func NewEngine(clk *vclock.Virtual, seed int64, rt *containerd.Runtime, resolver containerd.AppResolver, timing Timing) *Engine {
 	return &Engine{
 		clk:      clk,
 		rng:      vclock.NewRand(seed),

@@ -45,7 +45,7 @@ func newDockerEnv(clk *vclock.Virtual) *dockerEnv {
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				shared := vols["www"]
 				return containerd.AppInstance{
-					Handler: containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+					Handler: containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 						if shared != nil {
 							if data, ok := shared.Read("index.html"); ok {
 								return data
@@ -61,7 +61,7 @@ func newDockerEnv(clk *vclock.Virtual) *dockerEnv {
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				shared := vols["www"]
 				return containerd.AppInstance{
-					Background: func(clk vclock.Clock, stop *vclock.Gate) {
+					Background: func(clk *vclock.Virtual, stop *vclock.Gate) {
 						for !stop.IsOpen() {
 							shared.Write("index.html", []byte("written at "+clk.Now().Format(time.RFC3339)))
 							if stop.WaitTimeout(clk, time.Second) {

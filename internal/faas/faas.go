@@ -56,7 +56,7 @@ func DefaultTiming() Timing {
 
 // Runtime hosts WebAssembly service instances on one edge node.
 type Runtime struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	rng    *vclock.Rand
 	host   *netem.Host
 	timing Timing
@@ -68,7 +68,7 @@ type Runtime struct {
 }
 
 // NewRuntime returns an empty serverless runtime on host.
-func NewRuntime(clk vclock.Clock, seed int64, host *netem.Host, timing Timing) *Runtime {
+func NewRuntime(clk *vclock.Virtual, seed int64, host *netem.Host, timing Timing) *Runtime {
 	return &Runtime{
 		clk:       clk,
 		rng:       vclock.NewRand(seed),

@@ -44,7 +44,7 @@ func newFaasEnv(clk *vclock.Virtual) *faasEnv {
 		Port: 80,
 		Instantiate: func(map[string]*containerd.Volume) containerd.AppInstance {
 			return containerd.AppInstance{Handler: containerd.HandlerFunc(
-				func(clk vclock.Clock, req []byte) []byte {
+				func(clk *vclock.Virtual, req []byte) []byte {
 					return append([]byte("wasm:"), req...)
 				})}
 		},
@@ -84,7 +84,7 @@ func TestFetchAndInstantiate(t *testing.T) {
 		inst, err := e.rt.Instantiate(InstanceSpec{
 			Name:   "echo-1",
 			Module: "fn/echo.wasm",
-			Handler: containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+			Handler: containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 				return req
 			}),
 		})
@@ -111,7 +111,7 @@ func TestInstantiateErrors(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newFaasEnv(clk)
-		h := containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte { return req })
+		h := containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte { return req })
 		if _, err := e.rt.Instantiate(InstanceSpec{Name: "x", Module: "fn/echo.wasm", Handler: h}); err == nil {
 			t.Error("instantiate without fetched module succeeded")
 		}
@@ -136,7 +136,7 @@ func TestStopClosesPortAndFreesName(t *testing.T) {
 	clk.Run(func() {
 		e := newFaasEnv(clk)
 		e.rt.Fetch(e.reg, "fn/echo.wasm")
-		h := containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte { return req })
+		h := containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte { return req })
 		inst, _ := e.rt.Instantiate(InstanceSpec{Name: "x", Module: "fn/echo.wasm", Handler: h})
 		addr := inst.Addr()
 		inst.Stop()

@@ -89,7 +89,7 @@ type Stats struct {
 // Plan is one seeded fault scenario. Wrap the components under test
 // with WrapCluster / WrapRemote; the plan tracks what it injected.
 type Plan struct {
-	clk   vclock.Clock
+	clk   *vclock.Virtual
 	cfg   Config
 	start time.Time
 
@@ -100,7 +100,7 @@ type Plan struct {
 
 // NewPlan returns a plan anchored at the clock's current time (outage
 // windows are offsets from this instant).
-func NewPlan(clk vclock.Clock, cfg Config) *Plan {
+func NewPlan(clk *vclock.Virtual, cfg Config) *Plan {
 	return &Plan{
 		clk:   clk,
 		cfg:   cfg,

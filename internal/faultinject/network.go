@@ -64,13 +64,13 @@ type NetworkConfig struct {
 
 // NetworkPlan schedules network chaos on a virtual clock.
 type NetworkPlan struct {
-	clk vclock.Clock
+	clk *vclock.Virtual
 	cfg NetworkConfig
 }
 
 // NewNetworkPlan returns a plan applying cfg relative to the current
 // virtual instant.
-func NewNetworkPlan(clk vclock.Clock, cfg NetworkConfig) *NetworkPlan {
+func NewNetworkPlan(clk *vclock.Virtual, cfg NetworkConfig) *NetworkPlan {
 	return &NetworkPlan{clk: clk, cfg: cfg}
 }
 

@@ -124,7 +124,7 @@ func (w *Watch) Stop() {
 // that nothing edits afterwards, so the package reads stored objects in
 // place; Get and List hand out copies.
 type API struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	rng    *vclock.Rand
 	timing Timing
 
@@ -135,7 +135,7 @@ type API struct {
 }
 
 // NewAPI returns an empty API server.
-func NewAPI(clk vclock.Clock, seed int64, timing Timing) *API {
+func NewAPI(clk *vclock.Virtual, seed int64, timing Timing) *API {
 	return &API{
 		clk:      clk,
 		rng:      vclock.NewRand(seed),
@@ -146,7 +146,7 @@ func NewAPI(clk vclock.Clock, seed int64, timing Timing) *API {
 }
 
 // Clock exposes the API server's time source.
-func (a *API) Clock() vclock.Clock { return a.clk }
+func (a *API) Clock() *vclock.Virtual { return a.clk }
 
 // Timing exposes the control-plane cost model.
 func (a *API) Timing() Timing { return a.timing }

@@ -41,12 +41,12 @@ type Config struct {
 type Cluster struct {
 	name string
 	api  *API
-	clk  vclock.Clock
+	clk  *vclock.Virtual
 }
 
 // NewCluster builds and starts a cluster: API server, controllers,
 // schedulers, and one kubelet per node.
-func NewCluster(clk vclock.Clock, cfg Config) (*Cluster, error) {
+func NewCluster(clk *vclock.Virtual, cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("kube: cluster %q needs at least one node", cfg.Name)
 	}

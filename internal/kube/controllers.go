@@ -13,22 +13,23 @@ import (
 // keyQueue is a deduplicating work queue, the coalescing mechanism of
 // real controllers: a key added many times while queued is reconciled
 // once. Without it, a deployment burst (Fig. 10: up to eight per
-// second) would serialize one reconcile per watch event.
+// second) would serialize one reconcile per watch event. It is a set of
+// pending keys in front of a mailbox that holds them in Add order.
 type keyQueue struct {
-	clk   vclock.Clock
+	clk   *vclock.Virtual
 	mu    sync.Mutex
-	cond  *vclock.Cond
 	set   map[string]bool
-	order []string
+	order vclock.Mailbox[string]
 }
 
-func newKeyQueue(clk vclock.Clock) *keyQueue {
+func newKeyQueue(clk *vclock.Virtual) *keyQueue {
 	q := &keyQueue{clk: clk, set: make(map[string]bool)}
-	q.cond = vclock.NewCond(clk, &q.mu)
+	q.order.Init(clk)
 	return q
 }
 
 // Add enqueues key unless it is empty (no owner) or already pending.
+// The send stays under q.mu so the mailbox holds keys in Add order.
 func (q *keyQueue) Add(key string) {
 	if key == "" {
 		return
@@ -36,20 +37,15 @@ func (q *keyQueue) Add(key string) {
 	q.mu.Lock()
 	if !q.set[key] {
 		q.set[key] = true
-		q.order = append(q.order, key)
+		q.order.Send(key)
 	}
 	q.mu.Unlock()
-	q.cond.Signal()
 }
 
 // Get blocks until a key is pending and removes it.
 func (q *keyQueue) Get() string {
+	key, _ := q.order.Recv()
 	q.mu.Lock()
-	for len(q.order) == 0 {
-		q.cond.Wait()
-	}
-	key := q.order[0]
-	q.order = q.order[1:]
 	delete(q.set, key)
 	q.mu.Unlock()
 	return key
@@ -67,7 +63,7 @@ func (q *keyQueue) runWorker(reconcile func(key string)) {
 // controllerBase bundles what every control loop needs.
 type controllerBase struct {
 	api *API
-	clk vclock.Clock
+	clk *vclock.Virtual
 	rng *vclock.Rand
 }
 

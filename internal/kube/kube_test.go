@@ -36,7 +36,7 @@ func echoModel(port uint16, readyDelay time.Duration) containerd.AppModel {
 		ReadyDelay: readyDelay,
 		Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 			return containerd.AppInstance{
-				Handler: containerd.HandlerFunc(func(clk vclock.Clock, req []byte) []byte {
+				Handler: containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
 					return append([]byte("echo:"), req...)
 				}),
 			}

@@ -13,7 +13,7 @@ import (
 // kubelet runs the pods bound to one node on that node's containerd.
 type kubelet struct {
 	api      *API
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	rng      *vclock.Rand
 	nodeName string
 	runtime  *containerd.Runtime

@@ -64,7 +64,7 @@ func (BinPack) Pick(nodes []*Node, pod *Pod) (string, error) {
 // scheduler binds pending pods addressed to its name on a fixed cycle.
 type scheduler struct {
 	api    *API
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	rng    *vclock.Rand
 	name   string
 	picker NodePicker

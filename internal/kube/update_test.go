@@ -144,7 +144,9 @@ func TestWatchStopDuringDeliveries(t *testing.T) {
 }
 
 // TestKeyQueueCoalesces checks the controller work queue's dedup
-// invariant: N adds of the same key while queued yield one Get.
+// invariant: N adds of the same key while queued yield one Get, a key
+// added again after its Get is queued again, and distinct keys leave in
+// the order they were added.
 func TestKeyQueueCoalesces(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
@@ -163,6 +165,30 @@ func TestKeyQueueCoalesces(t *testing.T) {
 		q.Add("same")
 		if got := q.Get(); got != "same" {
 			t.Errorf("Get = %q", got)
+		}
+		// A key got and added again is queued again, behind the keys
+		// added before it.
+		q.Add("a")
+		q.Add("b")
+		if got := q.Get(); got != "a" {
+			t.Errorf("Get = %q, want a", got)
+		}
+		q.Add("a")
+		q.Add("b")
+		for _, want := range []string{"b", "a"} {
+			if got := q.Get(); got != want {
+				t.Errorf("Get = %q, want %q", got, want)
+			}
+		}
+		// Distinct keys come out in Add order.
+		keys := []string{"k3", "k1", "k4", "k2", "k0"}
+		for _, k := range keys {
+			q.Add(k)
+		}
+		for _, want := range keys {
+			if got := q.Get(); got != want {
+				t.Errorf("Get = %q, want %q (not FIFO)", got, want)
+			}
 		}
 	})
 }

@@ -120,7 +120,7 @@ func (s Schedule) Span() time.Duration {
 // (relative to the moment Run is called) and invokes apply. Events are
 // applied strictly in order from a single goroutine, so apply needs no
 // internal ordering. Run returns after the last event's apply.
-func (s Schedule) Run(clk vclock.Clock, apply func(Event)) {
+func (s Schedule) Run(clk *vclock.Virtual, apply func(Event)) {
 	start := clk.Now()
 	for _, e := range s {
 		if wait := e.At - clk.Since(start); wait > 0 {

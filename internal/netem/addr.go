@@ -5,7 +5,7 @@
 // Every packet travels through Device pipelines connected by Links, so an
 // OpenFlow switch placed on the path genuinely intercepts and rewrites
 // the traffic — exactly the mechanism the transparent-access approach
-// relies on. Time comes exclusively from a vclock.Clock.
+// relies on. Time comes exclusively from a *vclock.Virtual.
 package netem
 
 import (

@@ -32,7 +32,7 @@ type Host struct {
 	nic  *Port
 	// clk is the clock this host's transport runs on: the network
 	// clock. Set at creation and read-only afterwards.
-	clk vclock.Clock
+	clk *vclock.Virtual
 
 	mu        sync.Mutex
 	listeners map[uint16]*Listener

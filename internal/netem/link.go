@@ -58,7 +58,7 @@ func GbpsToBytes(gbps float64) float64 { return gbps * 1e9 / 8 }
 // Link joins two ports with latency, per-direction serialization, and
 // optional random loss.
 type Link struct {
-	clk vclock.Clock
+	clk *vclock.Virtual
 	rng *vclock.Rand
 	net *Network
 	cfg LinkConfig

@@ -102,7 +102,7 @@ func TestTCPFlagsStringAllocs(t *testing.T) {
 
 // pair builds a two-host topology connected through a router:
 // a --- r --- b, with the given per-link config.
-func pair(t *testing.T, clk vclock.Clock, cfg LinkConfig) (*Network, *Host, *Host) {
+func pair(t *testing.T, clk *vclock.Virtual, cfg LinkConfig) (*Network, *Host, *Host) {
 	t.Helper()
 	n := NewNetwork(clk, 1)
 	a := n.NewHost("a", ParseIP("10.0.0.1"))

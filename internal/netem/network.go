@@ -15,7 +15,7 @@ type CaptureFunc func(ts time.Time, pkt *Packet)
 
 // Network owns the devices and links of one emulated topology.
 type Network struct {
-	Clock vclock.Clock
+	Clock *vclock.Virtual
 
 	mu      sync.Mutex
 	rng     *vclock.Rand
@@ -31,7 +31,7 @@ type Network struct {
 
 // NewNetwork returns an empty topology driven by clk. seed feeds the
 // deterministic randomness used for loss and jitter.
-func NewNetwork(clk vclock.Clock, seed int64) *Network {
+func NewNetwork(clk *vclock.Virtual, seed int64) *Network {
 	return &Network{
 		Clock: clk,
 		rng:   vclock.NewRand(seed),

@@ -24,7 +24,7 @@ type rehomeTopo struct {
 	access LinkConfig
 }
 
-func buildRehomeTopo(clk vclock.Clock) *rehomeTopo {
+func buildRehomeTopo(clk *vclock.Virtual) *rehomeTopo {
 	n := NewNetwork(clk, 1)
 	tp := &rehomeTopo{
 		n:      n,

@@ -14,7 +14,7 @@ import (
 // OpenFlow switch, which implements Device separately.
 type Router struct {
 	name string
-	clk  vclock.Clock
+	clk  *vclock.Virtual
 
 	mu       sync.Mutex
 	ports    []*Port

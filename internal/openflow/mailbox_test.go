@@ -13,7 +13,7 @@ func (h mailboxHandler) PacketIn(_ *Switch, pin PacketIn)       { h.packetIns.Se
 func (h mailboxHandler) FlowRemoved(_ *Switch, msg FlowRemoved) { h.removals.Send(msg) }
 
 // connectMailboxes connects a mailboxHandler to sw.
-func connectMailboxes(sw *Switch, clk vclock.Clock) (*vclock.Mailbox[PacketIn], *vclock.Mailbox[FlowRemoved]) {
+func connectMailboxes(sw *Switch, clk *vclock.Virtual) (*vclock.Mailbox[PacketIn], *vclock.Mailbox[FlowRemoved]) {
 	h := mailboxHandler{vclock.NewMailbox[PacketIn](clk), vclock.NewMailbox[FlowRemoved](clk)}
 	sw.Connect(h)
 	return h.packetIns, h.removals

@@ -262,7 +262,7 @@ type FlowRemoved struct {
 
 // PacketIn carries a punted packet to the controller. The switch keeps
 // no buffer: the controller owns the packet and can hold it while it
-// deploys a service, then re-inject it with PacketOut — the
+// deploys a service, then re-inject it with PostPacketOut — the
 // "on-demand deployment with waiting" mechanism.
 type PacketIn struct {
 	Pkt    *netem.Packet
@@ -281,7 +281,7 @@ type FlowStats struct {
 // Switch is one OpenFlow switch instance.
 type Switch struct {
 	name string
-	clk  vclock.Clock
+	clk  *vclock.Virtual
 	// CtrlLatency is the control-channel one-way delay.
 	CtrlLatency time.Duration
 
@@ -1084,20 +1084,12 @@ func (s *Switch) AppendTableSince(dst []FlowSpec, since func() (version uint64, 
 	return dst, s.epoch, true
 }
 
-// PacketOut re-injects a packet held by the controller, applying the
-// given actions (typically after installing the redirect flows).
-func (s *Switch) PacketOut(pkt *netem.Packet, inPort int, actions []Action) {
-	delay, lost := s.channel(msgPacketOut, "out/", func() string { return flowName(pkt) })
-	s.clk.Sleep(delay)
-	if !lost {
-		s.packetOut(pkt, inPort, actions)
-	}
-}
-
-// PostPacketOut is PacketOut for callers on the clock's event loop:
-// the message is sent now, and then(arg) runs on the event loop at the
-// instant PacketOut would have returned. The switch re-injects a clone,
-// so the caller still owns pkt and may release it in then.
+// PostPacketOut re-injects a packet held by the controller, applying
+// the given actions (typically after installing the redirect flows; none
+// means OFPP_TABLE). The message is sent now. One control-channel delay
+// later the switch re-injects a clone of pkt, unless the channel lost
+// the message, and then(arg) runs on the clock's event loop either way;
+// the caller still owns pkt and may release it in then.
 func (s *Switch) PostPacketOut(pkt *netem.Packet, inPort int, actions []Action, then func(arg any), arg any) {
 	delay, lost := s.channel(msgPacketOut, "out/", func() string { return flowName(pkt) })
 	m := newMsg()

@@ -204,7 +204,7 @@ func TestPacketInAndPacketOutWithHold(t *testing.T) {
 				Match:    Match{SrcIP: edgeAddr.IP, SrcPort: edgeAddr.Port, DstIP: pin.Pkt.Src.IP, DstPort: pin.Pkt.Src.Port},
 				Actions:  []Action{SetSrcIP{cloudAddr.IP}, SetSrcPort{80}, Output{1}},
 			})
-			e.sw.PacketOut(pin.Pkt, pin.InPort, nil) // OFPP_TABLE
+			e.sw.PostPacketOut(pin.Pkt, pin.InPort, nil, func(any) {}, nil) // OFPP_TABLE
 		})
 		start := clk.Now()
 		conn, err := e.client.Dial(cloudAddr)

@@ -120,7 +120,7 @@ func Private() Profile {
 
 // Registry is one image registry instance.
 type Registry struct {
-	clk     vclock.Clock
+	clk     *vclock.Virtual
 	rng     *vclock.Rand
 	profile Profile
 
@@ -129,7 +129,7 @@ type Registry struct {
 }
 
 // New returns an empty registry with the given network profile.
-func New(clk vclock.Clock, seed int64, profile Profile) *Registry {
+func New(clk *vclock.Virtual, seed int64, profile Profile) *Registry {
 	return &Registry{
 		clk:     clk,
 		rng:     vclock.NewRand(seed),

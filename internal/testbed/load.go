@@ -254,7 +254,7 @@ func shardServices(services int, zipfS float64, shards int) []int {
 // cache; constant control-channel and pinned Docker API latencies), so
 // each shard's counters and latencies are exactly the sequential run's
 // restricted to its services, and summing them reproduces the whole.
-func runLoadShard(clk vclock.Clock, cfg LoadConfig, shard, shards int, res *LoadResult) error {
+func runLoadShard(clk *vclock.Virtual, cfg LoadConfig, shard, shards int, res *LoadResult) error {
 	tb, err := New(clk, Options{
 		WithDocker:     true,
 		Clients:        2,
@@ -289,10 +289,9 @@ func runLoadShard(clk vclock.Clock, cfg LoadConfig, shard, shards int, res *Load
 	sw := tb.Switch
 	inPort := sw.Port(loadInjectPort)
 	rng := vclock.NewRand(cfg.Seed + 97)
-	// O(1) per-draw service assignment: the CDF-aligned alias table
-	// (binary-search inversion as the fallback) consumes one uniform
-	// per draw, same stream and same rank as the old CDF scan.
-	smp := newZipfSampler(zipfCDF(cfg.Services, cfg.ZipfS))
+	// Per-draw service assignment: one uniform per draw, inverted
+	// through the popularity CDF by binary search.
+	cdf := zipfCDF(cfg.Services, cfg.ZipfS)
 	// One range route covers the whole CGNAT flow block.
 	sw.AddRouteRange(loadFlowBase, loadFlowMask, loadInjectPort)
 
@@ -344,7 +343,7 @@ func runLoadShard(clk vclock.Clock, cfg LoadConfig, shard, shards int, res *Load
 		}
 		si := svcOf[flow]
 		if si < 0 {
-			si = int32(smp.pick(rng.Float64()))
+			si = int32(zipfPick(cdf, rng.Float64()))
 			svcOf[flow] = si
 		}
 		if owner[si] != shard {

@@ -158,7 +158,7 @@ type ServiceHandle struct {
 // Testbed is the assembled evaluation environment.
 type Testbed struct {
 	Opts       Options
-	Clock      vclock.Clock
+	Clock      *vclock.Virtual
 	Net        *netem.Network
 	Switch     *openflow.Switch
 	Controller *core.Controller
@@ -206,7 +206,7 @@ func (tb *Testbed) ZoneBClient(i int) *netem.Host { return tb.clientsB[i%len(tb.
 // New builds the testbed. It must run on a clock goroutine
 // (inside clk.Run or clk.Go) because construction performs emulated
 // control-plane operations.
-func New(clk vclock.Clock, opts Options) (*Testbed, error) {
+func New(clk *vclock.Virtual, opts Options) (*Testbed, error) {
 	opts = opts.withDefaults()
 	tb := &Testbed{Opts: opts, Clock: clk}
 	n := netem.NewNetwork(clk, opts.Seed)

@@ -20,7 +20,7 @@ func mustService(t *testing.T, key string) catalog.Service {
 	return s
 }
 
-func build(t *testing.T, clk vclock.Clock, opts Options) *Testbed {
+func build(t *testing.T, clk *vclock.Virtual, opts Options) *Testbed {
 	t.Helper()
 	tb, err := New(clk, opts)
 	if err != nil {

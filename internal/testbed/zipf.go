@@ -3,17 +3,9 @@ package testbed
 import "math"
 
 // Zipf service-popularity sampling for the load engine. The popularity
-// CDF is fixed for a whole run, so per-arrival draws go through a
-// Walker-style alias table: one uniform draw, one multiply, one
-// comparison — O(1) and allocation-free regardless of the service
-// count. The table's cells are aligned to the CDF boundaries (each cell
-// contains at most one boundary, guaranteed by sizing the cell count
-// past the smallest rank probability), which makes the alias draw agree
-// with inversion sampling for *every* uniform input, not just in
-// distribution: a run keeps the exact service assignment the CDF scan
-// produced, draw for draw on the same rng stream. When a distribution
-// is too skewed to align within the table cap, the sampler falls back
-// to binary-search inversion — still O(log n), still the same mapping.
+// CDF is fixed for a whole run, so a per-arrival draw is one uniform
+// inverted through it by binary search: allocation-free, and for the
+// default eight services, three comparisons.
 
 // zipfCDF precomputes the cumulative Zipf distribution over n ranks
 // with exponent s: weight(r) ∝ 1/(r+1)^s.
@@ -44,110 +36,4 @@ func zipfPick(cdf []float64, u float64) int {
 		}
 	}
 	return lo
-}
-
-// zipfSampler maps a uniform draw in [0,1) to a service rank.
-type zipfSampler interface {
-	pick(u float64) int
-}
-
-// searchSampler is the fallback: binary-search inversion over the CDF.
-type searchSampler struct{ cdf []float64 }
-
-func (s searchSampler) pick(u float64) int { return zipfPick(s.cdf, u) }
-
-// aliasSampler is the O(1) fast path: cells cells of equal width, each
-// holding at most one CDF boundary (cut). A draw scales u by the cell
-// count (a power of two, so the scaling and truncation are exact in
-// IEEE arithmetic) and picks primary or alias with one comparison.
-type aliasSampler struct {
-	cells   int
-	cut     []float64
-	primary []int32
-	alias   []int32
-}
-
-// aliasMaxCells caps the table at 32 MiB-ish; distributions whose
-// smallest rank probability needs more cells than this fall back to
-// binary search.
-const aliasMaxCells = 1 << 22
-
-// newAliasSampler builds a CDF-aligned alias table, or returns nil when
-// the distribution is too skewed to align within aliasMaxCells (the
-// caller then uses the binary-search fallback).
-func newAliasSampler(cdf []float64) *aliasSampler {
-	n := len(cdf)
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return &aliasSampler{cells: 1, cut: []float64{2}, primary: []int32{0}, alias: []int32{0}}
-	}
-	// Cell width must be below the smallest gap between consecutive CDF
-	// boundaries so no cell straddles two boundaries.
-	minGap := cdf[0]
-	for r := 1; r < n; r++ {
-		if g := cdf[r] - cdf[r-1]; g < minGap {
-			minGap = g
-		}
-	}
-	if minGap <= 0 {
-		return nil
-	}
-	cells := 1
-	for float64(cells)*minGap < 2 {
-		if cells >= aliasMaxCells {
-			return nil
-		}
-		cells <<= 1
-	}
-	a := &aliasSampler{
-		cells:   cells,
-		cut:     make([]float64, cells),
-		primary: make([]int32, cells),
-		alias:   make([]int32, cells),
-	}
-	r := 0
-	for i := 0; i < cells; i++ {
-		left := float64(i) / float64(cells)
-		right := float64(i+1) / float64(cells)
-		for r < n-1 && cdf[r] <= left {
-			r++
-		}
-		// r is now inversion(left): the rank every u at the cell's left
-		// edge maps to.
-		if r == n-1 || cdf[r] >= right {
-			// No boundary inside the cell: one outcome.
-			a.primary[i], a.alias[i], a.cut[i] = int32(r), int32(r), 2
-			continue
-		}
-		if cdf[r+1] < right {
-			// Two boundaries in one cell despite the sizing — bail to
-			// the exact fallback rather than misalign a draw.
-			return nil
-		}
-		a.primary[i], a.alias[i], a.cut[i] = int32(r), int32(r+1), cdf[r]
-	}
-	return a
-}
-
-func (a *aliasSampler) pick(u float64) int {
-	i := int(u * float64(a.cells))
-	if i >= a.cells { // u == 1-ε rounding guard
-		i = a.cells - 1
-	}
-	if u < a.cut[i] {
-		return int(a.primary[i])
-	}
-	return int(a.alias[i])
-}
-
-// newZipfSampler returns the O(1) alias sampler when the distribution
-// aligns, the binary-search inversion otherwise. Both produce identical
-// ranks for identical uniform draws.
-func newZipfSampler(cdf []float64) zipfSampler {
-	if a := newAliasSampler(cdf); a != nil {
-		return a
-	}
-	return searchSampler{cdf: cdf}
 }

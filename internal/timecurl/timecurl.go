@@ -47,7 +47,7 @@ func requestHeader(method, path string, target netem.HostPort) string {
 
 // Do runs one measured request from the client host. It mirrors
 // timecurl.sh: start the clock, connect, send, await the response.
-func Do(clk vclock.Clock, client *netem.Host, req Request) (Result, error) {
+func Do(clk *vclock.Virtual, client *netem.Host, req Request) (Result, error) {
 	timeout := req.Timeout
 	if timeout <= 0 {
 		timeout = 75 * time.Second

@@ -14,7 +14,7 @@ import (
 // waiters. A zero Mailbox plus Init is ready for use, so it embeds by
 // value inside connection-like structs.
 type Mailbox[T any] struct {
-	clk     Clock
+	clk     *Virtual
 	mu      sync.Mutex
 	queue   []T
 	head    int // queue[head:] holds the pending values
@@ -39,7 +39,7 @@ type mboxWaiter[T any] struct {
 }
 
 // NewMailbox returns an empty mailbox using clk for blocking.
-func NewMailbox[T any](clk Clock) *Mailbox[T] {
+func NewMailbox[T any](clk *Virtual) *Mailbox[T] {
 	m := &Mailbox[T]{}
 	m.Init(clk)
 	return m
@@ -47,7 +47,7 @@ func NewMailbox[T any](clk Clock) *Mailbox[T] {
 
 // Init prepares a zero Mailbox for use with clk. It must be called (or
 // the mailbox built by NewMailbox) before any other method.
-func (m *Mailbox[T]) Init(clk Clock) { m.clk = clk }
+func (m *Mailbox[T]) Init(clk *Virtual) { m.clk = clk }
 
 // Send enqueues v, waking one blocked receiver if any. Send on a closed
 // mailbox panics, mirroring send-on-closed-channel.

@@ -9,11 +9,9 @@ import (
 )
 
 // parkers lists one blocking call per primitive, each of which parks for
-// good when nobody sends, signals, opens or finishes.
+// good when nobody sends, opens or finishes.
 func parkers(v *Virtual) map[string]func() {
 	mb := NewMailbox[int](v)
-	var mu sync.Mutex
-	cond := NewCond(v, &mu)
 	gate := NewGate()
 	var group Group
 	group.Add(1)
@@ -21,8 +19,6 @@ func parkers(v *Virtual) map[string]func() {
 		"Sleep":            func() { v.Sleep(time.Hour) },
 		"Mailbox.Recv":     func() { mb.Recv() },
 		"Mailbox.RecvTO":   func() { mb.RecvTimeout(time.Hour) },
-		"Cond.Wait":        func() { mu.Lock(); cond.Wait() },
-		"Cond.WaitTimeout": func() { mu.Lock(); cond.WaitTimeout(time.Hour) },
 		"Gate.Wait":        func() { gate.Wait(v) },
 		"Gate.WaitTimeout": func() { gate.WaitTimeout(v, time.Hour) },
 		"Group.Wait":       func() { group.Wait(v) },
@@ -94,7 +90,7 @@ func TestRunReleasesParkedGoroutines(t *testing.T) {
 				v.Sleep(time.Second)
 			})
 		})
-		v.Sleep(time.Minute) // advances only once all nine are parked
+		v.Sleep(time.Minute) // advances only once all seven are parked
 		start.Send(0)
 		spawned = v.Spawned()
 	})
@@ -142,7 +138,7 @@ func TestRunStopAfterPanic(t *testing.T) {
 }
 
 // TestRunStopRacesWakes stops the clock while tracked and plain
-// goroutines send, signal and open: a wake that loses to the stop must
+// goroutines send, open and finish: a wake that loses to the stop must
 // be dropped (a second token on a waiter's one-slot channel would block
 // its sender for ever), one that wins must be honoured, and a wake that
 // arrives before its wait must stay legal. Meant for -race and several
@@ -151,15 +147,12 @@ func TestRunStopRacesWakes(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		v := New()
 		mb := NewMailbox[int](v)
-		var mu sync.Mutex
-		cond := NewCond(v, &mu)
 		gates := make([]Gate, 64)
 		var group Group
 		group.Add(2) // one Done per producer
 		produce := func() {
 			for i := range gates {
 				mb.Send(i)
-				cond.Signal()
 				gates[i].Open()
 				if i == len(gates)/2 {
 					group.Done()
@@ -181,20 +174,6 @@ func TestRunStopRacesWakes(t *testing.T) {
 					v.Go(func() {
 						for {
 							mb.RecvTimeout(time.Microsecond)
-						}
-					})
-					v.Go(func() {
-						for {
-							mu.Lock()
-							cond.Wait()
-							mu.Unlock()
-						}
-					})
-					v.Go(func() {
-						for {
-							mu.Lock()
-							cond.WaitTimeout(time.Microsecond)
-							mu.Unlock()
 						}
 					})
 				}

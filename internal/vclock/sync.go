@@ -5,103 +5,6 @@ import (
 	"time"
 )
 
-// Cond is a clock-aware condition variable. Like sync.Cond it must be
-// used with an external mutex held across the predicate check and Wait.
-type Cond struct {
-	clk     Clock
-	L       sync.Locker
-	mu      sync.Mutex
-	waiters []*condWaiter
-}
-
-type condWaiter struct {
-	w       *waiter
-	settled bool
-}
-
-// NewCond returns a condition variable bound to l, using clk to park.
-func NewCond(clk Clock, l sync.Locker) *Cond {
-	return &Cond{clk: clk, L: l}
-}
-
-// Wait atomically releases c.L, parks until Signal/Broadcast, and
-// re-acquires c.L before returning.
-func (c *Cond) Wait() {
-	cw := &condWaiter{w: c.clk.newWaiter()}
-	c.mu.Lock()
-	c.waiters = append(c.waiters, cw)
-	c.mu.Unlock()
-	c.L.Unlock()
-	cw.w.wait()
-	cw.w.release()
-	c.L.Lock()
-}
-
-// WaitTimeout is Wait with a deadline; it reports false if the deadline
-// expired before a Signal/Broadcast reached this waiter.
-func (c *Cond) WaitTimeout(d time.Duration) bool {
-	cw := &condWaiter{w: c.clk.newWaiter()}
-	c.mu.Lock()
-	c.waiters = append(c.waiters, cw)
-	c.mu.Unlock()
-
-	signalled := true
-	pending := c.clk.Post(d, func() {
-		c.mu.Lock()
-		if cw.settled {
-			c.mu.Unlock()
-			return
-		}
-		cw.settled = true
-		signalled = false
-		c.mu.Unlock()
-		cw.w.wake()
-	})
-	c.L.Unlock()
-	cw.w.wait()
-	pending.Stop()
-	cw.w.release()
-	c.L.Lock()
-	return signalled
-}
-
-// Signal wakes one waiter, if any.
-func (c *Cond) Signal() {
-	c.mu.Lock()
-	var wk *waiter
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if !w.settled {
-			w.settled = true
-			wk = w.w
-			break
-		}
-	}
-	c.mu.Unlock()
-	if wk != nil {
-		wk.wake()
-	}
-}
-
-// Broadcast wakes all current waiters.
-func (c *Cond) Broadcast() {
-	c.mu.Lock()
-	ws := c.waiters
-	c.waiters = nil
-	var wakes []*waiter
-	for _, w := range ws {
-		if !w.settled {
-			w.settled = true
-			wakes = append(wakes, w.w)
-		}
-	}
-	c.mu.Unlock()
-	for _, wk := range wakes {
-		wk.wake()
-	}
-}
-
 // Gate is a one-shot latch: goroutines Wait until someone calls Open.
 // Opening an already-open gate is a no-op. It replaces the common
 // close-a-channel idiom in clock-aware code. The zero value is a closed
@@ -160,7 +63,7 @@ func (g *Gate) IsOpen() bool {
 }
 
 // Wait parks until the gate opens (returns immediately if already open).
-func (g *Gate) Wait(clk Clock) {
+func (g *Gate) Wait(clk *Virtual) {
 	g.mu.Lock()
 	if g.open {
 		g.mu.Unlock()
@@ -178,7 +81,7 @@ func (g *Gate) Wait(clk Clock) {
 
 // WaitTimeout parks until the gate opens or d elapses; it reports whether
 // the gate opened.
-func (g *Gate) WaitTimeout(clk Clock, d time.Duration) bool {
+func (g *Gate) WaitTimeout(clk *Virtual, d time.Duration) bool {
 	g.mu.Lock()
 	if g.open {
 		g.mu.Unlock()
@@ -237,7 +140,7 @@ func (g *Group) Add(delta int) {
 func (g *Group) Done() { g.Add(-1) }
 
 // Go runs fn on clk as a tracked goroutine counted by the group.
-func (g *Group) Go(clk Clock, fn func()) {
+func (g *Group) Go(clk *Virtual, fn func()) {
 	g.Add(1)
 	clk.Go(func() {
 		defer g.Done()
@@ -246,7 +149,7 @@ func (g *Group) Go(clk Clock, fn func()) {
 }
 
 // Wait parks until the counter reaches zero.
-func (g *Group) Wait(clk Clock) {
+func (g *Group) Wait(clk *Virtual) {
 	g.mu.Lock()
 	if g.n == 0 {
 		g.mu.Unlock()

@@ -278,71 +278,6 @@ func TestMailboxLen(t *testing.T) {
 	})
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	v := New()
-	v.Run(func() {
-		var mu sync.Mutex
-		c := NewCond(v, &mu)
-		ready := 0
-		var g Group
-		for i := 0; i < 3; i++ {
-			g.Go(v, func() {
-				mu.Lock()
-				c.Wait()
-				ready++
-				mu.Unlock()
-			})
-		}
-		v.Sleep(time.Second) // let all three park
-		c.Signal()
-		v.Sleep(time.Second)
-		mu.Lock()
-		got := ready
-		mu.Unlock()
-		if got != 1 {
-			t.Errorf("after Signal ready = %d, want 1", got)
-		}
-		c.Broadcast()
-		g.Wait(v)
-		if ready != 3 {
-			t.Errorf("after Broadcast ready = %d, want 3", ready)
-		}
-	})
-}
-
-func TestCondWaitTimeout(t *testing.T) {
-	v := New()
-	v.Run(func() {
-		var mu sync.Mutex
-		c := NewCond(v, &mu)
-		mu.Lock()
-		start := v.Now()
-		ok := c.WaitTimeout(time.Second)
-		mu.Unlock()
-		if ok {
-			t.Error("WaitTimeout reported signal without one")
-		}
-		if d := v.Since(start); d != time.Second {
-			t.Errorf("WaitTimeout returned after %v, want 1s", d)
-		}
-	})
-}
-
-func TestCondWaitTimeoutSignalled(t *testing.T) {
-	v := New()
-	v.Run(func() {
-		var mu sync.Mutex
-		c := NewCond(v, &mu)
-		v.Post(200*time.Millisecond, c.Signal)
-		mu.Lock()
-		ok := c.WaitTimeout(time.Second)
-		mu.Unlock()
-		if !ok {
-			t.Error("WaitTimeout missed the signal")
-		}
-	})
-}
-
 func TestGate(t *testing.T) {
 	v := New()
 	v.Run(func() {
@@ -410,22 +345,6 @@ func TestGroupNegativePanics(t *testing.T) {
 	}()
 	var g Group
 	g.Done()
-}
-
-func TestRealClockBasics(t *testing.T) {
-	r := NewScaled(1000)
-	start := r.Now()
-	r.Sleep(500 * time.Millisecond) // 0.5ms wall time
-	if d := r.Since(start); d < 400*time.Millisecond {
-		t.Errorf("scaled Sleep advanced only %v", d)
-	}
-	fired := make(chan struct{})
-	r.Post(100*time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Error("scaled Post never fired")
-	}
 }
 
 func TestRandDeterminism(t *testing.T) {

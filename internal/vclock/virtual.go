@@ -88,17 +88,12 @@ type event struct {
 	w    *waiter
 }
 
-// NewVirtual returns a virtual clock whose time starts at start.
-func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{base: start}
-}
-
 // Epoch is the default start instant for simulations: an arbitrary fixed
 // time so that absolute timestamps in traces are reproducible.
 var Epoch = time.Date(2023, 2, 7, 12, 0, 0, 0, time.UTC)
 
 // New returns a virtual clock starting at Epoch.
-func New() *Virtual { return NewVirtual(Epoch) }
+func New() *Virtual { return &Virtual{base: Epoch} }
 
 // Now returns the current virtual time. It is a single atomic load:
 // time only advances while every clock goroutine is parked, so the
@@ -125,8 +120,7 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // The one rule this adds for simulation code: never park between a Lock
 // and an Unlock that is not deferred. A released goroutine skips the
 // Unlock, and another one's deferred call that takes the same lock then
-// blocks Run for ever. (Cond.Wait parks with L released and exits
-// without taking it back, so its caller must not defer L.Unlock.)
+// blocks Run for ever.
 func (v *Virtual) Run(fn func()) {
 	v.mu.Lock()
 	if v.stopped {
@@ -400,5 +394,5 @@ func (v *Virtual) newWaiter() *waiter {
 	if w, ok := v.wpool.Get().(*waiter); ok {
 		return w
 	}
-	return &waiter{v: v, pool: &v.wpool, ch: make(chan struct{}, 1)}
+	return &waiter{v: v, ch: make(chan struct{}, 1)}
 }
