@@ -9,8 +9,9 @@
 // control plane, a containerd runtime, image registries, and the
 // bigFlows-derived workload.
 //
-// See README.md for the layout, DESIGN.md for the system inventory and
-// substitution map, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for the layout, DESIGN.md for the system inventory, the
+// substitution map and one section per layer, and EXPERIMENTS.md for
+// paper-vs-measured results.
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation.
 package transparentedge

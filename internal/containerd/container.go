@@ -194,42 +194,17 @@ func (c *Container) finishInit(stop, ready *vclock.Gate) {
 		}
 		c.listener = ln
 		c.mu.Unlock()
-		c.rt.clk.Go(func() { c.serveLoop(ln, stop) })
+		ln.Serve(func(req []byte) ([]byte, bool) {
+			if stop.IsOpen() {
+				return nil, false
+			}
+			resp := c.spec.Handler.Serve(c.rt.clk, req)
+			return resp, !stop.IsOpen() // false: process killed while handling
+		})
 	} else {
 		c.mu.Unlock()
 	}
 	ready.Open()
-}
-
-// serveLoop accepts connections and serves requests until stopped.
-func (c *Container) serveLoop(ln *netem.Listener, stop *vclock.Gate) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		c.rt.clk.Go(func() {
-			defer conn.Close()
-			for {
-				req, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				if stop.IsOpen() {
-					conn.Abort()
-					return
-				}
-				resp := c.spec.Handler.Serve(c.rt.clk, req)
-				if stop.IsOpen() { // process killed while handling
-					conn.Abort()
-					return
-				}
-				if err := conn.Send(resp); err != nil {
-					return
-				}
-			}
-		})
-	}
 }
 
 // Stop terminates the container process and closes its port.

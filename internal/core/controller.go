@@ -75,12 +75,9 @@ type Config struct {
 	DeployTimeout time.Duration
 	// RetryMax is the number of retries after the first failed attempt
 	// of one deployment phase (default 2; negative disables retries).
+	// Retry n backs off 50 ms << n, capped at 2 s, with deterministic
+	// jitter.
 	RetryMax int
-	// RetryBaseDelay is the backoff before the first retry; it doubles
-	// per attempt up to RetryMaxDelay, with deterministic jitter.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff.
-	RetryMaxDelay time.Duration
 	// BreakerThreshold trips a cluster's circuit breaker after that many
 	// consecutive deployment failures (default 3; negative disables the
 	// breaker). A tripped cluster is skipped during candidate gathering
@@ -167,12 +164,6 @@ func (c Config) withDefaults() Config {
 		out.RetryMax = 2
 	} else if out.RetryMax < 0 {
 		out.RetryMax = 0
-	}
-	if out.RetryBaseDelay <= 0 {
-		out.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if out.RetryMaxDelay <= 0 {
-		out.RetryMaxDelay = 2 * time.Second
 	}
 	if out.BreakerThreshold == 0 {
 		out.BreakerThreshold = 3

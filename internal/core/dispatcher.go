@@ -517,15 +517,22 @@ func (c *Controller) backoffPrefix(key string) uint64 {
 	return fnvByte(h, '/')
 }
 
+// Retry backoff bounds: the delay before the first retry, doubling per
+// attempt up to the cap.
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
+
 // backoff computes the delay before retry number attempt: exponential
-// from RetryBaseDelay, capped at RetryMaxDelay, jittered into
+// from retryBaseDelay, capped at retryMaxDelay, jittered into
 // [d/2, d) by a hash of (seed, key, attempt) — deterministic for a
 // given seed, yet decorrelated across services, clusters, and phases
 // regardless of goroutine interleaving. prefix is backoffPrefix(key).
 func (c *Controller) backoff(prefix uint64, attempt int) time.Duration {
-	d := c.cfg.RetryBaseDelay << uint(attempt)
-	if d <= 0 || d > c.cfg.RetryMaxDelay {
-		d = c.cfg.RetryMaxDelay
+	d := retryBaseDelay << uint(attempt)
+	if d <= 0 || d > retryMaxDelay {
+		d = retryMaxDelay
 	}
 	var buf [20]byte
 	h := prefix

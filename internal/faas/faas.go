@@ -175,7 +175,7 @@ func (r *Runtime) Instantiate(spec InstanceSpec) (*Instance, error) {
 	inst.mu.Lock()
 	inst.listener = ln
 	inst.mu.Unlock()
-	r.clk.Go(func() { inst.serve(ln) })
+	ln.Serve(inst.handle)
 	return inst, nil
 }
 
@@ -202,33 +202,17 @@ func (i *Instance) Addr() netem.HostPort {
 // Name returns the instance name.
 func (i *Instance) Name() string { return i.spec.Name }
 
-func (i *Instance) serve(ln *netem.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		i.rt.clk.Go(func() {
-			defer conn.Close()
-			for {
-				req, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				i.rt.clk.Sleep(i.rt.rng.Jitter(i.rt.timing.CallOverhead, i.rt.timing.JitterFrac))
-				i.mu.Lock()
-				dead := i.stopped
-				i.mu.Unlock()
-				if dead {
-					conn.Abort()
-					return
-				}
-				if err := conn.Send(i.spec.Handler.Serve(i.rt.clk, req)); err != nil {
-					return
-				}
-			}
-		})
+// handle serves one request: the per-call overhead, then the handler,
+// unless the isolate was stopped meanwhile.
+func (i *Instance) handle(req []byte) ([]byte, bool) {
+	i.rt.clk.Sleep(i.rt.rng.Jitter(i.rt.timing.CallOverhead, i.rt.timing.JitterFrac))
+	i.mu.Lock()
+	dead := i.stopped
+	i.mu.Unlock()
+	if dead {
+		return nil, false
 	}
+	return i.spec.Handler.Serve(i.rt.clk, req), true
 }
 
 // Stop tears the isolate down; serverless instances have no stopped

@@ -15,8 +15,6 @@
 package faultinject
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -93,8 +91,9 @@ type Plan struct {
 	cfg   Config
 	start time.Time
 
+	streams vclock.Streams
+
 	mu    sync.Mutex
-	rngs  map[string]*vclock.Rand
 	stats Stats
 }
 
@@ -105,7 +104,6 @@ func NewPlan(clk *vclock.Virtual, cfg Config) *Plan {
 		clk:   clk,
 		cfg:   cfg,
 		start: clk.Now(),
-		rngs:  make(map[string]*vclock.Rand),
 	}
 }
 
@@ -132,16 +130,7 @@ func (p *Plan) roll(rate float64, key string) bool {
 	if rate <= 0 {
 		return false
 	}
-	p.mu.Lock()
-	rng, ok := p.rngs[key]
-	if !ok {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d/%s", p.cfg.Seed, key)
-		rng = vclock.NewRand(int64(h.Sum64() >> 1))
-		p.rngs[key] = rng
-	}
-	p.mu.Unlock()
-	return rng.Float64() < rate
+	return p.streams.Stream(p.cfg.Seed, key).Float64() < rate
 }
 
 // inOutage reports whether cluster is inside any configured outage

@@ -64,8 +64,9 @@ type NetworkConfig struct {
 
 // NetworkPlan schedules network chaos on a virtual clock.
 type NetworkPlan struct {
-	clk *vclock.Virtual
-	cfg NetworkConfig
+	clk     *vclock.Virtual
+	cfg     NetworkConfig
+	streams vclock.Streams
 }
 
 // NewNetworkPlan returns a plan applying cfg relative to the current
@@ -76,13 +77,6 @@ func NewNetworkPlan(clk *vclock.Virtual, cfg NetworkConfig) *NetworkPlan {
 
 // Config returns the plan's configuration.
 func (p *NetworkPlan) Config() NetworkConfig { return p.cfg }
-
-// rng derives the deterministic stream for one schedule key.
-func (p *NetworkPlan) rng(key string) *vclock.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", p.cfg.Seed, key)
-	return vclock.NewRand(int64(h.Sum64() >> 1))
-}
 
 // FlapLink precomputes and posts an alternating down/up schedule for
 // one link: exponential holding times around MeanDown and MeanUp
@@ -102,7 +96,7 @@ func (p *NetworkPlan) FlapLink(name string, l *netem.Link) {
 	if meanDown <= 0 {
 		meanDown = 200 * time.Millisecond
 	}
-	rng := p.rng("flap/" + name)
+	rng := p.streams.Stream(p.cfg.Seed, "flap/"+name)
 	at := cfg.FlapStart
 	down := false
 	for at < cfg.FlapEnd {

@@ -272,6 +272,39 @@ func (ln *Listener) Accept() (*Conn, error) {
 	return c, nil
 }
 
+// Serve answers the port's connections until Close. One goroutine on the
+// host's clock accepts; each connection gets its own, which receives a
+// request, hands it to handle and sends back the response. When handle
+// answers ok false the connection is aborted: the peer sees ErrReset.
+func (ln *Listener) Serve(handle func(req []byte) (resp []byte, ok bool)) {
+	clk := ln.host.clk
+	clk.Go(func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			clk.Go(func() {
+				defer conn.Close()
+				for {
+					req, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					resp, ok := handle(req)
+					if !ok {
+						conn.Abort()
+						return
+					}
+					if err := conn.Send(resp); err != nil {
+						return
+					}
+				}
+			})
+		}
+	})
+}
+
 // AcceptTimeout is Accept with a deadline; ErrTimeout on expiry.
 func (ln *Listener) AcceptTimeout(d time.Duration) (*Conn, error) {
 	c, ok := ln.backlog.RecvTimeout(d)

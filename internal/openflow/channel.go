@@ -1,8 +1,6 @@
 package openflow
 
 import (
-	"hash/fnv"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,34 +41,7 @@ type ChannelFaults struct {
 	// messages.
 	ExtraDelay time.Duration
 
-	mu   sync.Mutex
-	rngs map[string]*vclock.Rand
-}
-
-// rng returns the deterministic stream for one message key, creating it
-// on first use from the plan seed and the key.
-func (f *ChannelFaults) rng(key string) *vclock.Rand {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.rngs == nil {
-		f.rngs = make(map[string]*vclock.Rand)
-	}
-	r, ok := f.rngs[key]
-	if !ok {
-		r = vclock.NewRand(streamSeed(f.Seed, key))
-		f.rngs[key] = r
-	}
-	return r
-}
-
-// streamSeed derives one key's stream seed from the plan seed: the
-// FNV-1a hash of "seed/key", halved to stay non-negative.
-func streamSeed(seed int64, key string) int64 {
-	b := strconv.AppendInt(make([]byte, 0, 21+len(key)), seed, 10)
-	b = append(append(b, '/'), key...)
-	h := fnv.New64a()
-	h.Write(b)
-	return int64(h.Sum64() >> 1)
+	streams vclock.Streams
 }
 
 // drop draws the loss decision for one message.
@@ -78,7 +49,7 @@ func (f *ChannelFaults) drop(key string, p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	return f.rng(key).Float64() < p
+	return f.streams.Stream(f.Seed, key).Float64() < p
 }
 
 // delay draws the reorder decision for one message: ExtraDelay when the
@@ -87,7 +58,7 @@ func (f *ChannelFaults) delay(key string) time.Duration {
 	if f.ReorderRate <= 0 || f.ExtraDelay <= 0 {
 		return 0
 	}
-	if f.rng(key).Float64() < f.ReorderRate {
+	if f.streams.Stream(f.Seed, key).Float64() < f.ReorderRate {
 		return f.ExtraDelay
 	}
 	return 0

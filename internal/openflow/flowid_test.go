@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -92,14 +91,6 @@ func TestSnapshotOrder(t *testing.T) {
 			if table[i].Cookie != want[i].Cookie || flows[i].Cookie != want[i].Cookie {
 				t.Errorf("position %d: FlowTable has cookie %d, Flows %d, want %d (%v)", i, table[i].Cookie, flows[i].Cookie, want[i].Cookie, want[i].Match)
 			}
-		}
-		// The append form: after a flow is gone, a second read into the
-		// first one's buffer is the new table, in that buffer.
-		e.sw.DeleteExact(want[0].Match, want[0].Priority)
-		again := e.sw.AppendFlowTable(table[:0])
-		if !reflect.DeepEqual(again, e.sw.FlowTable()) || len(again) != len(want)-1 || &again[0] != &table[0] {
-			t.Errorf("AppendFlowTable into the last read's buffer: %d specs (same buffer: %v), FlowTable has %d",
-				len(again), &again[0] == &table[0], len(e.sw.FlowTable()))
 		}
 	})
 }

@@ -292,8 +292,6 @@ type Switch struct {
 	defRoute int
 	table    []*flowEntry
 	seq      uint64
-	// snap is snapshotLocked's sort buffer, kept between snapshots.
-	snap []*flowEntry
 	// handler is the connected controller; nil until Connect.
 	handler Handler
 
@@ -1016,19 +1014,16 @@ func compareEntries(a, b *flowEntry) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// snapshotLocked returns the live entries in compareEntries order, in
-// s.snap: the slice is valid until s.mu is released, and the caller
-// clears it before that so no removed entry stays reachable from it.
+// snapshotLocked returns the live entries in compareEntries order.
 // Callers hold s.mu.
 func (s *Switch) snapshotLocked() []*flowEntry {
-	live := s.snap[:0]
+	var live []*flowEntry
 	for _, e := range s.table {
 		if !e.removed {
 			live = append(live, e)
 		}
 	}
 	slices.SortFunc(live, compareEntries)
-	s.snap = live
 	return live
 }
 
@@ -1036,32 +1031,24 @@ func (s *Switch) snapshotLocked() []*flowEntry {
 // round trip), sorted by priority descending, then match field by
 // field, then install order.
 func (s *Switch) FlowTable() []FlowSpec {
-	return s.AppendFlowTable(nil)
-}
-
-// AppendFlowTable is FlowTable appending to dst: a caller that reads
-// periodically hands back the buffer of its last read, and a read of a
-// table no larger then allocates nothing.
-func (s *Switch) AppendFlowTable(dst []FlowSpec) []FlowSpec {
 	s.clk.Sleep(2 * s.CtrlLatency)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	live := s.snapshotLocked()
-	dst = slices.Grow(dst, len(live))
-	for _, e := range live {
-		dst = append(dst, e.FlowSpec)
+	out := make([]FlowSpec, len(live))
+	for i, e := range live {
+		out[i] = e.FlowSpec
 	}
-	clear(live)
-	s.mu.Unlock()
-	return dst
+	return out
 }
 
 // AppendTableSince is the reconciler's flow-stats read. It pays
-// AppendFlowTable's round trip, then asks since for the table version
+// FlowTable's round trip, then asks since for the table version
 // of the caller's last read that it still trusts (ok false: none). If
 // the table is still at that version, nothing has been installed,
 // evicted, deleted or wiped since: it leaves dst alone and reports
 // fresh false. Otherwise it appends the live entries in install order —
-// unsorted, unlike AppendFlowTable — and returns the version they were
+// unsorted, unlike FlowTable — and returns the version they were
 // read at. A nil since always reads.
 func (s *Switch) AppendTableSince(dst []FlowSpec, since func() (version uint64, ok bool)) (out []FlowSpec, version uint64, fresh bool) {
 	s.clk.Sleep(2 * s.CtrlLatency)
@@ -1137,7 +1124,6 @@ func (s *Switch) Flows() []FlowStats {
 			Bytes:    e.bytes,
 		}
 	}
-	clear(live)
 	return out
 }
 

@@ -2,18 +2,16 @@ package openflow
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"github.com/c3lab/transparentedge/internal/netem"
 )
 
-// TestStringsMatchFmt: Match.String, flowName and streamSeed, which
-// build their strings with strconv, give what their former fmt forms
-// gave, over random addresses and ports with wildcards (zero fields)
-// common — the stream keys, and with them every fault draw, depend on
-// it.
+// TestStringsMatchFmt: Match.String and flowName, which build their
+// strings with strconv, give what their former fmt forms gave, over
+// random addresses and ports with wildcards (zero fields) common — the
+// fault streams' keys, and with them every fault draw, depend on it.
 func TestStringsMatchFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ip := func() netem.IP {
@@ -49,13 +47,6 @@ func TestStringsMatchFmt(t *testing.T) {
 		pkt := &netem.Packet{Src: netem.HostPort{IP: ip(), Port: port()}, Dst: netem.HostPort{IP: ip(), Port: port()}}
 		if got, want := flowName(pkt), fmt.Sprintf("%s>%s", pkt.Src, pkt.Dst); got != want {
 			t.Fatalf("flowName(%v>%v) = %q, want %q", pkt.Src, pkt.Dst, got, want)
-		}
-		seed := rng.Int63() - rng.Int63()
-		key := []string{"mod/", "rem/", "in/", "out/", "del/", ""}[rng.Intn(6)] + m.String()
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d/%s", seed, key)
-		if got, want := streamSeed(seed, key), int64(h.Sum64()>>1); got != want {
-			t.Fatalf("streamSeed(%d, %q) = %d, want %d", seed, key, got, want)
 		}
 	}
 }

@@ -95,27 +95,7 @@ func (tb *Testbed) startOrigin(svc catalog.Service, addr netem.HostPort) error {
 	if err != nil {
 		return err
 	}
-	tb.Clock.Go(func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			h := handler
-			tb.Clock.Go(func() {
-				defer conn.Close()
-				for {
-					req, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					if err := conn.Send(h.Serve(tb.Clock, req)); err != nil {
-						return
-					}
-				}
-			})
-		}
-	})
+	ln.Serve(func(req []byte) ([]byte, bool) { return handler.Serve(tb.Clock, req), true })
 	return nil
 }
 

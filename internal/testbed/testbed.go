@@ -45,9 +45,6 @@ type Options struct {
 	// the *distributed* on-demand deployment setting, where the optimal
 	// edge depends on which gNB a client is behind.
 	TwoZones bool
-	// ZoneBClients is the client count behind the second gNB
-	// (default 5).
-	ZoneBClients int
 	// MobileClients adds that many mobile clients (requires TwoZones):
 	// hosts that start behind the primary gNB but can re-home to the
 	// second one and back with Testbed.RehomeClient — the handover
@@ -60,10 +57,9 @@ type Options struct {
 	// GlobalScheduler names the controller's Global Scheduler
 	// (default: proximity).
 	GlobalScheduler string
-	// Wait is the waiting policy for on-demand deployment.
+	// Wait is the waiting policy for on-demand deployment. WaitBounded
+	// is rejected: the testbed has no deployment-time estimate to bound.
 	Wait core.WaitPolicy
-	// MaxWait bounds holding time under WaitBounded.
-	MaxWait time.Duration
 	// SwitchFlowIdle / MemoryIdle override the controller timeouts.
 	SwitchFlowIdle time.Duration
 	MemoryIdle     time.Duration
@@ -115,19 +111,15 @@ type Options struct {
 	// deployment before the request degrades to the cloud path (zero
 	// holds indefinitely).
 	HoldTimeout time.Duration
-	// RetryMax / BreakerThreshold / BreakerCooldown / HealthProbeInterval
-	// pass through to the controller's resilience knobs (zero keeps the
-	// controller defaults; HealthProbeInterval zero disables the prober).
-	RetryMax            int
-	BreakerThreshold    int
-	BreakerCooldown     time.Duration
+	// HealthProbeInterval passes through to the controller's instance
+	// health prober (zero disables it).
 	HealthProbeInterval time.Duration
-	// DeployTimeout overrides the controller's end-to-end deployment
-	// deadline.
-	DeployTimeout time.Duration
 	// Seed drives all deterministic jitter.
 	Seed int64
 }
+
+// zoneBClients is the client count behind the second gNB.
+const zoneBClients = 5
 
 func (o Options) withDefaults() Options {
 	if o.Clients <= 0 {
@@ -138,9 +130,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.KubeNodes <= 0 {
 		o.KubeNodes = 1
-	}
-	if o.ZoneBClients <= 0 {
-		o.ZoneBClients = 5
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -207,6 +196,9 @@ func (tb *Testbed) ZoneBClient(i int) *netem.Host { return tb.clientsB[i%len(tb.
 // (inside clk.Run or clk.Go) because construction performs emulated
 // control-plane operations.
 func New(clk *vclock.Virtual, opts Options) (*Testbed, error) {
+	if opts.Wait == core.WaitBounded {
+		return nil, fmt.Errorf("testbed: the bounded waiting policy needs a deployment-time estimate, which the testbed does not provide")
+	}
 	opts = opts.withDefaults()
 	tb := &Testbed{Opts: opts, Clock: clk}
 	n := netem.NewNetwork(clk, opts.Seed)
@@ -372,10 +364,10 @@ func New(clk *vclock.Virtual, opts Options) (*Testbed, error) {
 		// gnb2 ports: zone-B clients, the zone-B edge, the trunk, and one
 		// reserved re-home port per mobile client (again after the trunk,
 		// leaving the established indices alone).
-		gnb2 := openflow.NewSwitch(n, "gnb2", opts.ZoneBClients+2+opts.MobileClients)
+		gnb2 := openflow.NewSwitch(n, "gnb2", zoneBClients+2+opts.MobileClients)
 		tb.SwitchB = gnb2
 		trunkA := opts.Clients + 4 + opts.KubeNodes // first port after the fixed plan
-		trunkB := opts.ZoneBClients + 2
+		trunkB := zoneBClients + 2
 		tb.trunkA, tb.trunkB = trunkA, trunkB
 		n.Connect(sw.Port(trunkA), gnb2.Port(trunkB), netem.LinkConfig{
 			Latency:   5 * time.Millisecond,
@@ -384,14 +376,14 @@ func New(clk *vclock.Virtual, opts Options) (*Testbed, error) {
 		gnb2.SetDefaultRoute(trunkB) // EGS, cloud, controller: via the trunk
 
 		zoneBBase := netem.ParseIP("192.168.2.0")
-		tb.clientsB, _ = wireAccessClients(n, gnb2, "pib", opts.ZoneBClients, 1,
+		tb.clientsB, _ = wireAccessClients(n, gnb2, "pib", zoneBClients, 1,
 			func(i int) netem.IP { return zoneBBase + netem.IP(10+i) },
 			func(ip netem.IP, port int) {
 				gnb2.AddRoute(ip, port)
 				sw.AddRoute(ip, trunkA)
 			})
 		edgeB := n.NewHost("edge-zoneb", netem.ParseIP("10.0.2.2"))
-		edgeBPort := opts.ZoneBClients + 1
+		edgeBPort := zoneBClients + 1
 		n.Connect(edgeB.NIC(), gnb2.Port(edgeBPort), netem.LinkConfig{
 			Latency:   200 * time.Microsecond,
 			Bandwidth: netem.GbpsToBytes(10),
@@ -444,25 +436,18 @@ func New(clk *vclock.Virtual, opts Options) (*Testbed, error) {
 	}
 
 	ctrl, err := core.New(clk, core.Config{
-		Host:            ctrlHost,
-		Switch:          sw,
-		ExtraSwitches:   extraSwitches,
-		ZoneLatency:     zoneLatency,
-		Clusters:        clusters,
-		GlobalScheduler: opts.GlobalScheduler,
-		SchedulerConfig: core.SchedulerConfig{
-			Wait:    opts.Wait,
-			MaxWait: opts.MaxWait,
-		},
+		Host:                ctrlHost,
+		Switch:              sw,
+		ExtraSwitches:       extraSwitches,
+		ZoneLatency:         zoneLatency,
+		Clusters:            clusters,
+		GlobalScheduler:     opts.GlobalScheduler,
+		SchedulerConfig:     core.SchedulerConfig{Wait: opts.Wait},
 		LocalSchedulers:     opts.LocalSchedulers,
 		SwitchFlowIdle:      opts.SwitchFlowIdle,
 		MemoryIdle:          opts.MemoryIdle,
 		ProbeInterval:       opts.ProbeInterval,
 		CandidateTTL:        opts.CandidateTTL,
-		DeployTimeout:       opts.DeployTimeout,
-		RetryMax:            opts.RetryMax,
-		BreakerThreshold:    opts.BreakerThreshold,
-		BreakerCooldown:     opts.BreakerCooldown,
 		HealthProbeInterval: opts.HealthProbeInterval,
 		ResyncInterval:      opts.ResyncInterval,
 		HoldTimeout:         opts.HoldTimeout,

@@ -205,6 +205,20 @@ func TestWaitNeverForwardsToCloudWhileDeploying(t *testing.T) {
 	})
 }
 
+// TestWaitBoundedRejected: the testbed gives the scheduler no
+// deployment-time estimate, under which bounded waiting would hold every
+// request like WaitAlways — so New refuses the policy instead of
+// silently ignoring it.
+func TestWaitBoundedRejected(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		tb, err := New(clk, Options{WithDocker: true, Wait: core.WaitBounded, Seed: 11})
+		if err == nil || tb != nil {
+			t.Fatalf("New with WaitBounded = %v, %v; want an error", tb, err)
+		}
+	})
+}
+
 func TestFlowMemoryHitSkipsScheduler(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {

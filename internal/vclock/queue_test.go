@@ -87,7 +87,7 @@ func (q *queueDiff) push(d int64) {
 }
 
 func (q *queueDiff) pushAt(at int64) {
-	ev := q.stamp.getEventAbsLocked(at, evPost)
+	ev := q.stamp.getEventAbsLocked(at, evPost2)
 	q.w.push(ev)
 	q.ref.push(ev)
 	q.live = append(q.live, ev)

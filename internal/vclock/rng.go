@@ -1,8 +1,10 @@
 package vclock
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -77,4 +79,34 @@ func (r *Rand) LogNormal(median time.Duration, sigma float64) time.Duration {
 	}
 	n := r.NormFloat64()
 	return time.Duration(float64(median) * math.Exp(sigma*n))
+}
+
+// Streams hands out one deterministic Rand per key, so that the draws a
+// key sees depend only on the seed, the key and how often that key drew
+// before — not on how draws for other keys interleave with it. The zero
+// value is ready to use; a Streams is safe for concurrent use.
+type Streams struct {
+	mu sync.Mutex
+	m  map[string]*Rand
+}
+
+// Stream returns key's stream, seeding it on first use with the FNV-1a
+// hash of "seed/key" halved to stay non-negative. Every call for one key
+// must pass the same seed.
+func (s *Streams) Stream(seed int64, key string) *Rand {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.m[key]; ok {
+		return r
+	}
+	if s.m == nil {
+		s.m = make(map[string]*Rand)
+	}
+	b := strconv.AppendInt(make([]byte, 0, 21+len(key)), seed, 10)
+	b = append(append(b, '/'), key...)
+	h := fnv.New64a()
+	h.Write(b)
+	r := NewRand(int64(h.Sum64() >> 1))
+	s.m[key] = r
+	return r
 }

@@ -56,11 +56,8 @@ const (
 	// evWake unparks the event's waiter (Sleep wake-ups). Fires with the
 	// clock mutex held; only touches scheduler state.
 	evWake eventKind = iota
-	// evPost runs fn inline on the advancing goroutine, without the
-	// clock mutex. fn must not block.
-	evPost
-	// evPost2 is evPost for a pre-bound fn2(a, b) callback, so call
-	// sites avoid a closure allocation.
+	// evPost2 runs fn2(a, b) inline on the advancing goroutine, without
+	// the clock mutex. fn2 must not block; Post is Post2 with callFunc.
 	evPost2
 )
 
@@ -82,7 +79,6 @@ type event struct {
 	// generation no longer matches refers to a recycled event.
 	gen  uint64
 	kind eventKind
-	fn   func()
 	fn2  func(a, b any)
 	a, b any
 	w    *waiter
@@ -260,16 +256,12 @@ func (v *Virtual) Sleep(d time.Duration) {
 // it may schedule, send to mailboxes, and wake waiters, but anything
 // that parks must go through Go instead.
 func (v *Virtual) Post(d time.Duration, fn func()) Pending {
-	if d < 0 {
-		d = 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ev := v.getEventLocked(d, evPost)
-	ev.fn = fn
-	v.sched.push(ev)
-	return Pending{v: v, ev: ev, gen: ev.gen}
+	return v.Post2(d, callFunc, fn, nil)
 }
+
+// callFunc is the Post2 callback behind Post. A func value is
+// pointer-shaped, so boxing it in an any allocates nothing.
+func callFunc(a, _ any) { a.(func())() }
 
 // Post2 is Post for a pre-bound callback: fn(a, b) fires inline after d.
 // With a top-level fn and pointer operands the call site allocates
@@ -325,7 +317,6 @@ func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
 // generation invalidates any outstanding Pending handle.
 func (v *Virtual) putEventLocked(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.fn2 = nil
 	ev.a, ev.b = nil, nil
 	ev.w = nil
@@ -365,20 +356,12 @@ func (v *Virtual) maybeAdvanceLocked() {
 			v.unparkLocked(w)
 			v.running++
 			w.ch <- struct{}{}
-		case evPost:
-			fn := ev.fn
+		case evPost2:
+			fn2, a, b := ev.fn2, ev.a, ev.b
 			v.putEventLocked(ev)
 			// The advancing goroutine counts as runnable while it runs
 			// the callback, so a goroutine the callback wakes cannot
 			// start a concurrent advance.
-			v.running++
-			v.mu.Unlock()
-			fn()
-			v.mu.Lock()
-			v.running--
-		case evPost2:
-			fn2, a, b := ev.fn2, ev.a, ev.b
-			v.putEventLocked(ev)
 			v.running++
 			v.mu.Unlock()
 			fn2(a, b)

@@ -25,7 +25,7 @@ import (
 // plus once into near, however far ahead it was posted.
 const (
 	// tickBits is the tick width, 2^12 ns ≈ 4 µs: a measured constant
-	// (DESIGN.md, "Timer wheel & load engine"), wide enough that a link
+	// (DESIGN.md, "The event queue"), wide enough that a link
 	// delay or an arrival gap files on level 0 and reaches near in one
 	// move, narrow enough that near holds an event or two in every
 	// workload and stays cheap when thousands of timers share 100 µs.
