@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFlowID -fuzztime 20s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 20s -fuzzminimizetime 1s ./internal/openflow/
 	$(GO) test -run '^$$' -fuzz FuzzYAML -fuzztime 20s -fuzzminimizetime 1s ./internal/yaml/
+	$(GO) test -run '^$$' -fuzz FuzzNumberPrecheck -fuzztime 20s -fuzzminimizetime 1s ./internal/yaml/
 	$(GO) test -run '^$$' -fuzz FuzzPcapReader -fuzztime 20s -fuzzminimizetime 1s ./internal/pcap/
 
 # chaos-check is the chaos-hardening gate: the full-trace chaos replay

@@ -115,8 +115,13 @@ func pyImage() registry.Image {
 	}}}
 }
 
-// Services returns the Table I catalog in row order.
-func Services() []Service {
+// table is the Table I catalog in row order, built once. The rows that
+// Services and ByKey return are copies, but the Images slices inside
+// them, and the Layers slices inside those, are shared with this table:
+// callers must treat them as read-only.
+var table = buildTable()
+
+func buildTable() []Service {
 	return []Service{
 		{
 			Key:            "asm",
@@ -215,9 +220,15 @@ spec:
 	}
 }
 
-// ByKey returns the catalog service with the given key.
+// Services returns the Table I catalog in row order. The slice is the
+// caller's own; the Images and Layers inside it are shared and
+// read-only.
+func Services() []Service { return append([]Service(nil), table...) }
+
+// ByKey returns the catalog service with the given key. Its Images and
+// their Layers are shared and read-only.
 func ByKey(key string) (Service, error) {
-	for _, s := range Services() {
+	for _, s := range table {
 		if s.Key == key {
 			return s, nil
 		}
@@ -227,7 +238,7 @@ func ByKey(key string) (Service, error) {
 
 // PushAll publishes every catalog image to its home registry.
 func PushAll(hub, gcr *registry.Registry) {
-	for _, s := range Services() {
+	for _, s := range table {
 		target := hub
 		if s.RegistryHost == RegistryGCR {
 			target = gcr
@@ -241,7 +252,7 @@ func PushAll(hub, gcr *registry.Registry) {
 // PushAllTo publishes every catalog image to one registry (the private
 // registry scenario of Fig. 13 mirrors everything locally).
 func PushAllTo(reg *registry.Registry) {
-	for _, s := range Services() {
+	for _, s := range table {
 		for _, im := range s.Images {
 			reg.Push(im)
 		}

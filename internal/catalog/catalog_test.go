@@ -310,3 +310,29 @@ func TestNginxPyServesLiveVolumeContent(t *testing.T) {
 		}
 	})
 }
+
+// TestByKeyAllocs holds ByKey to zero allocations: the catalog is built
+// once, and a lookup copies a row out of it.
+func TestByKeyAllocs(t *testing.T) {
+	var s Service
+	if a := testing.AllocsPerRun(100, func() { s, _ = ByKey("nginxpy") }); a != 0 {
+		t.Errorf("ByKey: %v allocs/op, want 0", a)
+	}
+	if s.Key != "nginxpy" {
+		t.Fatalf("ByKey(nginxpy) = %q", s.Key)
+	}
+}
+
+// TestServicesIsACopy: the catalog is shared, so a caller that edits
+// the rows Services returned leaves the next caller's rows alone.
+func TestServicesIsACopy(t *testing.T) {
+	rows := Services()
+	rows[0].Key = "edited"
+	rows[1] = Service{}
+	if s, err := ByKey("asm"); err != nil || s.Key != "asm" {
+		t.Errorf("ByKey(asm) after editing a Services row = %q, %v", s.Key, err)
+	}
+	if again := Services(); again[0].Key != "asm" || again[1].Key != "nginx" {
+		t.Errorf("Services after editing an earlier result starts %q, %q", again[0].Key, again[1].Key)
+	}
+}

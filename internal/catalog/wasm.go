@@ -26,16 +26,31 @@ var wasmModuleSizes = map[string]int64{
 	"resnet": 45 * registry.MiB,   // model weights embedded
 }
 
+// wasmTable holds the serverless variants of the single-container
+// services, built once and shared like table.
+var wasmTable = []Service{wasmVariant("asm"), wasmVariant("nginx"), wasmVariant("resnet")}
+
 // WasmService returns the serverless variant of a catalog service. Only
-// single-container services have one.
+// single-container services have one. Its Images and their Layers are
+// shared and read-only.
 func WasmService(key string) (Service, error) {
+	wasmKey := key + "-wasm"
+	for _, s := range wasmTable {
+		if s.Key == wasmKey {
+			return s, nil
+		}
+	}
 	base, err := ByKey(key)
 	if err != nil {
 		return Service{}, err
 	}
-	if base.Containers != 1 {
-		return Service{}, fmt.Errorf("catalog: %s has %d containers; serverless variants are single functions", key, base.Containers)
-	}
+	return Service{}, fmt.Errorf("catalog: %s has %d containers; serverless variants are single functions", key, base.Containers)
+}
+
+// wasmVariant builds the serverless variant of the single-container
+// catalog service key.
+func wasmVariant(key string) Service {
+	base, _ := ByKey(key)
 	ref := WasmModuleRef(key)
 	return Service{
 		Key:            key + "-wasm",
@@ -57,16 +72,12 @@ spec:
         ports:
         - containerPort: 80
 `, ref),
-	}, nil
+	}
 }
 
 // PushWasm publishes all serverless modules to reg.
 func PushWasm(reg *registry.Registry) {
-	for _, key := range []string{"asm", "nginx", "resnet"} {
-		s, err := WasmService(key)
-		if err != nil {
-			continue
-		}
+	for _, s := range wasmTable {
 		for _, im := range s.Images {
 			reg.Push(im)
 		}

@@ -269,3 +269,24 @@ func TestDatapathAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestNewRouterAllocs holds a 256-port WAN router to three allocations
+// (the router, its route map and one array of ports) instead of one per
+// port, and checks that Port hands out distinct, stable ports.
+func TestNewRouterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply under -race")
+	}
+	n := NewNetwork(vclock.New(), 1)
+	var r *Router
+	got := testing.AllocsPerRun(100, func() { r = NewRouter(n, "wan", 256) })
+	t.Logf("%v allocs/op", got)
+	if got > 3 {
+		t.Errorf("NewRouter with 256 ports: %v allocs/op, ceiling 3", got)
+	}
+	for i := 0; i < 256; i++ {
+		if p := r.Port(i); p.ID != i || p.Dev != r || p != r.Port(i) {
+			t.Fatalf("port %d: ID %d, device %v, stable %v", i, p.ID, p.Dev, p == r.Port(i))
+		}
+	}
+}

@@ -17,7 +17,7 @@ type Router struct {
 	clk  *vclock.Virtual
 
 	mu       sync.Mutex
-	ports    []*Port
+	ports    []Port // one array; Port hands out pointers into it
 	routes   map[IP]*Port
 	fallback *Port
 	// ForwardDelay models lookup/queuing latency per forwarded packet.
@@ -38,8 +38,9 @@ func NewRouter(n *Network, name string, ports int) *Router {
 		clk:    n.Clock,
 		routes: make(map[IP]*Port),
 	}
-	for i := 0; i < ports; i++ {
-		r.ports = append(r.ports, &Port{Dev: r, ID: i})
+	r.ports = make([]Port, ports)
+	for i := range r.ports {
+		r.ports[i] = Port{Dev: r, ID: i}
 	}
 	return r
 }
@@ -48,7 +49,7 @@ func NewRouter(n *Network, name string, ports int) *Router {
 func (r *Router) DeviceName() string { return r.name }
 
 // Port returns the i-th port.
-func (r *Router) Port(i int) *Port { return r.ports[i] }
+func (r *Router) Port(i int) *Port { return &r.ports[i] }
 
 // AddRoute directs traffic for ip out of the given port.
 func (r *Router) AddRoute(ip IP, out *Port) {

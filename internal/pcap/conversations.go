@@ -38,18 +38,24 @@ func normalKey(src, dst netem.HostPort) convKey {
 // frames into conversations. Non-TCP frames are skipped. Conversations
 // are returned in order of their first SYN; five-tuples whose SYN was
 // not captured are ignored, mirroring standard flow analysis.
+//
+// Every frame is read into one buffer and decoded into one segment: a
+// conversation keeps only counts, addresses and its first timestamp, so
+// nothing per packet outlives the next read.
 func ExtractConversations(r *Reader) ([]Conversation, error) {
-	convs := make(map[convKey]*Conversation)
-	var order []*Conversation
+	index := make(map[convKey]int)
+	var convs []Conversation
+	buf := make([]byte, defaultSnapLen)
+	var seg TCPSegment
 	for {
-		ts, frame, err := r.ReadPacket()
+		ts, frame, err := r.readPacket(buf)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		seg, err := DecodeTCP(frame)
+		err = decodeTCP(frame, &seg)
 		if errors.Is(err, ErrNotTCPIPv4) {
 			continue
 		}
@@ -57,24 +63,20 @@ func ExtractConversations(r *Reader) ([]Conversation, error) {
 			return nil, err
 		}
 		key := normalKey(seg.Src, seg.Dst)
-		c := convs[key]
-		if c == nil {
+		i, ok := index[key]
+		if !ok {
 			if !seg.SYN || seg.ACK {
 				continue // mid-stream traffic without its SYN
 			}
-			c = &Conversation{Start: ts, Client: seg.Src, Server: seg.Dst}
-			convs[key] = c
-			order = append(order, c)
+			i = len(convs)
+			index[key] = i
+			convs = append(convs, Conversation{Start: ts, Client: seg.Src, Server: seg.Dst})
 		}
-		c.Packets++
-		c.Bytes += len(seg.Payload)
+		convs[i].Packets++
+		convs[i].Bytes += len(seg.Payload)
 	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Start.Before(order[j].Start) })
-	out := make([]Conversation, len(order))
-	for i, c := range order {
-		out[i] = *c
-	}
-	return out, nil
+	sort.SliceStable(convs, func(i, j int) bool { return convs[i].Start.Before(convs[j].Start) })
+	return convs, nil
 }
 
 // FilterServerPort keeps conversations whose server endpoint uses port.

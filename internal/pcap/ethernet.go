@@ -67,8 +67,20 @@ func (s *TCPSegment) Flags() netem.TCPFlags {
 // checksum is computed, the TCP checksum is left zero (valid enough for
 // offline analysis, which is all this format is used for here).
 func EncodeTCP(seg *TCPSegment) []byte {
-	totalLen := etherHeaderLen + ipv4HeaderLen + tcpHeaderLen + len(seg.Payload)
-	frame := make([]byte, totalLen)
+	frame := make([]byte, frameLen(seg))
+	encodeTCP(frame, seg)
+	return frame
+}
+
+// frameLen is the length of the frame EncodeTCP builds for seg.
+func frameLen(seg *TCPSegment) int {
+	return etherHeaderLen + ipv4HeaderLen + tcpHeaderLen + len(seg.Payload)
+}
+
+// encodeTCP writes seg's frame into frame, which must be frameLen(seg)
+// bytes long. Every byte is written, so frame may hold an older frame.
+func encodeTCP(frame []byte, seg *TCPSegment) {
+	clear(frame[:etherHeaderLen+ipv4HeaderLen+tcpHeaderLen])
 	be := binary.BigEndian
 
 	// Ethernet: locally administered MACs derived from the IPs.
@@ -114,46 +126,55 @@ func EncodeTCP(seg *TCPSegment) []byte {
 	tcp[13] = flags
 	be.PutUint16(tcp[14:], 65535) // window
 	copy(tcp[tcpHeaderLen:], seg.Payload)
-	return frame
 }
 
 // DecodeTCP parses an Ethernet frame into a TCPSegment. Non-IPv4 and
 // non-TCP frames return ErrNotTCPIPv4.
 func DecodeTCP(frame []byte) (*TCPSegment, error) {
+	seg := new(TCPSegment)
+	if err := decodeTCP(frame, seg); err != nil {
+		return nil, err
+	}
+	return seg, nil
+}
+
+// decodeTCP is DecodeTCP decoding into seg, whose Payload then aliases
+// frame. On error seg is left as it was.
+func decodeTCP(frame []byte, seg *TCPSegment) error {
 	if len(frame) < etherHeaderLen {
-		return nil, fmt.Errorf("pcap: truncated Ethernet frame (%d bytes)", len(frame))
+		return fmt.Errorf("pcap: truncated Ethernet frame (%d bytes)", len(frame))
 	}
 	be := binary.BigEndian
 	if be.Uint16(frame[12:]) != etherTypeIPv4 {
-		return nil, ErrNotTCPIPv4
+		return ErrNotTCPIPv4
 	}
 	ip := frame[etherHeaderLen:]
 	if len(ip) < ipv4HeaderLen {
-		return nil, fmt.Errorf("pcap: truncated IPv4 header")
+		return fmt.Errorf("pcap: truncated IPv4 header")
 	}
 	if ip[0]>>4 != 4 {
-		return nil, ErrNotTCPIPv4
+		return ErrNotTCPIPv4
 	}
 	ihl := int(ip[0]&0x0f) * 4
 	if ihl < ipv4HeaderLen || len(ip) < ihl {
-		return nil, fmt.Errorf("pcap: bad IHL %d", ihl)
+		return fmt.Errorf("pcap: bad IHL %d", ihl)
 	}
 	if ip[9] != protoTCP {
-		return nil, ErrNotTCPIPv4
+		return ErrNotTCPIPv4
 	}
 	totalLen := int(be.Uint16(ip[2:]))
 	if totalLen < ihl || totalLen > len(ip) {
-		return nil, fmt.Errorf("pcap: IPv4 total length %d outside header length %d to frame length %d", totalLen, ihl, len(ip))
+		return fmt.Errorf("pcap: IPv4 total length %d outside header length %d to frame length %d", totalLen, ihl, len(ip))
 	}
 	tcp := ip[ihl:totalLen]
 	if len(tcp) < tcpHeaderLen {
-		return nil, fmt.Errorf("pcap: truncated TCP header")
+		return fmt.Errorf("pcap: truncated TCP header")
 	}
 	dataOff := int(tcp[12]>>4) * 4
 	if dataOff < tcpHeaderLen || dataOff > len(tcp) {
-		return nil, fmt.Errorf("pcap: bad TCP data offset %d", dataOff)
+		return fmt.Errorf("pcap: bad TCP data offset %d", dataOff)
 	}
-	seg := &TCPSegment{
+	*seg = TCPSegment{
 		Src: netem.HostPort{
 			IP:   netem.IPFromOctets([4]byte(ip[12:16])),
 			Port: be.Uint16(tcp[0:]),
@@ -171,7 +192,7 @@ func DecodeTCP(frame []byte) (*TCPSegment, error) {
 		ACK:     tcp[13]&tcpACK != 0,
 		Payload: tcp[dataOff:],
 	}
-	return seg, nil
+	return nil
 }
 
 // ipv4Checksum computes the standard ones-complement header checksum

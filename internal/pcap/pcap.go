@@ -36,6 +36,11 @@ var ErrBadMagic = errors.New("pcap: bad magic number")
 type Writer struct {
 	w           io.Writer
 	wroteHeader bool
+	// hdr (the record header) and frame (WriteTCP's encoded segment)
+	// are scratch space kept in the Writer: a local array handed to w
+	// would escape, costing an allocation per record.
+	hdr   [recordHeaderLen]byte
+	frame []byte
 }
 
 // NewWriter returns a Writer targeting w. The file header is written
@@ -63,23 +68,37 @@ func (pw *Writer) WritePacket(ts time.Time, frame []byte) error {
 		}
 		pw.wroteHeader = true
 	}
-	var hdr [recordHeaderLen]byte
 	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], uint32(ts.Unix()))
-	le.PutUint32(hdr[4:], uint32(ts.Nanosecond()/1000))
-	le.PutUint32(hdr[8:], uint32(len(frame)))
-	le.PutUint32(hdr[12:], uint32(len(frame)))
-	if _, err := pw.w.Write(hdr[:]); err != nil {
+	le.PutUint32(pw.hdr[0:], uint32(ts.Unix()))
+	le.PutUint32(pw.hdr[4:], uint32(ts.Nanosecond()/1000))
+	le.PutUint32(pw.hdr[8:], uint32(len(frame)))
+	le.PutUint32(pw.hdr[12:], uint32(len(frame)))
+	if _, err := pw.w.Write(pw.hdr[:]); err != nil {
 		return err
 	}
 	_, err := pw.w.Write(frame)
 	return err
 }
 
+// WriteTCP appends the frame EncodeTCP would build for seg, with the
+// given timestamp. It encodes into a buffer the Writer reuses, so a
+// capture written segment by segment allocates no frame per packet.
+func (pw *Writer) WriteTCP(ts time.Time, seg *TCPSegment) error {
+	n := frameLen(seg)
+	if cap(pw.frame) < n {
+		pw.frame = make([]byte, n)
+	}
+	pw.frame = pw.frame[:n]
+	encodeTCP(pw.frame, seg)
+	return pw.WritePacket(ts, pw.frame)
+}
+
 // Reader parses a pcap capture stream.
 type Reader struct {
 	r          io.Reader
 	readHeader bool
+	// hdr lives in the Reader for the reason Writer.hdr does.
+	hdr [recordHeaderLen]byte
 }
 
 // NewReader returns a Reader consuming r.
@@ -101,16 +120,23 @@ func (pr *Reader) readGlobalHeader() error {
 }
 
 // ReadPacket returns the next frame and its timestamp, or io.EOF at the
-// end of the capture.
+// end of the capture. The frame is a fresh slice the caller owns.
 func (pr *Reader) ReadPacket() (ts time.Time, frame []byte, err error) {
+	return pr.readPacket(nil)
+}
+
+// readPacket is ReadPacket reading the frame into buf when it fits: the
+// frame then shares buf's array and is valid until buf is reused. A nil
+// buf always gets a fresh slice.
+func (pr *Reader) readPacket(buf []byte) (ts time.Time, frame []byte, err error) {
 	if !pr.readHeader {
 		if err := pr.readGlobalHeader(); err != nil {
 			return time.Time{}, nil, err
 		}
 		pr.readHeader = true
 	}
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
+	hdr := pr.hdr[:]
+	if _, err := io.ReadFull(pr.r, hdr); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return time.Time{}, nil, io.ErrUnexpectedEOF
 		}
@@ -126,7 +152,10 @@ func (pr *Reader) ReadPacket() (ts time.Time, frame []byte, err error) {
 	if inclLen > defaultSnapLen {
 		return time.Time{}, nil, fmt.Errorf("pcap: record length %d exceeds snaplen", inclLen)
 	}
-	frame = make([]byte, inclLen)
+	if buf == nil || uint32(cap(buf)) < inclLen {
+		buf = make([]byte, inclLen)
+	}
+	frame = buf[:inclLen]
 	if _, err := io.ReadFull(pr.r, frame); err != nil {
 		return time.Time{}, nil, err
 	}

@@ -254,3 +254,89 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWriteTCPMatchesEncodeTCP: WriteTCP reuses one frame buffer, so a
+// short frame after a long one must not carry the long one's bytes. The
+// capture it writes equals the one WritePacket writes from EncodeTCP,
+// and ReadPacket hands out frames that later reads do not overwrite.
+func TestWriteTCPMatchesEncodeTCP(t *testing.T) {
+	base := time.Unix(1700000000, 250000)
+	segs := []*TCPSegment{
+		seg("10.0.0.1:1000", "10.0.0.2:80", false, true, bytes.Repeat([]byte{0xff}, 300)),
+		seg("10.0.0.1:1000", "10.0.0.2:80", true, false, nil),
+		{Src: netem.ParseHostPort("10.0.0.2:80"), Dst: netem.ParseHostPort("10.0.0.1:1000"), Seq: 7, Ack: 9, FIN: true, RST: true, Payload: []byte("bye")},
+		seg("192.168.1.5:49152", "203.0.113.9:8501", true, true, make([]byte, 1500)),
+	}
+	var viaEncode, viaTCP bytes.Buffer
+	we, wt := NewWriter(&viaEncode), NewWriter(&viaTCP)
+	for i, s := range segs {
+		ts := base.Add(time.Duration(i) * time.Millisecond)
+		if err := we.WritePacket(ts, EncodeTCP(s)); err != nil {
+			t.Fatal(err)
+		}
+		if err := wt.WriteTCP(ts, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(viaTCP.Bytes(), viaEncode.Bytes()) {
+		t.Fatal("WriteTCP capture differs from WritePacket(EncodeTCP)")
+	}
+	r := NewReader(&viaTCP)
+	var frames [][]byte
+	for range segs {
+		_, frame, err := r.ReadPacket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	for i, s := range segs {
+		if !bytes.Equal(frames[i], EncodeTCP(s)) {
+			t.Errorf("frame %d changed after later reads", i)
+		}
+	}
+}
+
+// captureWith writes convs conversations to one server, each a SYN and
+// then data packets carrying 100 bytes each.
+func captureWith(t *testing.T, convs, data int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	at := time.Unix(1700000000, 0)
+	server := netem.ParseHostPort("203.0.113.1:80")
+	payload := make([]byte, 100)
+	for c := 0; c < convs; c++ {
+		client := netem.HostPort{IP: netem.ParseIP("192.168.0.10"), Port: uint16(40000 + c)}
+		if err := w.WriteTCP(at, &TCPSegment{Src: client, Dst: server, SYN: true}); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < data; d++ {
+			at = at.Add(time.Millisecond)
+			if err := w.WriteTCP(at, &TCPSegment{Src: client, Dst: server, PSH: true, ACK: true, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestExtractConversationsAllocs: extraction keeps counts, addresses
+// and timestamps per conversation and nothing per packet, so ten times
+// the data packets per conversation cost no more allocations.
+func TestExtractConversationsAllocs(t *testing.T) {
+	extract := func(capture []byte) func() {
+		return func() {
+			convs, err := ExtractConversations(NewReader(bytes.NewReader(capture)))
+			if err != nil || len(convs) != 64 {
+				t.Fatalf("%d conversations, %v; want 64", len(convs), err)
+			}
+		}
+	}
+	few := testing.AllocsPerRun(10, extract(captureWith(t, 64, 2)))
+	many := testing.AllocsPerRun(10, extract(captureWith(t, 64, 20)))
+	t.Logf("%v allocs with 2 data packets per conversation, %v with 20", few, many)
+	if many > few {
+		t.Errorf("allocations grow with packets per conversation: %v with 2, %v with 20", few, many)
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,28 +18,26 @@ import (
 // filter has to discard. Packets are written in timestamp order.
 func (t *Trace) WritePcap(w io.Writer, start time.Time) error {
 	rng := vclock.NewRand(t.Config.Seed + 1)
+	// Every packet is kept as its segment and encoded only when it is
+	// written, into the Writer's one frame buffer. Payloads are all
+	// zeros, so every segment's payload is a slice of one zero block.
 	type stamped struct {
-		ts    time.Time
-		frame []byte
+		ts  time.Time
+		seg pcap.TCPSegment
 	}
-	var frames []stamped
+	conversations := len(t.Requests) + t.Config.NoiseServices*t.Config.NoiseRequestsEach + t.Config.NonHTTPConversations
+	packets := make([]stamped, 0, packetsPerConversation*conversations)
+	zeros := make([]byte, maxPayload)
 
 	emitConversation := func(at time.Time, client netem.HostPort, server netem.HostPort, reqLen, respLen int) {
-		steps := []struct {
-			dt  time.Duration
-			seg pcap.TCPSegment
-		}{
-			{0, pcap.TCPSegment{Src: client, Dst: server, SYN: true}},
-			{1 * time.Millisecond, pcap.TCPSegment{Src: server, Dst: client, SYN: true, ACK: true}},
-			{2 * time.Millisecond, pcap.TCPSegment{Src: client, Dst: server, ACK: true}},
-			{2500 * time.Microsecond, pcap.TCPSegment{Src: client, Dst: server, PSH: true, ACK: true, Payload: make([]byte, reqLen)}},
-			{5 * time.Millisecond, pcap.TCPSegment{Src: server, Dst: client, PSH: true, ACK: true, Payload: make([]byte, respLen)}},
-			{6 * time.Millisecond, pcap.TCPSegment{Src: client, Dst: server, FIN: true, ACK: true}},
-		}
-		for _, s := range steps {
-			seg := s.seg
-			frames = append(frames, stamped{ts: at.Add(s.dt), frame: pcap.EncodeTCP(&seg)})
-		}
+		packets = append(packets,
+			stamped{at, pcap.TCPSegment{Src: client, Dst: server, SYN: true}},
+			stamped{at.Add(1 * time.Millisecond), pcap.TCPSegment{Src: server, Dst: client, SYN: true, ACK: true}},
+			stamped{at.Add(2 * time.Millisecond), pcap.TCPSegment{Src: client, Dst: server, ACK: true}},
+			stamped{at.Add(2500 * time.Microsecond), pcap.TCPSegment{Src: client, Dst: server, PSH: true, ACK: true, Payload: zeros[:reqLen]}},
+			stamped{at.Add(5 * time.Millisecond), pcap.TCPSegment{Src: server, Dst: client, PSH: true, ACK: true, Payload: zeros[:respLen]}},
+			stamped{at.Add(6 * time.Millisecond), pcap.TCPSegment{Src: client, Dst: server, FIN: true, ACK: true}},
+		)
 	}
 
 	ephemeral := make(map[netem.IP]uint16)
@@ -76,15 +75,23 @@ func (t *Trace) WritePcap(w io.Writer, start time.Time) error {
 		emitConversation(at, client, server, 200, 2000)
 	}
 
-	sort.SliceStable(frames, func(i, j int) bool { return frames[i].ts.Before(frames[j].ts) })
+	slices.SortStableFunc(packets, func(a, b stamped) int { return a.ts.Compare(b.ts) })
 	pw := pcap.NewWriter(w)
-	for _, f := range frames {
-		if err := pw.WritePacket(f.ts, f.frame); err != nil {
+	for i := range packets {
+		if err := pw.WriteTCP(packets[i].ts, &packets[i].seg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// packetsPerConversation is what WritePcap emits per conversation:
+// handshake, request, response and FIN. maxPayload bounds the payloads
+// it draws: requests below 300 B, responses below 4 500 B.
+const (
+	packetsPerConversation = 6
+	maxPayload             = 4500
+)
 
 // FromPcap recovers a workload from a capture by applying the paper's
 // methodology: extract TCP conversations, keep port 80, keep servers

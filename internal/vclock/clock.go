@@ -18,7 +18,8 @@ import "runtime"
 // waiter is the parking primitive behind Sleep, Mailbox, Gate and
 // Group: one reusable buffered channel plus the bookkeeping that tells
 // the clock the goroutine is parked. Waiters are recycled through a
-// per-clock pool so steady-state parking allocates nothing.
+// freelist the clock owns, so steady-state parking allocates nothing
+// and the freelist dies with the clock.
 type waiter struct {
 	v  *Virtual
 	ch chan struct{}
@@ -26,7 +27,8 @@ type waiter struct {
 	// Guarded by v.mu: where the waiter is in one park/wake cycle, and
 	// its links on the clock's parked list while that is waiterParked.
 	// The goroutine that received the token owns both until it parks
-	// again (the send orders the accesses).
+	// again (the send orders the accesses). A released waiter is on the
+	// clock's freelist through next.
 	state      waiterState
 	next, prev *waiter
 }
@@ -78,9 +80,16 @@ func (w *waiter) wake() {
 	w.ch <- struct{}{}
 }
 
-// release returns the waiter to its clock's pool. Only call it after
-// wait has returned and every party that could wake it has settled.
-func (w *waiter) release() { w.v.wpool.Put(w) }
+// release returns the waiter to its clock's freelist. Only call it
+// after wait has returned and every party that could wake it has
+// settled.
+func (w *waiter) release() {
+	v := w.v
+	v.mu.Lock()
+	w.next = v.wfree
+	v.wfree = w
+	v.mu.Unlock()
+}
 
 // Pending is a handle to one scheduled Post/Post2 call.
 // The zero value is valid and refers to nothing; Stop on it reports

@@ -18,13 +18,19 @@ type Gate struct {
 	waiters []*waiter
 	wbuf    [2]*waiter
 	// twaiters holds WaitTimeout parkers, which race Open against their
-	// deadline and therefore carry a settle flag.
+	// deadline and therefore carry a settle flag; twbuf backs the common
+	// single one inline.
 	twaiters []*gateWaiter
+	twbuf    [1]*gateWaiter
 }
 
+// gateWaiter is one WaitTimeout. settled and opened are guarded by the
+// gate's lock: the first of Open and the deadline to settle the wait
+// decides whether it opened.
 type gateWaiter struct {
 	w       *waiter
 	settled bool
+	opened  bool
 }
 
 // NewGate returns a closed gate. The zero value is also usable.
@@ -45,7 +51,8 @@ func (g *Gate) Open() {
 		w.wake()
 	}
 	g.waiters = nil
-	for _, gw := range g.twaiters {
+	for i, gw := range g.twaiters {
+		g.twaiters[i] = nil
 		if !gw.settled {
 			gw.settled = true
 			gw.w.wake()
@@ -87,26 +94,44 @@ func (g *Gate) WaitTimeout(clk *Virtual, d time.Duration) bool {
 		g.mu.Unlock()
 		return true
 	}
-	gw := &gateWaiter{w: clk.newWaiter()}
+	gw := &gateWaiter{w: clk.newWaiter(), opened: true}
+	if g.twaiters == nil {
+		g.twaiters = g.twbuf[:0]
+	}
 	g.twaiters = append(g.twaiters, gw)
 	g.mu.Unlock()
 
-	opened := true
-	pending := clk.Post(d, func() {
-		g.mu.Lock()
-		if gw.settled {
-			g.mu.Unlock()
-			return
-		}
-		gw.settled = true
-		opened = false
-		g.mu.Unlock()
-		gw.w.wake()
-	})
+	pending := clk.Post2(d, gateTimeout, g, gw)
 	gw.w.wait()
 	pending.Stop()
 	gw.w.release()
-	return opened
+	return gw.opened
+}
+
+// gateTimeout is WaitTimeout's deadline, a Post2 callback on the gate
+// and its waiter: unless Open settled the wait first, it takes the
+// waiter off the gate, so a gate that never opens does not collect its
+// timed-out waits, and wakes it as timed out.
+func gateTimeout(a, b any) {
+	g, gw := a.(*Gate), b.(*gateWaiter)
+	g.mu.Lock()
+	if gw.settled {
+		g.mu.Unlock()
+		return
+	}
+	gw.settled = true
+	gw.opened = false
+	for i, cur := range g.twaiters {
+		if cur == gw {
+			last := len(g.twaiters) - 1
+			copy(g.twaiters[i:], g.twaiters[i+1:])
+			g.twaiters[last] = nil
+			g.twaiters = g.twaiters[:last]
+			break
+		}
+	}
+	g.mu.Unlock()
+	gw.w.wake()
 }
 
 // Group waits for a collection of clock goroutines to finish, mirroring

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -325,6 +326,50 @@ func TestGateWaitTimeout(t *testing.T) {
 		}
 		if !g.WaitTimeout(v, time.Second) {
 			t.Error("WaitTimeout false on already-open gate")
+		}
+	})
+}
+
+// TestGateWaitTimeoutAllocs: a WaitTimeout that times out allocates
+// only its settle record (the deadline is a top-level Post2 callback and
+// the waiter comes from the clock's freelist), and a gate that never
+// opens does not keep its timed-out waits.
+func TestGateWaitTimeoutAllocs(t *testing.T) {
+	v := New()
+	v.Run(func() {
+		var g Gate
+		got := testing.AllocsPerRun(100, func() {
+			if g.WaitTimeout(v, time.Millisecond) {
+				t.Error("WaitTimeout true on a closed gate")
+			}
+		})
+		t.Logf("%v allocs/op", got)
+		if got > 1 {
+			t.Errorf("WaitTimeout that times out: %v allocs/op, ceiling 1", got)
+		}
+		g.mu.Lock()
+		kept := len(g.twaiters)
+		g.mu.Unlock()
+		if kept != 0 {
+			t.Errorf("closed gate keeps %d timed-out waits, want 0", kept)
+		}
+	})
+}
+
+// TestWaiterFreelistSurvivesGC: parking reuses a waiter its clock owns,
+// so a Sleep allocates nothing even when a collection runs between two
+// of them, as it may at any time. A pool that the runtime empties on
+// collection would allocate here.
+func TestWaiterFreelistSurvivesGC(t *testing.T) {
+	v := New()
+	v.Run(func() {
+		v.Sleep(time.Millisecond)
+		got := testing.AllocsPerRun(20, func() {
+			runtime.GC()
+			v.Sleep(time.Millisecond)
+		})
+		if got != 0 {
+			t.Errorf("Sleep after a GC: %v allocs/op, want 0", got)
 		}
 	})
 }

@@ -18,9 +18,9 @@ import (
 // the order they were scheduled, so runs are reproducible.
 //
 // The engine is allocation-free on its steady-state paths: event structs
-// are recycled through a freelist, waiter park/unpark channels through a
-// sync.Pool, and Post/Post2 callbacks run inline on the advancing
-// goroutine instead of spawning a goroutine per firing.
+// and waiters (with their park/unpark channels) are recycled through
+// freelists the clock owns, and Post/Post2 callbacks run inline on the
+// advancing goroutine instead of spawning a goroutine per firing.
 type Virtual struct {
 	mu      sync.Mutex
 	seq     uint64
@@ -29,6 +29,7 @@ type Virtual struct {
 	spawned int64 // goroutines started via Go, guarded by mu
 	stopped bool
 	free    []*event // event freelist, guarded by mu
+	wfree   *waiter  // waiter freelist through waiter.next, guarded by mu
 
 	// What Run's stop releases: the waiters whose goroutines are parked
 	// (an intrusive list through waiter.next/prev, guarded by mu) and,
@@ -45,8 +46,6 @@ type Virtual struct {
 	// never observe it mid-update.
 	base  time.Time
 	offNS atomic.Int64
-
-	wpool sync.Pool // *waiter freelist
 }
 
 // eventKind selects how a popped event fires.
@@ -237,8 +236,8 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	w := v.newWaiter()
 	v.mu.Lock()
+	w := v.newWaiterLocked()
 	v.parkLocked(w)
 	ev := v.getEventLocked(d, evWake)
 	ev.w = w
@@ -371,10 +370,19 @@ func (v *Virtual) maybeAdvanceLocked() {
 	}
 }
 
-// newWaiter returns a pooled waiter implementing the parking protocol
-// for blocking primitives.
+// newWaiter returns a waiter implementing the parking protocol for
+// blocking primitives, from the clock's freelist when it has one.
 func (v *Virtual) newWaiter() *waiter {
-	if w, ok := v.wpool.Get().(*waiter); ok {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.newWaiterLocked()
+}
+
+// newWaiterLocked is newWaiter for callers that hold v.mu.
+func (v *Virtual) newWaiterLocked() *waiter {
+	if w := v.wfree; w != nil {
+		v.wfree = w.next
+		w.next = nil
 		return w
 	}
 	return &waiter{v: v, ch: make(chan struct{}, 1)}

@@ -2,6 +2,7 @@ package yaml
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -29,6 +30,27 @@ func FuzzYAML(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, v) {
 			t.Fatalf("round trip changed the value:\n%s\nwant %#v\ngot  %#v", out, v, back)
+		}
+	})
+}
+
+// FuzzNumberPrecheck holds couldBeNumber to its promise: whenever it
+// says a string cannot be a number, strconv.ParseInt(s, 10, 64) and
+// strconv.ParseFloat(s, 64) both reject it, so skipping them changes no
+// scalar's type and no string's quoting.
+func FuzzNumberPrecheck(f *testing.F) {
+	for _, s := range []string{"", "+", "-", "inf", "-Infinity", "NaN", "+.5", ".5e3", "0x1p-2", "1_000", "0b101", "edge-203-0-113-1-80"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if couldBeNumber(s) {
+			return
+		}
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			t.Errorf("couldBeNumber(%q) = false, but ParseInt reads %d", s, i)
+		}
+		if x, err := strconv.ParseFloat(s, 64); err == nil {
+			t.Errorf("couldBeNumber(%q) = false, but ParseFloat reads %v", s, x)
 		}
 	})
 }

@@ -324,6 +324,9 @@ func parseScalar(s string) any {
 		}
 		return s[1 : len(s)-1] // single quotes, or an escape Go rejects (YAML's \/, \e ...)
 	}
+	if !couldBeNumber(s) {
+		return s
+	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i
 	}
@@ -332,6 +335,41 @@ func parseScalar(s string) any {
 		return f
 	}
 	return s
+}
+
+// couldBeNumber reports whether strconv.ParseInt(s, 10, 64) or
+// strconv.ParseFloat(s, 64) might accept s. Both take an optional sign,
+// then a digit or a '.' (hex floats start with "0x"); ParseFloat also
+// takes the words inf, infinity and nan in any case. Both parsers
+// reject every other string, and each rejection allocates its error
+// value, so manifest strings such as names and image references skip
+// them. FuzzNumberPrecheck holds the parsers to this.
+func couldBeNumber(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.':
+		return true
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
+	}
+	return false
+}
+
+// isNumber reports whether s parses as an int64 or a float64.
+func isNumber(s string) bool {
+	if !couldBeNumber(s) {
+		return false
+	}
+	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return true
+	}
+	_, err := strconv.ParseFloat(s, 64)
+	return err == nil
 }
 
 // Marshal renders v as a YAML document. Mapping keys are emitted in
@@ -470,11 +508,9 @@ func encodeScalar(v any) string {
 // encodeString quotes strings that would otherwise parse as another type
 // or break the line grammar, and those with bytes strconv.Quote escapes.
 func encodeString(s string) string {
-	_, errInt := strconv.ParseInt(s, 10, 64)
-	_, errFloat := strconv.ParseFloat(s, 64)
 	switch {
 	case s == "", s == "null", s == "~", s == "true", s == "false", s == "{}", s == "[]", s == "-",
-		errInt == nil, errFloat == nil, !plain(s),
+		isNumber(s), !plain(s),
 		strings.ContainsAny(s, "#'"), strings.Contains(s, ": "), strings.HasPrefix(s, "- "),
 		strings.HasPrefix(s, " "), strings.HasSuffix(s, ":"), strings.HasSuffix(s, " "):
 		return strconv.Quote(s)

@@ -2,6 +2,7 @@ package yaml
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,6 +216,12 @@ func TestMarshalQuotesAmbiguousStrings(t *testing.T) {
 		"e": "",
 		"f": "- leading dash",
 	}
+	// Strings strconv reads as numbers, the special float words
+	// included, next to strings that only start like one.
+	for i, s := range []string{"inf", "-Infinity", "NaN", "+INF", "+.5", ".5e3", "0x1p-2", "1_000", "0b101", "-7", "1e400",
+		"nginx", "infra", "n", "+", "-x", ".hidden", "edge-203-0-113-1-80"} {
+		in["n"+strconv.Itoa(i)] = s
+	}
 	out := Marshal(in)
 	v, err := Unmarshal(out)
 	if err != nil {
@@ -325,5 +332,27 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+var (
+	sinkString string
+	sinkAny    any
+)
+
+// TestPlainScalarAllocs: a plain string that cannot be a number, such
+// as an edge address, is written without calling strconv (each of its
+// rejections allocates an error) and read back with only the one
+// allocation that boxes the string into parseScalar's any result.
+func TestPlainScalarAllocs(t *testing.T) {
+	s := "edge-203-0-113-1-80"
+	if a := testing.AllocsPerRun(100, func() { sinkString = encodeString(s) }); a != 0 {
+		t.Errorf("encodeString(%q): %v allocs/op, want 0", s, a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sinkAny = parseScalar(s) }); a > 1 {
+		t.Errorf("parseScalar(%q): %v allocs/op, want at most the 1 that boxes the result", s, a)
+	}
+	if sinkString != s || sinkAny != s {
+		t.Fatalf("encodeString = %q, parseScalar = %#v, want %q unchanged", sinkString, sinkAny, s)
 	}
 }
