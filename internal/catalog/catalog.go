@@ -272,7 +272,7 @@ func (appResolver) Resolve(image string) (containerd.AppModel, error) {
 			ReadyDelay: 2 * time.Millisecond, // negligible launch time
 			ReadySigma: 0.2,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
-				return containerd.AppInstance{Handler: staticFile("asmttpd ok\n", 64, 100*time.Microsecond)}
+				return containerd.AppInstance{Handler: newStaticFile("asmttpd ok\n", 64, 100*time.Microsecond)}
 			},
 		}, nil
 	case ImageNginx:
@@ -282,9 +282,9 @@ func (appResolver) Resolve(image string) (containerd.AppModel, error) {
 			ReadySigma: 0.2,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				if www, ok := vols["www"]; ok {
-					return containerd.AppInstance{Handler: volumeFile(www, "index.html", 200*time.Microsecond)}
+					return containerd.AppInstance{Handler: &volumeFile{vol: www, path: "index.html", proc: 200 * time.Microsecond}}
 				}
-				return containerd.AppInstance{Handler: staticFile("<html>nginx</html>\n", 612, 200*time.Microsecond)}
+				return containerd.AppInstance{Handler: newStaticFile("<html>nginx</html>\n", 612, 200*time.Microsecond)}
 			},
 		}, nil
 	case ImageResNet:
@@ -293,7 +293,7 @@ func (appResolver) Resolve(image string) (containerd.AppModel, error) {
 			ReadyDelay: 1400 * time.Millisecond, // ResNet50 model load
 			ReadySigma: 0.20,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
-				return containerd.AppInstance{Handler: inference(70*time.Millisecond, 0.25, 280)}
+				return containerd.AppInstance{Handler: newInference(70*time.Millisecond, 0.25, 280)}
 			},
 		}, nil
 	case ImagePy:
@@ -309,57 +309,89 @@ func (appResolver) Resolve(image string) (containerd.AppModel, error) {
 	return containerd.AppModel{}, fmt.Errorf("catalog: no model for image %q", image)
 }
 
-// staticFile serves a fixed short document, padded to size bytes.
-func staticFile(content string, size int, proc time.Duration) containerd.Handler {
-	body := make([]byte, size)
-	copy(body, content)
-	return containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
-		clk.Sleep(proc)
-		return body
-	})
+// staticFile serves a fixed short document after a fixed processing
+// time.
+type staticFile struct {
+	body []byte
+	proc time.Duration
 }
 
+// newStaticFile pads content to size bytes.
+func newStaticFile(content string, size int, proc time.Duration) *staticFile {
+	body := make([]byte, size)
+	copy(body, content)
+	return &staticFile{body: body, proc: proc}
+}
+
+func (s *staticFile) Delay([]byte) time.Duration { return s.proc }
+func (s *staticFile) Respond([]byte) []byte      { return s.body }
+
 // volumeFile serves a file from the shared volume (the Nginx side of
-// Nginx+Py).
-func volumeFile(vol *containerd.Volume, path string, proc time.Duration) containerd.Handler {
-	return containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
-		clk.Sleep(proc)
-		if data, ok := vol.Read(path); ok {
-			return data
-		}
-		return []byte("503 index.html not written yet\n")
-	})
+// Nginx+Py), read when the processing time has elapsed.
+type volumeFile struct {
+	vol  *containerd.Volume
+	path string
+	proc time.Duration
+}
+
+func (f *volumeFile) Delay([]byte) time.Duration { return f.proc }
+
+func (f *volumeFile) Respond([]byte) []byte {
+	if data, ok := f.vol.Read(f.path); ok {
+		return data
+	}
+	return []byte("503 index.html not written yet\n")
 }
 
 // inference models TensorFlow Serving classification: a log-normal
-// processing delay and a short JSON response.
-func inference(median time.Duration, sigma float64, respSize int) containerd.Handler {
-	rng := vclock.NewRand(int64(median))
-	resp := make([]byte, respSize)
-	copy(resp, `{"predictions":[{"label":"tabby cat","score":0.82}]}`)
-	return containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
-		clk.Sleep(rng.LogNormal(median, sigma))
-		return resp
-	})
+// processing delay, drawn from the instance's own stream, and a short
+// JSON response.
+type inference struct {
+	rng    *vclock.Rand
+	median time.Duration
+	sigma  float64
+	resp   []byte
 }
 
-// envWriter is the Python application: once per second it writes the
-// gathered environment info and current timestamp to index.html on the
-// shared volume.
+func newInference(median time.Duration, sigma float64, respSize int) *inference {
+	resp := make([]byte, respSize)
+	copy(resp, `{"predictions":[{"label":"tabby cat","score":0.82}]}`)
+	return &inference{rng: vclock.NewRand(int64(median)), median: median, sigma: sigma, resp: resp}
+}
+
+func (m *inference) Delay([]byte) time.Duration { return m.rng.LogNormal(m.median, m.sigma) }
+func (m *inference) Respond([]byte) []byte      { return m.resp }
+
+// envWriter is the Python application: once per second, from the
+// container's start until it stops, it writes the gathered environment
+// info and current timestamp to index.html on the shared volume. Each
+// write is a clock event that posts the next one.
 func envWriter(www *containerd.Volume) func(clk *vclock.Virtual, stop *vclock.Gate) {
 	return func(clk *vclock.Virtual, stop *vclock.Gate) {
-		if www == nil {
-			return
-		}
-		n := 0
-		for {
-			n++
-			page := fmt.Sprintf("<html><body>env-writer tick %d at %s</body></html>",
-				n, clk.Now().Format(time.RFC3339))
-			www.Write("index.html", []byte(page))
-			if stop.WaitTimeout(clk, time.Second) {
-				return
-			}
+		if www != nil {
+			(&envWrite{clk: clk, stop: stop, www: www}).tick()
 		}
 	}
+}
+
+// envWrite is one env-writer's state between ticks.
+type envWrite struct {
+	clk  *vclock.Virtual
+	stop *vclock.Gate
+	www  *containerd.Volume
+	n    int
+}
+
+// writeEnv is the Post2 callback of the env-writer's 1 s timer.
+func writeEnv(a, _ any) { a.(*envWrite).tick() }
+
+func (w *envWrite) tick() {
+	if w.stop.IsOpen() {
+		return
+	}
+	w.n++
+	page := fmt.Sprintf("<html><body>env-writer tick %d at %s</body></html>",
+		w.n, w.clk.Now().Format(time.RFC3339))
+	w.www.Write("index.html", []byte(page))
+	w.clk.Post2(time.Second, writeEnv, w, nil)
 }

@@ -158,14 +158,14 @@ func TestHandlerEdgeBehaviours(t *testing.T) {
 		// Nginx without the shared volume serves its static page.
 		model, _ := Resolver().Resolve(ImageNginx)
 		inst := model.Instantiate(nil)
-		resp := inst.Handler.Serve(clk, []byte("GET /"))
+		resp := inst.Handler.Respond([]byte("GET /"))
 		if len(resp) != 612 {
 			t.Errorf("nginx static page = %d bytes, want 612 (Table I-ish default page)", len(resp))
 		}
 		// Nginx with an empty volume reports the missing index.html.
 		vols := map[string]*containerd.Volume{"www": containerd.NewVolume("www")}
 		inst = model.Instantiate(vols)
-		resp = inst.Handler.Serve(clk, []byte("GET /"))
+		resp = inst.Handler.Respond([]byte("GET /"))
 		if !strings.Contains(string(resp), "503") {
 			t.Errorf("empty-volume response = %q", resp[:24])
 		}

@@ -98,14 +98,14 @@ func (wasmResolver) Resolve(module string) (containerd.AppModel, error) {
 		return containerd.AppModel{
 			Port: 80,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
-				return containerd.AppInstance{Handler: staticFile("asmttpd ok\n", 64, 120*time.Microsecond)}
+				return containerd.AppInstance{Handler: newStaticFile("asmttpd ok\n", 64, 120*time.Microsecond)}
 			},
 		}, nil
 	case WasmModuleRef("nginx"):
 		return containerd.AppModel{
 			Port: 80,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
-				return containerd.AppInstance{Handler: staticFile("<html>nginx</html>\n", 612, 250*time.Microsecond)}
+				return containerd.AppInstance{Handler: newStaticFile("<html>nginx</html>\n", 612, 250*time.Microsecond)}
 			},
 		}, nil
 	case WasmModuleRef("resnet"):
@@ -114,7 +114,7 @@ func (wasmResolver) Resolve(module string) (containerd.AppModel, error) {
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				// Inference inside the sandbox runs somewhat slower than
 				// native TensorFlow Serving.
-				return containerd.AppInstance{Handler: inference(95*time.Millisecond, 0.25, 280)}
+				return containerd.AppInstance{Handler: newInference(95*time.Millisecond, 0.25, 280)}
 			},
 		}, nil
 	}

@@ -30,7 +30,7 @@ func testResolver() mapResolver {
 			ReadyDelay: 40 * time.Millisecond,
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				return containerd.AppInstance{Handler: containerd.HandlerFunc(
-					func(clk *vclock.Virtual, req []byte) []byte { return []byte("hello") })}
+					func(req []byte) []byte { return []byte("hello") })}
 			},
 		},
 		"side": {ReadyDelay: 10 * time.Millisecond},

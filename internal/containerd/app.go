@@ -37,7 +37,7 @@ type AppResolver interface {
 // instantiate is a nil-safe helper for building the app instance.
 func (m AppModel) instantiate(vols map[string]*Volume) AppInstance {
 	if m.Instantiate == nil {
-		return AppInstance{Handler: HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
+		return AppInstance{Handler: HandlerFunc(func([]byte) []byte {
 			return []byte("ok")
 		})}
 	}

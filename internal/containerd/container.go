@@ -9,18 +9,24 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-// Handler emulates the application inside a container: it receives one
-// request payload and produces the response, sleeping on clk for any
-// modelled processing time (e.g. ResNet inference).
+// Handler emulates the application inside a container. A request takes
+// Delay of modelled processing time (e.g. ResNet inference), drawn when
+// it arrives; Respond builds the response once that time has elapsed,
+// so it sees the state of that instant (a volume file rewritten
+// meanwhile). Neither may block: both run as clock events.
 type Handler interface {
-	Serve(clk *vclock.Virtual, req []byte) []byte
+	Delay(req []byte) time.Duration
+	Respond(req []byte) []byte
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(clk *vclock.Virtual, req []byte) []byte
+// HandlerFunc adapts a function to a Handler that answers at once.
+type HandlerFunc func(req []byte) []byte
 
-// Serve implements Handler.
-func (f HandlerFunc) Serve(clk *vclock.Virtual, req []byte) []byte { return f(clk, req) }
+// Delay implements Handler: no processing time.
+func (HandlerFunc) Delay([]byte) time.Duration { return 0 }
+
+// Respond implements Handler.
+func (f HandlerFunc) Respond(req []byte) []byte { return f(req) }
 
 // Spec describes a container to create. It is the runtime-level
 // equivalent of one container entry in a pod/service definition.
@@ -41,8 +47,10 @@ type Spec struct {
 	ReadySigma float64
 	// Handler serves requests once ready; required when Port != 0.
 	Handler Handler
-	// Background, if set, runs for the life of the container (the
-	// env-writer sidecar uses this to update the shared volume).
+	// Background, if set, is called when the container starts and runs
+	// for its life as clock events it schedules itself, until stop opens
+	// (the env-writer sidecar uses this to update the shared volume). It
+	// must not block.
 	Background func(clk *vclock.Virtual, stop *vclock.Gate)
 	// Labels are free-form metadata; the SDN controller labels edge
 	// services to address and query them distinctly.
@@ -166,7 +174,7 @@ func (c *Container) Start() error {
 	c.mu.Unlock()
 
 	if c.spec.Background != nil {
-		c.rt.clk.Go(func() { c.spec.Background(c.rt.clk, stop) })
+		c.spec.Background(c.rt.clk, stop)
 	}
 
 	// App initialization happens inside the container, asynchronously.
@@ -194,12 +202,19 @@ func (c *Container) finishInit(stop, ready *vclock.Gate) {
 		}
 		c.listener = ln
 		c.mu.Unlock()
-		ln.Serve(func(req []byte) ([]byte, bool) {
-			if stop.IsOpen() {
-				return nil, false
+		h := c.spec.Handler
+		ln.Serve(func(req []byte, stage int) netem.Step {
+			if stage == 0 {
+				if stop.IsOpen() {
+					return netem.Refuse()
+				}
+				return netem.After(h.Delay(req))
 			}
-			resp := c.spec.Handler.Serve(c.rt.clk, req)
-			return resp, !stop.IsOpen() // false: process killed while handling
+			resp := h.Respond(req)
+			if stop.IsOpen() { // process killed while handling
+				return netem.Refuse()
+			}
+			return netem.Reply(resp)
 		})
 	} else {
 		c.mu.Unlock()

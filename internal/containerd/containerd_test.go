@@ -1,6 +1,7 @@
 package containerd
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -43,10 +44,16 @@ func imageOf(ref string, layerSizes ...int64) registry.Image {
 }
 
 func echoHandler() Handler {
-	return HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
+	return HandlerFunc(func(req []byte) []byte {
 		return append([]byte("ok:"), req...)
 	})
 }
+
+// slowHandler answers "late" after d of processing time.
+type slowHandler struct{ d time.Duration }
+
+func (h slowHandler) Delay([]byte) time.Duration { return h.d }
+func (slowHandler) Respond([]byte) []byte        { return []byte("late") }
 
 func (e *env) pulled(ref string, layerSizes ...int64) {
 	e.reg.Push(imageOf(ref, layerSizes...))
@@ -287,13 +294,10 @@ func TestStopClosesPortAndAbortsInFlight(t *testing.T) {
 	e.clk.Run(func() {
 		e.pulled("img", registry.MiB)
 		c, _ := e.rt.Create(Spec{
-			Name:  "c",
-			Image: "img",
-			Port:  80,
-			Handler: HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
-				clk.Sleep(5 * time.Second) // slow request
-				return []byte("late")
-			}),
+			Name:    "c",
+			Image:   "img",
+			Port:    80,
+			Handler: slowHandler{5 * time.Second},
 		})
 		c.Start()
 		c.WaitReady(time.Second)
@@ -312,8 +316,8 @@ func TestStopClosesPortAndAbortsInFlight(t *testing.T) {
 		if e.rt.Host().Listening(c.HostPort()) {
 			t.Error("port still open after stop")
 		}
-		if _, err := conn.RecvTimeout(30 * time.Second); err == nil {
-			t.Error("in-flight request answered after stop")
+		if resp, err := conn.RecvTimeout(30 * time.Second); !errors.Is(err, netem.ErrReset) {
+			t.Errorf("in-flight request after stop: got %q, %v; want ErrReset", resp, err)
 		}
 		if _, err := e.client.Dial(c.Addr()); err == nil {
 			t.Error("new dial succeeded after stop")
@@ -372,17 +376,24 @@ func TestBackgroundRunsUntilStop(t *testing.T) {
 			Name:  "writer",
 			Image: "py",
 			Background: func(clk *vclock.Virtual, stop *vclock.Gate) {
-				for !stop.IsOpen() {
-					ticks++
-					vol.Write("index.html", []byte(clk.Now().String()))
-					if stop.WaitTimeout(clk, time.Second) {
+				var tick func()
+				tick = func() {
+					if stop.IsOpen() {
 						return
 					}
+					ticks++
+					vol.Write("index.html", []byte(clk.Now().String()))
+					clk.Post(time.Second, tick)
 				}
+				tick()
 			},
 			Mounts: []*Volume{vol},
 		})
+		spawned := e.clk.Spawned()
 		c.Start()
+		if got := e.clk.Spawned() - spawned; got != 0 {
+			t.Errorf("Start spawned %d goroutines, want 0: Background runs as clock events", got)
+		}
 		e.clk.Sleep(5500 * time.Millisecond)
 		c.Stop()
 		after := ticks

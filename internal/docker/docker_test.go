@@ -45,7 +45,7 @@ func newDockerEnv(clk *vclock.Virtual) *dockerEnv {
 			Instantiate: func(vols map[string]*containerd.Volume) containerd.AppInstance {
 				shared := vols["www"]
 				return containerd.AppInstance{
-					Handler: containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
+					Handler: containerd.HandlerFunc(func(req []byte) []byte {
 						if shared != nil {
 							if data, ok := shared.Read("index.html"); ok {
 								return data
@@ -62,12 +62,15 @@ func newDockerEnv(clk *vclock.Virtual) *dockerEnv {
 				shared := vols["www"]
 				return containerd.AppInstance{
 					Background: func(clk *vclock.Virtual, stop *vclock.Gate) {
-						for !stop.IsOpen() {
-							shared.Write("index.html", []byte("written at "+clk.Now().Format(time.RFC3339)))
-							if stop.WaitTimeout(clk, time.Second) {
+						var write func()
+						write = func() {
+							if stop.IsOpen() {
 								return
 							}
+							shared.Write("index.html", []byte("written at "+clk.Now().Format(time.RFC3339)))
+							clk.Post(time.Second, write)
 						}
+						write()
 					},
 				}
 			},

@@ -175,7 +175,7 @@ func (r *Runtime) Instantiate(spec InstanceSpec) (*Instance, error) {
 	inst.mu.Lock()
 	inst.listener = ln
 	inst.mu.Unlock()
-	ln.Serve(inst.handle)
+	ln.Serve(inst.step)
 	return inst, nil
 }
 
@@ -202,17 +202,23 @@ func (i *Instance) Addr() netem.HostPort {
 // Name returns the instance name.
 func (i *Instance) Name() string { return i.spec.Name }
 
-// handle serves one request: the per-call overhead, then the handler,
-// unless the isolate was stopped meanwhile.
-func (i *Instance) handle(req []byte) ([]byte, bool) {
-	i.rt.clk.Sleep(i.rt.rng.Jitter(i.rt.timing.CallOverhead, i.rt.timing.JitterFrac))
-	i.mu.Lock()
-	dead := i.stopped
-	i.mu.Unlock()
-	if dead {
-		return nil, false
+// step serves one request in two stages: the per-call overhead, then,
+// unless the isolate was stopped meanwhile, the handler's own delay
+// (drawn when the overhead has elapsed) and its response.
+func (i *Instance) step(req []byte, stage int) netem.Step {
+	switch stage {
+	case 0:
+		return netem.After(i.rt.rng.Jitter(i.rt.timing.CallOverhead, i.rt.timing.JitterFrac))
+	case 1:
+		i.mu.Lock()
+		dead := i.stopped
+		i.mu.Unlock()
+		if dead {
+			return netem.Refuse()
+		}
+		return netem.After(i.spec.Handler.Delay(req))
 	}
-	return i.spec.Handler.Serve(i.rt.clk, req), true
+	return netem.Reply(i.spec.Handler.Respond(req))
 }
 
 // Stop tears the isolate down; serverless instances have no stopped

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func newFaasEnv(clk *vclock.Virtual) *faasEnv {
 		Port: 80,
 		Instantiate: func(map[string]*containerd.Volume) containerd.AppInstance {
 			return containerd.AppInstance{Handler: containerd.HandlerFunc(
-				func(clk *vclock.Virtual, req []byte) []byte {
+				func(req []byte) []byte {
 					return append([]byte("wasm:"), req...)
 				})}
 		},
@@ -84,7 +85,7 @@ func TestFetchAndInstantiate(t *testing.T) {
 		inst, err := e.rt.Instantiate(InstanceSpec{
 			Name:   "echo-1",
 			Module: "fn/echo.wasm",
-			Handler: containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte {
+			Handler: containerd.HandlerFunc(func(req []byte) []byte {
 				return req
 			}),
 		})
@@ -111,7 +112,7 @@ func TestInstantiateErrors(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newFaasEnv(clk)
-		h := containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte { return req })
+		h := containerd.HandlerFunc(func(req []byte) []byte { return req })
 		if _, err := e.rt.Instantiate(InstanceSpec{Name: "x", Module: "fn/echo.wasm", Handler: h}); err == nil {
 			t.Error("instantiate without fetched module succeeded")
 		}
@@ -136,7 +137,7 @@ func TestStopClosesPortAndFreesName(t *testing.T) {
 	clk.Run(func() {
 		e := newFaasEnv(clk)
 		e.rt.Fetch(e.reg, "fn/echo.wasm")
-		h := containerd.HandlerFunc(func(clk *vclock.Virtual, req []byte) []byte { return req })
+		h := containerd.HandlerFunc(func(req []byte) []byte { return req })
 		inst, _ := e.rt.Instantiate(InstanceSpec{Name: "x", Module: "fn/echo.wasm", Handler: h})
 		addr := inst.Addr()
 		inst.Stop()
@@ -149,6 +150,48 @@ func TestStopClosesPortAndFreesName(t *testing.T) {
 		}
 		if _, err := e.rt.Instantiate(InstanceSpec{Name: "x", Module: "fn/echo.wasm", Handler: h}); err != nil {
 			t.Errorf("name not freed: %v", err)
+		}
+	})
+}
+
+// delayEcho answers its request after d of processing time.
+type delayEcho struct{ d time.Duration }
+
+func (h delayEcho) Delay([]byte) time.Duration { return h.d }
+func (delayEcho) Respond(req []byte) []byte    { return req }
+
+// TestRequestStages: a request pays the per-call overhead, then the
+// handler's own delay, exactly; an isolate stopped during the overhead
+// resets the connection instead of answering.
+func TestRequestStages(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		e := newFaasEnv(clk)
+		e.rt.timing.CallOverhead, e.rt.timing.JitterFrac = 10*time.Millisecond, 0
+		e.rt.Fetch(e.reg, "fn/echo.wasm")
+		inst, err := e.rt.Instantiate(InstanceSpec{Name: "x", Module: "fn/echo.wasm", Handler: delayEcho{3 * time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := e.client.Dial(inst.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := clk.Now()
+		conn.Send([]byte("x"))
+		if resp, err := conn.Recv(); err != nil || string(resp) != "x" {
+			t.Fatalf("got %q, %v", resp, err)
+		}
+		// 1 ms there, 10 ms overhead, 3 ms handler, 1 ms back.
+		if got, want := clk.Since(start), 15*time.Millisecond; got != want {
+			t.Errorf("request took %v, want %v", got, want)
+		}
+
+		conn.Send([]byte("y"))
+		clk.Sleep(5 * time.Millisecond) // the request is in its overhead
+		inst.Stop()
+		if resp, err := conn.Recv(); !errors.Is(err, netem.ErrReset) {
+			t.Errorf("request to an isolate stopped during its overhead: got %q, %v; want ErrReset", resp, err)
 		}
 	})
 }

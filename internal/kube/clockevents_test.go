@@ -16,13 +16,13 @@ func TestKubeSpawnsPerDeployment(t *testing.T) {
 	// One deployment with a Service, scaled 0 → 1 until its endpoint is
 	// ready, starts:
 	//   - the scheduler's cycle that binds the pod (API calls wait),
-	//   - the kubelet's runPod (sandbox, image, containers, probes),
-	//   - the container's serve loop (blocks in Accept).
-	// With a goroutine per watch delivery, per scheduler tick and per
-	// container initialisation, the same deployment started 57, and the
-	// idle 10 s before it 78 (a tick every ≈ 250 ms for each of the
-	// cluster's two schedulers).
-	const perDeployment = 3
+	//   - the kubelet's runPod (sandbox, image, containers, probes).
+	// The container's port is served as clock events. With a goroutine
+	// per watch delivery, per scheduler tick and per container
+	// initialisation, the same deployment started 57, and the idle 10 s
+	// before it 78 (a tick every ≈ 250 ms for each of the cluster's two
+	// schedulers); an accept loop on the port made it 3.
+	const perDeployment = 2
 	clk := vclock.New()
 	clk.Run(func() {
 		env := newKubeEnv(t, clk, 1)

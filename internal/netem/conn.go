@@ -35,7 +35,6 @@ type Conn struct {
 	host   *Host
 	local  HostPort
 	remote HostPort
-	client bool
 	connID uint64
 
 	established vclock.Gate
@@ -58,9 +57,15 @@ type Conn struct {
 	// in-order delivery (the overwhelmingly common case) never needs it.
 	recvBuf map[uint32][]byte
 	inbox   vclock.Mailbox[[]byte]
+	// serve is the handler of a connection accepted on a served port
+	// (nil otherwise, and fixed at creation); stage belongs to it
+	// (serve.go).
+	serve Handler
 
+	client      bool
 	localClosed bool
 	peerClosed  bool
+	stage       uint8
 }
 
 // pendingMsg tracks one unacknowledged message. It owns pkt (each
@@ -227,8 +232,12 @@ func (c *Conn) handle(pkt *Packet) {
 		already := c.peerClosed
 		c.peerClosed = true
 		c.mu.Unlock()
-		if !already {
-			c.inbox.Close()
+		if already {
+			return
+		}
+		c.inbox.Close()
+		if c.serve != nil && c.inbox.Len() == 0 {
+			c.Close() // idle: a FIN mid-request waits for the answer
 		}
 
 	case pkt.Flags.Has(FlagPSH):
@@ -267,6 +276,10 @@ func (c *Conn) handleData(pkt *Packet) {
 			ready = append(ready, payload)
 		}
 		c.mu.Unlock()
+		if c.serve != nil {
+			c.deliver(first, ready)
+			return
+		}
 		c.inbox.Send(first)
 		for _, payload := range ready {
 			c.inbox.Send(payload)

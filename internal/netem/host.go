@@ -121,9 +121,12 @@ func (h *Host) HandlePacket(pkt *Packet, in *Port) {
 		ln := h.listeners[pkt.Dst.Port]
 		if ln != nil && !ln.closed {
 			c = h.newServerConnLocked(pkt)
+			c.serve = ln.serve
 			h.mu.Unlock()
 			c.sendSynAck()
-			ln.backlog.Send(c)
+			if c.serve == nil {
+				ln.backlog.Send(c)
+			}
 			return
 		}
 		h.mu.Unlock()
@@ -248,11 +251,13 @@ func (h *Host) newServerConnLocked(syn *Packet) *Conn {
 	return c
 }
 
-// Listener accepts inbound connections on one port.
+// Listener accepts inbound connections on one port, or serves them
+// (Serve).
 type Listener struct {
 	host    *Host
 	port    uint16
 	backlog *vclock.Mailbox[*Conn]
+	serve   Handler // guarded by host.mu
 	closed  bool
 }
 
@@ -263,7 +268,8 @@ func (ln *Listener) Port() uint16 { return ln.port }
 func (ln *Listener) Addr() HostPort { return ln.host.Addr(ln.port) }
 
 // Accept blocks until an inbound connection arrives. It returns
-// ErrClosed after Close.
+// ErrClosed after Close. A served listener's connections never reach
+// it.
 func (ln *Listener) Accept() (*Conn, error) {
 	c, ok := ln.backlog.Recv()
 	if !ok {
@@ -272,37 +278,18 @@ func (ln *Listener) Accept() (*Conn, error) {
 	return c, nil
 }
 
-// Serve answers the port's connections until Close. One goroutine on the
-// host's clock accepts; each connection gets its own, which receives a
-// request, hands it to handle and sends back the response. When handle
-// answers ok false the connection is aborted: the peer sees ErrReset.
-func (ln *Listener) Serve(handle func(req []byte) (resp []byte, ok bool)) {
-	clk := ln.host.clk
-	clk.Go(func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			clk.Go(func() {
-				defer conn.Close()
-				for {
-					req, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					resp, ok := handle(req)
-					if !ok {
-						conn.Abort()
-						return
-					}
-					if err := conn.Send(resp); err != nil {
-						return
-					}
-				}
-			})
-		}
-	})
+// Serve answers the port's connections with handle, as clock events: a
+// SYN makes a connection that carries handle instead of joining the
+// backlog, and each request on it runs through handle's stages from the
+// packet and timer callbacks that deliver it (serve.go). Serving starts
+// no goroutine and never parks. Requests on one connection are answered
+// one at a time, in order; a peer's FIN closes the connection once it
+// is idle. Call Serve right after Listen, before a SYN can arrive; the
+// port is served until Close, and connections already made stay served.
+func (ln *Listener) Serve(handle Handler) {
+	ln.host.mu.Lock()
+	ln.serve = handle
+	ln.host.mu.Unlock()
 }
 
 // AcceptTimeout is Accept with a deadline; ErrTimeout on expiry.

@@ -84,8 +84,7 @@ func (tb *Testbed) startOrigin(svc catalog.Service, addr netem.HostPort) error {
 	var handler containerd.Handler
 	for _, inst := range instances {
 		if inst.Background != nil {
-			bg := inst.Background
-			tb.Clock.Go(func() { bg(tb.Clock, stop) })
+			inst.Background(tb.Clock, stop)
 		}
 		if inst.Handler != nil && handler == nil {
 			handler = inst.Handler
@@ -95,7 +94,12 @@ func (tb *Testbed) startOrigin(svc catalog.Service, addr netem.HostPort) error {
 	if err != nil {
 		return err
 	}
-	ln.Serve(func(req []byte) ([]byte, bool) { return handler.Serve(tb.Clock, req), true })
+	ln.Serve(func(req []byte, stage int) netem.Step {
+		if stage == 0 {
+			return netem.After(handler.Delay(req))
+		}
+		return netem.Reply(handler.Respond(req))
+	})
 	return nil
 }
 

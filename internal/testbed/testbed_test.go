@@ -342,6 +342,39 @@ func TestMultiContainerNginxPyOnDemand(t *testing.T) {
 	})
 }
 
+// TestWarmRequestSpawnsNothing: a request that rides installed flows to
+// a running container is a timecurl.Do on the caller's goroutine, and
+// the container serves it as clock events, so the clock starts no
+// goroutine for it. The Nginx+Py service also runs its env-writer, a
+// timer chain, beside the served port.
+func TestWarmRequestSpawnsNothing(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		tb := build(t, clk, Options{WithDocker: true, Seed: 15})
+		h, _ := tb.RegisterCatalogService(mustService(t, "nginxpy"), trace.ServiceAddr(0))
+		if _, err := tb.Request(0, h); err != nil {
+			t.Fatal(err)
+		}
+		packetIns := tb.Controller.Stats().PacketIns
+		for i := 0; i < 3; i++ {
+			spawned := clk.Spawned()
+			res, err := tb.Request(0, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := clk.Spawned() - spawned; got != 0 {
+				t.Errorf("warm request %d started %d goroutines, want 0", i, got)
+			}
+			if !strings.Contains(string(res.Response), "env-writer tick") {
+				t.Errorf("page = %q; sidecar volume not wired through", res.Response)
+			}
+		}
+		if got := tb.Controller.Stats().PacketIns; got != packetIns {
+			t.Errorf("warm requests caused %d packet-ins", got-packetIns)
+		}
+	})
+}
+
 func TestUnregisteredTrafficFlowsNormally(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {

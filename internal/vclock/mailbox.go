@@ -99,6 +99,16 @@ func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
 	return m.popLocked(), true
 }
 
+// Peek returns the next value without dequeuing it.
+func (m *Mailbox[T]) Peek() (v T, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.head == len(m.queue) {
+		return v, false
+	}
+	return m.queue[m.head], true
+}
+
 // popLocked removes and returns the head value. Callers hold m.mu and
 // have checked the queue is non-empty.
 func (m *Mailbox[T]) popLocked() T {
