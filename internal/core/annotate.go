@@ -241,3 +241,85 @@ func copyAnyMap(in map[string]any) map[string]any {
 	}
 	return out
 }
+
+// namePlaceholder stands in for the unique name while a registration
+// template is built. It has UniqueNameFor's shape, so YAML renders it
+// exactly as it renders every name of that shape: plain, unquoted.
+const namePlaceholder = "edge-0-0-0-0-0"
+
+// Annotate writes the unique name at seven places of the Deployment
+// (its name, two labels, two matchLabels, two template labels) and at
+// five of the Service (its name, two labels, two selector entries).
+const (
+	deploymentNameUses = 7
+	serviceNameUses    = 5
+)
+
+// templateKey is what a registration template depends on: Annotate's
+// inputs other than the unique name.
+type templateKey struct {
+	definition  string
+	servicePort uint16
+}
+
+// annotateTemplate is Annotate's output for one definition and service
+// port under namePlaceholder, with both manifests split where the name
+// goes. Registrations of one definition at several addresses differ
+// only in the name, so each one copies the spec and joins the pieces
+// around its own name instead of parsing and rendering the definition
+// again.
+type annotateTemplate struct {
+	spec       cluster.Spec
+	deployment []string
+	service    []string
+}
+
+// newAnnotateTemplate builds the template, or returns nil when the
+// definition fails to annotate or renders the placeholder text itself
+// (the split would then cut the definition's own text): the caller
+// annotates such definitions in full.
+func newAnnotateTemplate(key templateKey) *annotateTemplate {
+	a, err := Annotate(key.definition, AnnotateOptions{UniqueName: namePlaceholder, ServicePort: key.servicePort})
+	if err != nil {
+		return nil
+	}
+	t := &annotateTemplate{
+		spec:       a.Spec,
+		deployment: strings.Split(a.DeploymentYAML, namePlaceholder),
+		service:    strings.Split(a.ServiceYAML, namePlaceholder),
+	}
+	if len(t.deployment) != deploymentNameUses+1 || len(t.service) != serviceNameUses+1 {
+		return nil
+	}
+	return t
+}
+
+// fill is what Annotate returns for the template's definition under
+// name. The spec shares Containers and Volumes with the template; nothing
+// writes to them.
+func (t *annotateTemplate) fill(name string) *Annotated {
+	spec := t.spec
+	spec.Name = name
+	spec.Labels = map[string]string{"app": name, EdgeServiceLabel: name}
+	return &Annotated{
+		DeploymentYAML: strings.Join(t.deployment, name),
+		ServiceYAML:    strings.Join(t.service, name),
+		Spec:           spec,
+	}
+}
+
+// templateName reports whether name has UniqueNameFor's shape, "edge-"
+// followed by digits and dashes: the names a template may be filled
+// with.
+func templateName(name string) bool {
+	rest, ok := strings.CutPrefix(name, "edge-")
+	if !ok || rest == "" {
+		return false
+	}
+	for i := 0; i < len(rest); i++ {
+		if c := rest[i]; c != '-' && (c < '0' || c > '9') {
+			return false
+		}
+	}
+	return true
+}

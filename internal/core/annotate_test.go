@@ -90,8 +90,8 @@ func TestAnnotateGeneratesService(t *testing.T) {
 	}
 }
 
-func TestAnnotateKeepsDeveloperService(t *testing.T) {
-	withService := leanNginx + `---
+// leanNginxWithService is leanNginx with the developer's own Service.
+const leanNginxWithService = leanNginx + `---
 apiVersion: v1
 kind: Service
 spec:
@@ -99,7 +99,9 @@ spec:
   - port: 8080
     targetPort: 80
 `
-	a, err := Annotate(withService, AnnotateOptions{UniqueName: "edge-x", ServicePort: 80})
+
+func TestAnnotateKeepsDeveloperService(t *testing.T) {
+	a, err := Annotate(leanNginxWithService, AnnotateOptions{UniqueName: "edge-x", ServicePort: 80})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,7 +356,11 @@ type Controller struct {
 	// fast path never takes it. It is never held across a wait.
 	mu sync.Mutex
 	// nextCookie numbers the registrations mu serializes.
-	nextCookie  uint64
+	nextCookie uint64
+	// templates holds one registration template per definition and
+	// service port; a nil entry marks a definition annotated in full
+	// every time (see annotate).
+	templates   map[templateKey]*annotateTemplate
 	deployments map[deployKey]*deployState
 	started     bool
 	// breakers are the per-cluster circuit breakers.
@@ -366,7 +370,8 @@ type Controller struct {
 	clean map[*openflow.Switch]cleanAudit
 	// handoverLat is the control-plane latency of each handover: from
 	// entering Handover to the old gNB's flows strict-deleted (Hist is
-	// not safe for concurrent use).
+	// not safe for concurrent use). It is allocated at the first
+	// handover: a Hist is 29 KiB, and most controllers never hand over.
 	handoverLat *metrics.Hist
 }
 
@@ -424,7 +429,6 @@ func New(clk *vclock.Virtual, cfg Config) (*Controller, error) {
 		deployments: make(map[deployKey]*deployState),
 		breakers:    make(map[string]*breakerState),
 		clean:       make(map[*openflow.Switch]cleanAudit),
-		handoverLat: metrics.NewHist("handover"),
 	}
 	c.svc.Store(&svcTables{
 		services: make(map[netem.HostPort]*Service),
@@ -469,10 +473,7 @@ func (c *Controller) Stats() Stats {
 // The service tables are copy-on-write: registration clones them and
 // swaps one atomic pointer, so packet-in lookups never block on it.
 func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*Service, error) {
-	annotated, err := Annotate(definition, AnnotateOptions{
-		UniqueName:  UniqueNameFor(addr),
-		ServicePort: addr.Port,
-	})
+	annotated, err := c.annotate(addr, definition)
 	if err != nil {
 		return nil, err
 	}
@@ -538,6 +539,32 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 		}
 	}
 	return svc, nil
+}
+
+// annotate returns Annotate's output for definition registered at addr.
+// The first registration of a definition at a service port builds its
+// template; every later one fills the template with its own name.
+func (c *Controller) annotate(addr netem.HostPort, definition string) (*Annotated, error) {
+	name := UniqueNameFor(addr)
+	if templateName(name) {
+		key := templateKey{definition: definition, servicePort: addr.Port}
+		c.mu.Lock()
+		t, ok := c.templates[key]
+		c.mu.Unlock()
+		if !ok {
+			t = newAnnotateTemplate(key)
+			c.mu.Lock()
+			if c.templates == nil {
+				c.templates = make(map[templateKey]*annotateTemplate)
+			}
+			c.templates[key] = t
+			c.mu.Unlock()
+		}
+		if t != nil {
+			return t.fill(name), nil
+		}
+	}
+	return Annotate(definition, AnnotateOptions{UniqueName: name, ServicePort: addr.Port})
 }
 
 // ServiceByAddr returns the service registered at addr.

@@ -136,17 +136,23 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 
 	rep.Latency = c.clk.Since(start)
 	c.mu.Lock()
+	if c.handoverLat == nil {
+		c.handoverLat = metrics.NewHist("handover")
+	}
 	c.handoverLat.Record(rep.Latency)
 	c.mu.Unlock()
 	return rep
 }
 
-// HandoverLatency exposes the handover control-plane latency histogram.
-// Read it only when no handovers are in flight (Hist is not safe for
-// concurrent use).
+// HandoverLatency exposes the handover control-plane latency histogram,
+// an empty one before the first handover. Read it only when no
+// handovers are in flight (Hist is not safe for concurrent use).
 func (c *Controller) HandoverLatency() *metrics.Hist {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.handoverLat == nil {
+		return metrics.NewHist("handover")
+	}
 	return c.handoverLat
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -19,6 +21,16 @@ func (c *Controller) healthProbeLoop() {
 		c.clk.Sleep(c.cfg.HealthProbeInterval)
 		c.healthProbe()
 	}
+}
+
+// compareInstances orders instances by cluster, then by rendered
+// address, rendering both addresses into stack buffers.
+func compareInstances(a, b cluster.Instance) int {
+	if c := strings.Compare(a.Cluster, b.Cluster); c != 0 {
+		return c
+	}
+	var ab, bb [len("255.255.255.255:65535")]byte
+	return bytes.Compare(a.Addr.AppendTo(ab[:0]), b.Addr.AppendTo(bb[:0]))
 }
 
 // healthProbe runs one probing round.
@@ -39,12 +51,7 @@ func (c *Controller) healthProbe() {
 	for inst := range byInst {
 		insts = append(insts, inst)
 	}
-	sort.Slice(insts, func(i, j int) bool {
-		if insts[i].Cluster != insts[j].Cluster {
-			return insts[i].Cluster < insts[j].Cluster
-		}
-		return insts[i].Addr.String() < insts[j].Addr.String()
-	})
+	slices.SortFunc(insts, compareInstances)
 	for _, inst := range insts {
 		if c.probePort(inst.Addr) {
 			continue

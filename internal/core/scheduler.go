@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -161,10 +163,7 @@ type ProximityScheduler struct {
 
 // Schedule implements GlobalScheduler.
 func (p *ProximityScheduler) Schedule(service *Service, client netem.IP, candidates []Candidate) Decision {
-	sorted := append([]Candidate(nil), candidates...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Latency < sorted[j].Latency
-	})
+	sorted := byLatency(candidates)
 
 	// The optimal edge: nearest cluster able to host this service.
 	var best *Candidate
@@ -304,8 +303,6 @@ func (h *HybridScheduler) Schedule(service *Service, client netem.IP, candidates
 // byLatency returns a latency-sorted copy of candidates.
 func byLatency(candidates []Candidate) []Candidate {
 	sorted := append([]Candidate(nil), candidates...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Latency < sorted[j].Latency
-	})
+	slices.SortStableFunc(sorted, func(a, b Candidate) int { return cmp.Compare(a.Latency, b.Latency) })
 	return sorted
 }

@@ -225,13 +225,17 @@ func (a *API) update(obj Object) error {
 // Mutate applies fn to a copy of the live object and writes it back,
 // retrying on ErrConflict. fn returns false to skip the write. Mutate
 // returns false if the object does not exist.
+//
+// The copy is shallow: its maps and slices are the stored object's, so
+// what fn leaves alone costs nothing to copy. fn may set any field, and
+// replaces a map or slice it changes instead of writing into it.
 func (a *API) Mutate(kind, name string, fn func(Object) bool) (bool, error) {
 	for {
 		obj, ok := a.get(kind, name)
 		if !ok {
 			return false, nil
 		}
-		obj = obj.DeepCopy()
+		obj = obj.shallow()
 		if !fn(obj) {
 			return true, nil
 		}

@@ -71,6 +71,32 @@ func TestStoreNeverEditsStoredObjects(t *testing.T) {
 		env.cluster.Scale("svc", 0)
 		waitEndpoints(t, clk, env, "svc", 0, time.Minute)
 
+		// A pod that fails while it carries annotations: failPod's
+		// Mutate must replace the stored pod's map, not write into it.
+		api.watchFunc(KindPod, func(ev Event) {
+			if ev.Type == Added && ev.Object.Meta().OwnerName == "bad-rs" {
+				clk.Go(func() {
+					api.Mutate(KindPod, ev.Object.Meta().Name, func(obj Object) bool {
+						obj.Meta().Annotations = map[string]string{"note": "annotated"}
+						return true
+					})
+				})
+			}
+		})
+		bad := webDeployment("bad", 1)
+		bad.Spec.Template.Containers = []ContainerSpec{{Name: "x", Image: "ghost", Port: 80}}
+		env.cluster.CreateDeployment(bad)
+		waitCondition(t, clk, time.Minute, func() bool {
+			for _, obj := range api.List(KindPod, nil) {
+				if p := obj.(*Pod); p.Status.Phase == PodFailed && p.Annotations["note"] != "" && p.Annotations["kube.failure"] != "" {
+					return true
+				}
+			}
+			return false
+		})
+		env.cluster.Scale("bad", 0)
+		env.cluster.DeleteDeployment("bad")
+
 		// Editing what List returns leaves the store alone.
 		listed := api.List(KindDeployment, nil)
 		listed[0].(*Deployment).Spec.Replicas = 99

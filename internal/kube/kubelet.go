@@ -219,10 +219,13 @@ func (k *kubelet) failPod(p *Pod, worker *podWorker, err error) {
 	k.updatePodStatus(p.Name, func(cur *Pod) {
 		cur.Status.Phase = PodFailed
 		cur.Status.Ready = false
-		if cur.Annotations == nil {
-			cur.Annotations = map[string]string{}
+		// The map is the stored pod's (see Mutate): write into a copy.
+		annotations := copyMap(cur.Annotations)
+		if annotations == nil {
+			annotations = map[string]string{}
 		}
-		cur.Annotations["kube.failure"] = err.Error()
+		annotations["kube.failure"] = err.Error()
+		cur.Annotations = annotations
 	})
 	k.teardown(worker)
 }

@@ -64,6 +64,9 @@ type Object interface {
 	Kind() string
 	Meta() *ObjectMeta
 	DeepCopy() Object
+	// shallow copies the object's fields and shares its maps and
+	// slices: Mutate's callbacks replace those, never write into them.
+	shallow() Object
 }
 
 // ContainerSpec is one container in a pod template. Application
@@ -123,6 +126,8 @@ func (d *Deployment) Kind() string { return KindDeployment }
 // Meta implements Object.
 func (d *Deployment) Meta() *ObjectMeta { return &d.ObjectMeta }
 
+func (d *Deployment) shallow() Object { out := *d; return &out }
+
 // DeepCopy implements Object.
 func (d *Deployment) DeepCopy() Object {
 	out := *d
@@ -158,6 +163,8 @@ func (r *ReplicaSet) Kind() string { return KindReplicaSet }
 
 // Meta implements Object.
 func (r *ReplicaSet) Meta() *ObjectMeta { return &r.ObjectMeta }
+
+func (r *ReplicaSet) shallow() Object { out := *r; return &out }
 
 // DeepCopy implements Object.
 func (r *ReplicaSet) DeepCopy() Object {
@@ -212,6 +219,8 @@ func (p *Pod) Kind() string { return KindPod }
 // Meta implements Object.
 func (p *Pod) Meta() *ObjectMeta { return &p.ObjectMeta }
 
+func (p *Pod) shallow() Object { out := *p; return &out }
+
 // DeepCopy implements Object.
 func (p *Pod) DeepCopy() Object {
 	out := *p
@@ -252,6 +261,8 @@ func (s *Service) Kind() string { return KindService }
 // Meta implements Object.
 func (s *Service) Meta() *ObjectMeta { return &s.ObjectMeta }
 
+func (s *Service) shallow() Object { out := *s; return &out }
+
 // DeepCopy implements Object.
 func (s *Service) DeepCopy() Object {
 	out := *s
@@ -274,6 +285,8 @@ func (e *Endpoints) Kind() string { return KindEndpoints }
 
 // Meta implements Object.
 func (e *Endpoints) Meta() *ObjectMeta { return &e.ObjectMeta }
+
+func (e *Endpoints) shallow() Object { out := *e; return &out }
 
 // DeepCopy implements Object.
 func (e *Endpoints) DeepCopy() Object {
@@ -308,6 +321,8 @@ func (n *Node) Kind() string { return KindNode }
 
 // Meta implements Object.
 func (n *Node) Meta() *ObjectMeta { return &n.ObjectMeta }
+
+func (n *Node) shallow() Object { out := *n; return &out }
 
 // DeepCopy implements Object.
 func (n *Node) DeepCopy() Object {

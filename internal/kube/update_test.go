@@ -1,6 +1,7 @@
 package kube
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -22,8 +23,11 @@ func TestTemplateChangeRecreatesPods(t *testing.T) {
 		// Switch the container image (web → sidecar has no port; use a
 		// second web-like image instead: change the container name).
 		found, err := env.cluster.API().Mutate(KindDeployment, "svc", func(obj Object) bool {
+			// The slice is the stored deployment's: replace it.
 			d := obj.(*Deployment)
-			d.Spec.Template.Containers[0].Name = "web-v2"
+			containers := slices.Clone(d.Spec.Template.Containers)
+			containers[0].Name = "web-v2"
+			d.Spec.Template.Containers = containers
 			return true
 		})
 		if err != nil || !found {
@@ -217,6 +221,30 @@ func TestKeyQueueBlocksUntilAdd(t *testing.T) {
 		g.Wait(clk)
 		if got != "x" {
 			t.Errorf("got = %q", got)
+		}
+	})
+}
+
+// TestMutateAllocs: Mutate copies the object and shares its maps and
+// slices, so changing a counter costs the copy alone.
+func TestMutateAllocs(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		api := NewAPI(clk, 1, DefaultTiming())
+		if err := api.Create(webDeployment("svc", 0)); err != nil {
+			t.Fatal(err)
+		}
+		replicas := 0
+		n := testing.AllocsPerRun(100, func() {
+			replicas++
+			api.Mutate(KindDeployment, "svc", func(obj Object) bool {
+				obj.(*Deployment).Spec.Replicas = replicas
+				return true
+			})
+		})
+		t.Logf("%.1f allocations per Mutate", n)
+		if n > 2 {
+			t.Errorf("Mutate allocates %.1f times, want at most 2", n)
 		}
 	})
 }

@@ -75,6 +75,12 @@ func (hp HostPort) String() string {
 	return string(strconv.AppendUint(b, uint64(hp.Port), 10))
 }
 
+// AppendTo appends what String renders to b.
+func (hp HostPort) AppendTo(b []byte) []byte {
+	b = append(hp.IP.appendTo(b), ':')
+	return strconv.AppendUint(b, uint64(hp.Port), 10)
+}
+
 // ParseHostPort parses "a.b.c.d:port", panicking on malformed input.
 func ParseHostPort(s string) HostPort {
 	i := strings.LastIndexByte(s, ':')

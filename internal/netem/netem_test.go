@@ -20,13 +20,15 @@ func TestParseIPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAddrStringMatchesFmt: IP.String and HostPort.String render what
-// their former fmt.Sprintf forms rendered, and allocate only the result.
+// TestAddrStringMatchesFmt: IP.String, HostPort.String and
+// HostPort.AppendTo render what their former fmt.Sprintf forms rendered,
+// and String allocates only the result.
 func TestAddrStringMatchesFmt(t *testing.T) {
 	f := func(ip IP, port uint16) bool {
 		wantIP := fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 		hp := HostPort{IP: ip, Port: port}
-		return ip.String() == wantIP && hp.String() == fmt.Sprintf("%s:%d", wantIP, port)
+		wantHP := fmt.Sprintf("%s:%d", wantIP, port)
+		return ip.String() == wantIP && hp.String() == wantHP && string(hp.AppendTo([]byte("x"))) == "x"+wantHP
 	}
 	for _, ip := range []IP{0, 1, 0xffffffff, ParseIP("10.0.0.255")} {
 		for _, port := range []uint16{0, 9, 80, 65535} {

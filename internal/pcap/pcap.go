@@ -93,6 +93,14 @@ func (pw *Writer) WriteTCP(ts time.Time, seg *TCPSegment) error {
 	return pw.WritePacket(ts, pw.frame)
 }
 
+// CaptureLen is the number of bytes a Writer writes for a capture of
+// segs TCP segments carrying payloadBytes of payload in all: the file
+// header, then per segment its record header and the frame WriteTCP
+// encodes.
+func CaptureLen(segs, payloadBytes int) int {
+	return globalHeaderLen + segs*(recordHeaderLen+etherHeaderLen+ipv4HeaderLen+tcpHeaderLen) + payloadBytes
+}
+
 // Reader parses a pcap capture stream.
 type Reader struct {
 	r          io.Reader

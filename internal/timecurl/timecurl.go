@@ -40,9 +40,20 @@ type Result struct {
 	Response []byte
 }
 
-// requestHeader renders the request line and Host header.
-func requestHeader(method, path string, target netem.HostPort) string {
-	return method + " " + path + " HTTP/1.1\r\nHost: " + target.String() + "\r\n\r\n"
+// maxHeaderRest is the most the request header adds to method and path.
+const maxHeaderRest = len("  HTTP/1.1\r\nHost: 255.255.255.255:65535\r\n\r\n")
+
+// request renders the request line, the Host header and payload zero
+// bytes into one slice, allocated once.
+func request(method, path string, target netem.HostPort, payload int) []byte {
+	b := make([]byte, 0, len(method)+len(path)+maxHeaderRest+payload)
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = target.AppendTo(b)
+	b = append(b, "\r\n\r\n"...)
+	return append(b, make([]byte, payload)...)
 }
 
 // Do runs one measured request from the client host. It mirrors
@@ -69,10 +80,7 @@ func Do(clk *vclock.Virtual, client *netem.Host, req Request) (Result, error) {
 	defer conn.Close()
 	res := Result{Connect: clk.Since(start)}
 
-	header := requestHeader(method, path, req.Target)
-	body := make([]byte, len(header)+req.PayloadSize)
-	copy(body, header)
-	if err := conn.Send(body); err != nil {
+	if err := conn.Send(request(method, path, req.Target, req.PayloadSize)); err != nil {
 		return Result{}, fmt.Errorf("timecurl: send: %w", err)
 	}
 	remaining := timeout - clk.Since(start)

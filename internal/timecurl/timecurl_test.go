@@ -126,16 +126,30 @@ func TestDoPayloadSizeAffectsTotal(t *testing.T) {
 }
 
 // TestRequestHeaderMatchesFmt: the request header is byte for byte what
-// its former fmt.Sprintf form rendered.
+// its former fmt.Sprintf form rendered, and the payload's zero bytes
+// follow it.
 func TestRequestHeaderMatchesFmt(t *testing.T) {
-	f := func(method, path string, ip uint32, port uint16) bool {
+	f := func(method, path string, ip uint32, port uint16, payload uint16) bool {
 		target := netem.HostPort{IP: netem.IP(ip), Port: port}
-		return requestHeader(method, path, target) == fmt.Sprintf("%s %s HTTP/1.1\r\nHost: %s\r\n\r\n", method, path, target)
+		header := fmt.Sprintf("%s %s HTTP/1.1\r\nHost: %s\r\n\r\n", method, path, target)
+		return string(request(method, path, target, int(payload))) == header+string(make([]byte, payload))
 	}
-	if !f("GET", "/", uint32(netem.ParseIP("203.0.113.1")), 80) {
-		t.Errorf("GET / to 203.0.113.1:80 renders %q", requestHeader("GET", "/", netem.ParseHostPort("203.0.113.1:80")))
+	if !f("GET", "/", uint32(netem.ParseIP("203.0.113.1")), 80, 0) {
+		t.Errorf("GET / to 203.0.113.1:80 renders %q", request("GET", "/", netem.ParseHostPort("203.0.113.1:80"), 0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRequestAllocs: a request, header and payload, is one allocation,
+// also for the longest address.
+func TestRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	target := netem.ParseHostPort("255.255.255.255:65535")
+	if n := testing.AllocsPerRun(100, func() { _ = request("DELETE", "/a/b", target, 83*1024) }); n != 1 {
+		t.Errorf("request allocates %.0f times, want 1", n)
 	}
 }

@@ -76,6 +76,15 @@ func (t *Trace) WritePcap(w io.Writer, start time.Time) error {
 	}
 
 	slices.SortStableFunc(packets, func(a, b stamped) int { return a.ts.Compare(b.ts) })
+	// A writer that can grow (a bytes.Buffer) grows once, to the
+	// capture's exact size, instead of doubling as it fills.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		payload := 0
+		for i := range packets {
+			payload += len(packets[i].seg.Payload)
+		}
+		g.Grow(pcap.CaptureLen(len(packets), payload))
+	}
 	pw := pcap.NewWriter(w)
 	for i := range packets {
 		if err := pw.WriteTCP(packets[i].ts, &packets[i].seg); err != nil {

@@ -196,3 +196,27 @@ func TestGenerateTotalsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// growCounter counts the bytes written to it and records each Grow.
+type growCounter struct {
+	n     int
+	grows []int
+}
+
+func (g *growCounter) Write(p []byte) (int, error) { g.n += len(p); return len(p), nil }
+func (g *growCounter) Grow(n int)                  { g.grows = append(g.grows, n) }
+
+// TestWritePcapGrowsToExactSize: a writer that can grow is grown once,
+// before the first byte, by exactly the number of bytes the capture
+// then writes.
+func TestWritePcapGrowsToExactSize(t *testing.T) {
+	for _, cfg := range []Config{DefaultBigFlows(), {HotServices: 2, TotalRequests: 40, MinPerService: 20, Duration: time.Minute, Clients: 3, Seed: 5}} {
+		var g growCounter
+		if err := Generate(cfg).WritePcap(&g, time.Unix(1700000000, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.grows) != 1 || g.grows[0] != g.n {
+			t.Errorf("%d hot services: Grow calls %v for %d bytes written", cfg.HotServices, g.grows, g.n)
+		}
+	}
+}
