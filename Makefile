@@ -35,24 +35,19 @@ bench:
 bench-quick:
 	$(GO) run ./bench -quick
 
-# same-output is the one same-output gate. Three checks, each a byte
-# comparison of stdout:
-#   - the canonical suite (-exp all -n 5 -seed 1) against the committed
-#     golden file, at one P: with two Ps the fault replay's p99/max rows
-#     move from run to run (bench/README.md, Observations 3). An
-#     intentional output change regenerates
-#     testdata/golden/exp_all_n5_seed1.txt in the same commit;
+# same-output compares runs that must print the same bytes. Two checks,
+# each a byte comparison of stdout:
 #   - the mobility experiment, session checksum included, at -parallel 1
 #     against -parallel 4 (a broken session fails the run itself);
 #   - the load experiment, fingerprint row included, sequential against
 #     2, 4 and 8 shards (wall clock and heap go to stderr by design).
+# The canonical suite (-exp all -n 5 -seed 1) against its golden file is
+# not here: TestOutputMatchesGolden in cmd/edgesim checks the same bytes
+# at the same GOMAXPROCS=1 on every `go test ./...`.
 # Binary and transcripts live in a temporary directory removed on exit.
 same-output:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/edgesim ./cmd/edgesim; \
-	GOMAXPROCS=1 $$tmp/edgesim -exp all -n 5 -seed 1 > $$tmp/all.txt; \
-	diff testdata/golden/exp_all_n5_seed1.txt $$tmp/all.txt; \
-	echo "same-output: -exp all matches the golden file"; \
 	$$tmp/edgesim -exp mobility -seed 1 -parallel 1 > $$tmp/mob-1.txt; \
 	$$tmp/edgesim -exp mobility -seed 1 -parallel 4 > $$tmp/mob-4.txt; \
 	diff $$tmp/mob-1.txt $$tmp/mob-4.txt; \

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,52 +32,98 @@ import (
 
 var allServices = []string{"asm", "nginx", "resnet", "nginxpy"}
 
-// workers is the replication worker-pool size (the -parallel flag).
-// Every figure builds its cells through testbed.RunParallel with this
-// pool; results come back in index order, so any worker count produces
-// byte-identical output to a sequential run.
-var workers = 1
+// experiments is every -exp value except "all", in the order -exp all
+// prints them. inAll is false for chaos, load and mobility: they carry
+// their own flags (and load host-dependent stderr lines), while the -exp
+// all output must stay byte-identical run to run.
+var experiments = []struct {
+	name  string
+	inAll bool
+	run   func(*evaluation) error
+}{
+	{"tableI", true, (*evaluation).tableI},
+	{"fig9", true, (*evaluation).fig9},
+	{"fig10", true, (*evaluation).fig10},
+	{"fig11", true, func(e *evaluation) error {
+		return e.phases("Fig. 11 — total time (median) to scale up", true)
+	}},
+	{"fig12", true, func(e *evaluation) error {
+		return e.phases("Fig. 12 — total time (median) to create + scale up", false)
+	}},
+	{"fig13", true, (*evaluation).fig13},
+	{"fig14", true, func(e *evaluation) error {
+		return e.waits("Fig. 14 — wait time (median) until ready after scale up", true)
+	}},
+	{"fig15", true, func(e *evaluation) error {
+		return e.waits("Fig. 15 — wait time (median) until ready after create + scale up", false)
+	}},
+	{"fig16", true, (*evaluation).fig16},
+	{"access", true, (*evaluation).accessOverhead},
+	{"trace", true, (*evaluation).traceReplay},
+	{"faults", true, (*evaluation).faultReplay},
+	{"scale", true, (*evaluation).scale},
+	{"chaos", false, (*evaluation).chaosReplay},
+	{"load", false, (*evaluation).load},
+	{"mobility", false, (*evaluation).mobility},
+}
 
-// emit renders one result table; -format csv swaps the renderer.
-var emit = func(t *metrics.Table) { fmt.Println(t) }
+// evaluation is one invocation: its settings, and the cells that more
+// than one experiment reads. Figs. 14/15 are the wait-until-ready phase
+// of the deployments whose totals make Figs. 11/12, and Fig. 10 bins the
+// capture Fig. 9 bins, so each of those cells runs on first use and is
+// kept here for the rest of the run.
+type evaluation struct {
+	services []string
+	n, warm  int
+	seed     int64
+	// workers is the replication worker-pool size (-parallel). Cells come
+	// back from testbed.RunParallel in index order, so any worker count
+	// prints the same bytes as a sequential run.
+	workers int
+	csv     bool
+
+	flows, handovers, shards int
+	rate, revisits           float64
+	migrate                  bool
+
+	scaleUp, createScaleUp [][]*testbed.PhaseResult
+	capture                *trace.Trace
+}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: "+expNames()+" (chaos, load, and mobility run only when named)")
-	n := flag.Int("n", testbed.DefaultDeployments, "deployments per run (paper: 42)")
+	e := &evaluation{}
+	names, named := expNames()
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+" ("+strings.Join(named, ", ")+" run only when named)")
+	flag.IntVar(&e.n, "n", testbed.DefaultDeployments, "deployments per run (paper: 42)")
 	service := flag.String("service", "all", "service key: asm|nginx|resnet|nginxpy|all")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	warm := flag.Int("warm", testbed.DefaultWarmRequests, "warm requests for fig16")
-	parallel := flag.Int("parallel", 1, "workers for independent replications: 1 = sequential, 0 = GOMAXPROCS")
+	flag.Int64Var(&e.seed, "seed", 1, "simulation seed")
+	flag.IntVar(&e.warm, "warm", testbed.DefaultWarmRequests, "warm requests for fig16")
+	flag.IntVar(&e.workers, "parallel", 1, "workers for independent replications: 1 = sequential, 0 = GOMAXPROCS")
 	format := flag.String("format", "table", "output format for tabular results: table|csv")
-	flows := flag.Int("flows", 0, "distinct flows for -exp load (default 20000; millions supported)")
-	rate := flag.Float64("rate", 0, "mean arrivals/s for -exp load (default 5000); mean handovers/s for -exp mobility (default 0.5)")
-	handovers := flag.Int("handovers", 0, "handover events for -exp mobility (default 16)")
-	migrate := flag.Bool("migrate", false, "for -exp mobility: follow mobile clients with their services (deploy at the new zone's edge)")
-	revisits := flag.Float64("revisits", 0, "mean extra arrivals per flow for -exp load (default 1.0)")
-	shards := flag.Int("shards", 1, "parallel shards for -exp load (1 = sequential; output is byte-identical)")
+	flag.IntVar(&e.flows, "flows", 0, "distinct flows for -exp load (default 20000; millions supported)")
+	flag.Float64Var(&e.rate, "rate", 0, "mean arrivals/s for -exp load (default 5000); mean handovers/s for -exp mobility (default 0.5)")
+	flag.IntVar(&e.handovers, "handovers", 0, "handover events for -exp mobility (default 16)")
+	flag.BoolVar(&e.migrate, "migrate", false, "for -exp mobility: follow mobile clients with their services (deploy at the new zone's edge)")
+	flag.Float64Var(&e.revisits, "revisits", 0, "mean extra arrivals per flow for -exp load (default 1.0)")
+	flag.IntVar(&e.shards, "shards", 1, "parallel shards for -exp load (1 = sequential; output is byte-identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	exectrace := flag.String("exectrace", "", "write a runtime execution trace to this file")
 	flag.Parse()
-	if !knownExp(*exp) {
-		fmt.Fprintf(os.Stderr, "edgesim: unknown experiment %q\nvalid -exp values: %s\n", *exp, expNames())
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "edgesim: unknown experiment %q\nvalid -exp values: %s\n", *exp, strings.Join(names, "|"))
 		os.Exit(2)
 	}
-	workers = *parallel
-	if *format == "csv" {
-		emit = func(t *metrics.Table) { fmt.Print(t.CSV()) }
-	}
+	e.csv = *format == "csv"
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fatal("-cpuprofile", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fatal("-cpuprofile", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -84,14 +131,12 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "edgesim: -memprofile: %v\n", err)
-				os.Exit(1)
+				fatal("-memprofile", err)
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "edgesim: -memprofile: %v\n", err)
-				os.Exit(1)
+				fatal("-memprofile", err)
 			}
 		}()
 	}
@@ -109,12 +154,10 @@ func main() {
 	if *exectrace != "" {
 		f, err := os.Create(*exectrace)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: -exectrace: %v\n", err)
-			os.Exit(1)
+			fatal("-exectrace", err)
 		}
 		if err := rtrace.Start(f); err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: -exectrace: %v\n", err)
-			os.Exit(1)
+			fatal("-exectrace", err)
 		}
 		defer func() {
 			rtrace.Stop()
@@ -122,108 +165,71 @@ func main() {
 		}()
 	}
 
-	services := allServices
+	e.services = allServices
 	if *service != "all" {
-		services = []string{*service}
+		e.services = []string{*service}
 	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, x := range experiments {
+		if x.name != *exp && !(x.inAll && *exp == "all") {
+			continue
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	run("tableI", func() error {
-		emit(testbed.TableI())
-		return nil
-	})
-	run("fig9", func() error { return fig9(*seed) })
-	run("fig10", func() error { return fig10(*seed) })
-	run("fig11", func() error { return phases("Fig. 11 — total time (median) to scale up", services, *n, *seed, true) })
-	run("fig12", func() error {
-		return phases("Fig. 12 — total time (median) to create + scale up", services, *n, *seed, false)
-	})
-	run("fig13", func() error { return fig13(services, *seed) })
-	run("fig14", func() error {
-		return waits("Fig. 14 — wait time (median) until ready after scale up", services, *n, *seed, true)
-	})
-	run("fig15", func() error {
-		return waits("Fig. 15 — wait time (median) until ready after create + scale up", services, *n, *seed, false)
-	})
-	run("fig16", func() error { return fig16(services, *warm, *seed) })
-	run("access", func() error { return accessOverhead(*seed) })
-	run("trace", func() error { return traceReplay(*seed) })
-	run("faults", func() error { return faultReplay(*seed) })
-	run("scale", func() error { return scale(*seed) })
-
-	// chaos and load are deliberately NOT part of -exp all: the figure
-	// outputs must stay byte-identical run to run, so the chaos replay
-	// runs only when asked for by name, and the load experiment (whose
-	// wall-clock throughput line depends on the host) likewise.
-	if *exp == "chaos" {
-		if err := chaosReplay(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if *exp == "load" {
-		if err := load(*flows, *rate, *revisits, *seed, *shards); err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: load: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if *exp == "mobility" {
-		if err := mobilityExp(*handovers, *rate, *migrate, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "edgesim: mobility: %v\n", err)
-			os.Exit(1)
+		if err := x.run(e); err != nil {
+			fatal(x.name, err)
 		}
 		fmt.Println()
 	}
 }
 
-// experiments lists every valid -exp value, in display order. chaos,
-// load, and mobility are deliberately NOT part of "all": the -exp all
-// output must stay byte-identical run to run, and those three carry
-// their own flags (or, for load, host-dependent stderr lines).
-var experiments = []string{
-	"tableI", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"access", "trace", "faults", "scale", "chaos", "load", "mobility", "all",
-}
-
-func expNames() string { return strings.Join(experiments, "|") }
-
-func knownExp(name string) bool {
-	for _, e := range experiments {
-		if e == name {
-			return true
+// expNames returns every -exp value and, in named, the ones -exp all
+// skips.
+func expNames() (names, named []string) {
+	for _, x := range experiments {
+		names = append(names, x.name)
+		if !x.inAll {
+			named = append(named, x.name)
 		}
 	}
-	return false
+	return append(names, "all"), named
 }
 
-// mobilityExp runs the client-mobility experiment: persistent sessions
+// fatal reports a failed step on stderr and exits 1.
+func fatal(what string, err error) {
+	fmt.Fprintf(os.Stderr, "edgesim: %s: %v\n", what, err)
+	os.Exit(1)
+}
+
+// emit renders one result table, as CSV under -format csv.
+func (e *evaluation) emit(t *metrics.Table) {
+	if e.csv {
+		fmt.Print(t.CSV())
+	} else {
+		fmt.Println(t)
+	}
+}
+
+// bigFlows is the paper's bigFlows trace configuration at the run's seed.
+func (e *evaluation) bigFlows() trace.Config {
+	cfg := trace.DefaultBigFlows()
+	cfg.Seed = e.seed
+	return cfg
+}
+
+// mobility runs the client-mobility experiment: persistent sessions
 // on mobile clients, a seeded random walk hopping them between the two
 // gNBs, make-before-break flow re-steering at each hop. Every number in
 // the table is virtual-time deterministic — byte-identical for a given
 // seed regardless of -parallel.
-func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
-	cfg := testbed.MobilityConfig{Handovers: handovers, Migrate: migrate, Seed: seed}
-	if rate > 0 {
-		cfg.Interval = time.Duration(float64(time.Second) / rate)
+func (e *evaluation) mobility() error {
+	cfg := testbed.MobilityConfig{Handovers: e.handovers, Migrate: e.migrate, Seed: e.seed}
+	if e.rate > 0 {
+		cfg.Interval = time.Duration(float64(time.Second) / e.rate)
 	}
 	res, err := testbed.RunMobility(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Client mobility — %d sessions, %d handovers, make-before-break re-steering (seed %d)\n",
-		res.Sessions, res.Config.Handovers, seed)
+		res.Sessions, res.Config.Handovers, e.seed)
 	t := metrics.NewTable("", "metric", "value")
 	t.AddRow("handovers", fmt.Sprintf("%d", res.Stats.Handovers))
 	t.AddRow("re-steered flows", fmt.Sprintf("%d", res.Stats.ReSteeredFlows))
@@ -238,7 +244,7 @@ func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
 	t.AddRow("packet-ins", fmt.Sprintf("%d", res.Stats.PacketIns))
 	t.AddRow("memory hits", fmt.Sprintf("%d", res.Stats.MemoryHits))
 	t.AddRow("flows installed", fmt.Sprintf("%d", res.Stats.FlowsInstalled))
-	emit(t)
+	e.emit(t)
 	if res.Stats.ContinuityBreaks == 0 {
 		fmt.Println("every session survived every handover: zero continuity breaks, tables converged")
 	}
@@ -249,13 +255,11 @@ func mobilityExp(handovers int, rate float64, migrate bool, seed int64) error {
 func writeProfile(name, path string) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgesim: -%sprofile: %v\n", name, err)
-		os.Exit(1)
+		fatal("-"+name+"profile", err)
 	}
 	defer f.Close()
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "edgesim: -%sprofile: %v\n", name, err)
-		os.Exit(1)
+		fatal("-"+name+"profile", err)
 	}
 }
 
@@ -271,15 +275,15 @@ func writeProfile(name, path string) {
 // clocks (see testbed.LoadConfig.Shards). Everything on stdout —
 // including the fingerprint row — is byte-identical to -shards 1; the
 // shard count itself goes to stderr with the other host-dependent
-// lines, which is what lets `make shard-diff` diff stdout directly.
-func load(flows int, rate, revisits float64, seed int64, shards int) error {
-	res, err := testbed.RunLoad(testbed.LoadConfig{Flows: flows, Rate: rate, Revisits: revisits, Seed: seed, Shards: shards})
+// lines, which is what lets `make same-output` diff stdout directly.
+func (e *evaluation) load() error {
+	res, err := testbed.RunLoad(testbed.LoadConfig{Flows: e.flows, Rate: e.rate, Revisits: e.revisits, Seed: e.seed, Shards: e.shards})
 	if err != nil {
 		return err
 	}
 	cfg := res.Config
 	fmt.Printf("Open-loop load — %d flows, %.0f arrivals/s Poisson, %d services (Zipf s=%.1f), seed %d\n",
-		cfg.Flows, cfg.Rate, cfg.Services, cfg.ZipfS, seed)
+		cfg.Flows, cfg.Rate, cfg.Services, cfg.ZipfS, e.seed)
 	t := metrics.NewTable("", "metric", "value")
 	t.AddRow("fingerprint", res.Fingerprint())
 	t.AddRow("arrivals", fmt.Sprintf("%d", res.Arrivals))
@@ -296,7 +300,7 @@ func load(flows int, rate, revisits float64, seed int64, shards int) error {
 	for i, n := range res.ServiceArrivals {
 		t.AddRow(fmt.Sprintf("arrivals svc %d", i), fmt.Sprintf("%d", n))
 	}
-	emit(t)
+	e.emit(t)
 	fmt.Fprintf(os.Stderr, "load: %d arrivals in %v wall (%.0f arrivals/s, %d shard(s))\n",
 		res.Arrivals, res.Wall.Round(time.Millisecond), float64(res.Arrivals)/res.Wall.Seconds(), cfg.Shards)
 	fmt.Fprintf(os.Stderr, "load: peak heap %.1f MiB\n", float64(res.PeakHeap)/(1<<20))
@@ -309,15 +313,13 @@ func load(flows int, rate, revisits float64, seed int64, shards int) error {
 // the chaos invariants: every request classified, zero leaked packets,
 // flow tables converged after one post-chaos audit. A violation is a
 // non-zero exit, which is what `make chaos-check` keys on.
-func chaosReplay(seed int64) error {
-	cfg := trace.DefaultBigFlows()
-	cfg.Seed = seed
-	res, err := testbed.RunChaos("nginx", cfg, testbed.DefaultChaosConfig(seed), seed)
+func (e *evaluation) chaosReplay() error {
+	res, err := testbed.RunChaos("nginx", e.bigFlows(), testbed.DefaultChaosConfig(e.seed), e.seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Network & control-channel chaos — %d requests under link flaps, router crash, switch restart, lossy OpenFlow channel (seed %d)\n",
-		res.Requests, seed)
+		res.Requests, e.seed)
 	t := metrics.NewTable("", "metric", "value")
 	t.AddRow("completed requests", fmt.Sprintf("%d", res.Completed))
 	t.AddRow("classified failures", fmt.Sprintf("%d", res.Failed))
@@ -331,7 +333,7 @@ func chaosReplay(seed int64) error {
 	t.AddRow("orphan flows removed", fmt.Sprintf("%d", res.Stats.OrphanFlowsRemoved))
 	t.AddRow("leaked packets", fmt.Sprintf("%d", res.LeakedPackets))
 	t.AddRow("tables converged", fmt.Sprintf("%v (residual diff %d)", res.Converged, res.ConvergeDelta))
-	emit(t)
+	e.emit(t)
 	if !res.InvariantsOK() {
 		return fmt.Errorf("invariant violation: unclassified=%d leaked=%d converged=%v",
 			res.Unclassified, res.LeakedPackets, res.Converged)
@@ -343,11 +345,11 @@ func chaosReplay(seed int64) error {
 // scale reports control-plane dispatch latency under packet-in storms
 // of growing client populations: a cold wave (FlowMemory misses riding
 // the candidate-snapshot cache) and a warm wave (FlowMemory hits).
-func scale(seed int64) error {
+func (e *evaluation) scale() error {
 	t := metrics.NewTable("Control-plane scale — nginx pre-deployed, per-client dispatch latency (median)",
 		"clients", "cold dispatch", "memory hit", "candidate hits", "candidate misses")
 	for _, clients := range []int{20, 100, 250} {
-		res, err := testbed.RunScale("nginx", clients, seed)
+		res, err := testbed.RunScale("nginx", clients, e.seed)
 		if err != nil {
 			return err
 		}
@@ -357,15 +359,15 @@ func scale(seed int64) error {
 			fmt.Sprintf("%d", res.Stats.CandidateHits),
 			fmt.Sprintf("%d", res.Stats.CandidateMisses))
 	}
-	emit(t)
+	e.emit(t)
 	fmt.Println("cold dispatch scales with one candidate gathering per TTL window, not one per client")
 	return nil
 }
 
 // accessOverhead reports the cost of the transparent-access mechanism
 // itself — the evaluation focus of the original 2019 paper.
-func accessOverhead(seed int64) error {
-	res, err := testbed.RunAccessOverhead("asm", 20, seed)
+func (e *evaluation) accessOverhead() error {
+	res, err := testbed.RunAccessOverhead("asm", 20, e.seed)
 	if err != nil {
 		return err
 	}
@@ -375,73 +377,95 @@ func accessOverhead(seed int64) error {
 	t.AddRow("installed flows", metrics.FmtMS(res.WarmFlow.Median()), "line-rate rewriting only")
 	t.AddRow("FlowMemory hit", metrics.FmtMS(res.MemoryHit.Median()), "packet-in, no scheduling")
 	t.AddRow("cold dispatch", metrics.FmtMS(res.ColdDispatch.Median()), "packet-in + scheduler")
-	emit(t)
+	e.emit(t)
 	return nil
 }
 
-func fig9(seed int64) error {
-	cfg := trace.DefaultBigFlows()
-	cfg.Seed = seed
-	res, err := testbed.RunWorkload(cfg)
+func (e *evaluation) tableI() error {
+	e.emit(testbed.TableI())
+	return nil
+}
+
+// bigFlowsCapture returns the trace recovered from the synthetic
+// bigFlows capture (Figs. 9 and 10), recovering it on first use.
+func (e *evaluation) bigFlowsCapture() (*trace.Trace, error) {
+	if e.capture == nil {
+		res, err := testbed.RunWorkload(e.bigFlows())
+		if err != nil {
+			return nil, err
+		}
+		e.capture = res.Trace
+	}
+	return e.capture, nil
+}
+
+func (e *evaluation) fig9() error {
+	tr, err := e.bigFlowsCapture()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Fig. 9 — %d requests to %d edge services over %v (recovered from synthetic bigFlows pcap)\n",
-		res.Trace.TotalRequests(), len(res.Trace.Counts), cfg.Duration)
-	fmt.Println(metrics.Histogram("requests per second", res.RequestsPerSec, time.Second, 30))
+		tr.TotalRequests(), len(tr.Counts), tr.Config.Duration)
+	fmt.Println(metrics.Histogram("requests per second", tr.RequestsPerSecond(), time.Second, 30))
 	return nil
 }
 
-func fig10(seed int64) error {
-	cfg := trace.DefaultBigFlows()
-	cfg.Seed = seed
-	res, err := testbed.RunWorkload(cfg)
+func (e *evaluation) fig10() error {
+	tr, err := e.bigFlowsCapture()
 	if err != nil {
 		return err
 	}
-	max := 0
-	for _, v := range res.DeploymentsPerSec {
-		if v > max {
-			max = v
-		}
-	}
 	fmt.Printf("Fig. 10 — %d edge service deployments over %v (burst: up to %d per second)\n",
-		len(res.Trace.Counts), cfg.Duration, max)
-	fmt.Println(metrics.Histogram("deployments per second", res.DeploymentsPerSec, time.Second, 30))
+		len(tr.Counts), tr.Config.Duration, tr.MaxDeploymentsPerSecond())
+	fmt.Println(metrics.Histogram("deployments per second", tr.DeploymentsPerSecond(), time.Second, 30))
 	return nil
 }
 
-var phaseKinds = []cluster.Kind{cluster.Docker, cluster.Kubernetes}
-
-// phaseCells runs one scale-up (or create+scale-up) replication per
-// (service, kind) cell across the worker pool and returns them indexed
-// [service][kind].
-func phaseCells(services []string, n int, seed int64, scaleOnly bool) ([][]*testbed.PhaseResult, error) {
-	flat, err := testbed.RunParallel(len(services)*len(phaseKinds), workers,
-		func(i int) (*testbed.PhaseResult, error) {
-			key, kind := services[i/len(phaseKinds)], phaseKinds[i%len(phaseKinds)]
-			if scaleOnly {
-				return testbed.RunScaleUp(key, kind, n, seed)
-			}
-			return testbed.RunCreateScaleUp(key, kind, n, seed)
-		})
+// serviceCells runs cell once per (service, column) pair across the
+// worker pool and returns the results indexed [service][column].
+func serviceCells[T any](e *evaluation, columns int, cell func(key string, col int) (T, error)) ([][]T, error) {
+	flat, err := testbed.RunParallel(len(e.services)*columns, e.workers, func(i int) (T, error) {
+		return cell(e.services[i/columns], i%columns)
+	})
 	if err != nil {
 		return nil, err
 	}
-	cells := make([][]*testbed.PhaseResult, len(services))
-	for si := range services {
-		cells[si] = flat[si*len(phaseKinds) : (si+1)*len(phaseKinds)]
+	cells := make([][]T, len(e.services))
+	for si := range cells {
+		cells[si] = flat[si*columns : (si+1)*columns]
 	}
 	return cells, nil
 }
 
-func phases(title string, services []string, n int, seed int64, scaleOnly bool) error {
-	cells, err := phaseCells(services, n, seed, scaleOnly)
+var phaseKinds = []cluster.Kind{cluster.Docker, cluster.Kubernetes}
+
+// phaseCells returns the scale-up (or create+scale-up) cells indexed
+// [service][kind], running them on first use: Figs. 11/12 read their
+// totals and Figs. 14/15 their waits.
+func (e *evaluation) phaseCells(scaleOnly bool) ([][]*testbed.PhaseResult, error) {
+	cells, run := &e.createScaleUp, testbed.RunCreateScaleUp
+	if scaleOnly {
+		cells, run = &e.scaleUp, testbed.RunScaleUp
+	}
+	if *cells == nil {
+		c, err := serviceCells(e, len(phaseKinds), func(key string, col int) (*testbed.PhaseResult, error) {
+			return run(key, phaseKinds[col], e.n, e.seed)
+		})
+		if err != nil {
+			return nil, err
+		}
+		*cells = c
+	}
+	return *cells, nil
+}
+
+func (e *evaluation) phases(title string, scaleOnly bool) error {
+	cells, err := e.phaseCells(scaleOnly)
 	if err != nil {
 		return err
 	}
 	t := metrics.NewTable(title, "Service", "Docker", "K8s", "paper says")
-	for si, key := range services {
+	for si, key := range e.services {
 		row := []string{key}
 		for ki, kind := range phaseKinds {
 			res := cells[si][ki]
@@ -453,7 +477,7 @@ func phases(title string, services []string, n int, seed int64, scaleOnly bool) 
 		row = append(row, paperPhaseNote(key, scaleOnly))
 		t.AddRow(row...)
 	}
-	emit(t)
+	e.emit(t)
 	return nil
 }
 
@@ -470,46 +494,45 @@ func paperPhaseNote(key string, scaleOnly bool) string {
 	return base
 }
 
-func fig13(services []string, seed int64) error {
+func (e *evaluation) fig13() error {
 	t := metrics.NewTable("Fig. 13 — total time to pull the service images onto the EGS",
 		"Service", "Docker Hub / GCR", "private registry", "saved")
-	pulls, err := testbed.RunParallel(len(services)*2, workers,
-		func(i int) (*testbed.PullResult, error) {
-			return testbed.RunPull(services[i/2], i%2 == 1, 10, seed)
-		})
+	pulls, err := serviceCells(e, 2, func(key string, col int) (*testbed.PullResult, error) {
+		return testbed.RunPull(key, col == 1, 10, e.seed)
+	})
 	if err != nil {
 		return err
 	}
-	for si, key := range services {
-		pub, priv := pulls[si*2], pulls[si*2+1]
+	for si, key := range e.services {
+		pub, priv := pulls[si][0], pulls[si][1]
 		t.AddRow(key,
 			fmt.Sprintf("%s (%s)", metrics.FmtMS(pub.Times.Median()), pub.Registry),
 			metrics.FmtMS(priv.Times.Median()),
 			metrics.FmtMS(pub.Times.Median()-priv.Times.Median()))
 	}
-	emit(t)
+	e.emit(t)
 	fmt.Println("paper: private registry improves pulls by about 1.5–2 s")
 	return nil
 }
 
-func waits(title string, services []string, n int, seed int64, scaleOnly bool) error {
-	cells, err := phaseCells(services, n, seed, scaleOnly)
+func (e *evaluation) waits(title string, scaleOnly bool) error {
+	cells, err := e.phaseCells(scaleOnly)
 	if err != nil {
 		return err
 	}
 	t := metrics.NewTable(title, "Service", "Docker", "K8s")
-	for si, key := range services {
+	for si, key := range e.services {
 		row := []string{key}
 		for ki := range phaseKinds {
 			row = append(row, metrics.FmtMS(cells[si][ki].Waits.Median()))
 		}
 		t.AddRow(row...)
 	}
-	emit(t)
+	e.emit(t)
 	return nil
 }
 
-func fig16(services []string, warm int, seed int64) error {
+func (e *evaluation) fig16() error {
 	t := metrics.NewTable("Fig. 16 — total time (median) for requests with the instance already running",
 		"Service", "Docker", "K8s", "paper says")
 	notes := map[string]string{
@@ -518,22 +541,21 @@ func fig16(services []string, warm int, seed int64) error {
 		"resnet":  "significantly longer (inference)",
 		"nginxpy": "≈1 ms",
 	}
-	warms, err := testbed.RunParallel(len(services)*len(phaseKinds), workers,
-		func(i int) (*testbed.WarmResult, error) {
-			return testbed.RunWarm(services[i/len(phaseKinds)], phaseKinds[i%len(phaseKinds)], warm, seed)
-		})
+	warms, err := serviceCells(e, len(phaseKinds), func(key string, col int) (*testbed.WarmResult, error) {
+		return testbed.RunWarm(key, phaseKinds[col], e.warm, e.seed)
+	})
 	if err != nil {
 		return err
 	}
-	for si, key := range services {
+	for si, key := range e.services {
 		row := []string{key}
 		for ki := range phaseKinds {
-			row = append(row, metrics.FmtMS(warms[si*len(phaseKinds)+ki].Totals.Median()))
+			row = append(row, metrics.FmtMS(warms[si][ki].Totals.Median()))
 		}
 		row = append(row, notes[key])
 		t.AddRow(row...)
 	}
-	emit(t)
+	e.emit(t)
 	return nil
 }
 
@@ -541,19 +563,18 @@ func fig16(services []string, warm int, seed int64) error {
 // once fault-free, once with 10 % pull/scale-up failures plus a 30 s
 // near-edge outage — and reports what the resilience machinery paid to
 // keep every client request alive.
-func faultReplay(seed int64) error {
-	cfg := trace.DefaultBigFlows()
-	cfg.Seed = seed
-	base, err := testbed.RunFaultReplay("nginx", cfg, faultinject.Config{Seed: seed}, seed)
+func (e *evaluation) faultReplay() error {
+	cfg := e.bigFlows()
+	base, err := testbed.RunFaultReplay("nginx", cfg, faultinject.Config{Seed: e.seed}, e.seed)
 	if err != nil {
 		return err
 	}
-	faulted, err := testbed.RunFaultReplay("nginx", cfg, testbed.DefaultFaultConfig(seed), seed)
+	faulted, err := testbed.RunFaultReplay("nginx", cfg, testbed.DefaultFaultConfig(e.seed), e.seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Fault injection — %d requests, 10%% pull/scale-up failures, one 30 s edge outage (seed %d)\n",
-		faulted.Requests, seed)
+		faulted.Requests, e.seed)
 	t := metrics.NewTable("", "metric", "fault-free", "faulted")
 	t.AddRow("failed requests", fmt.Sprintf("%d", base.Errors), fmt.Sprintf("%d", faulted.Errors))
 	t.AddRow("median", metrics.FmtMS(base.Totals.Median()), metrics.FmtMS(faulted.Totals.Median()))
@@ -575,17 +596,16 @@ func faultReplay(seed int64) error {
 	} {
 		t.AddRow(row.name, fmt.Sprintf("%d", row.a), fmt.Sprintf("%d", row.b))
 	}
-	emit(t)
+	e.emit(t)
 	if faulted.Errors == 0 {
 		fmt.Println("every request completed: faults were absorbed by retry, failover, and cloud fallback")
 	}
 	return nil
 }
 
-func traceReplay(seed int64) error {
-	cfg := trace.DefaultBigFlows()
-	cfg.Seed = seed
-	res, err := testbed.RunTraceReplay("nginx", cluster.Docker, cfg, seed)
+func (e *evaluation) traceReplay() error {
+	cfg := e.bigFlows()
+	res, err := testbed.RunTraceReplay("nginx", cluster.Docker, cfg, e.seed)
 	if err != nil {
 		return err
 	}
@@ -600,6 +620,6 @@ func traceReplay(seed int64) error {
 	t.AddRow("deployments (waiting)", fmt.Sprintf("%d", res.Stats.DeploysWaiting))
 	t.AddRow("scale-ups", fmt.Sprintf("%d", res.Stats.ScaleUps))
 	t.AddRow("memory hits", fmt.Sprintf("%d", res.Stats.MemoryHits))
-	emit(t)
+	e.emit(t)
 	return nil
 }

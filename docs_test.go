@@ -16,7 +16,7 @@ var (
 	// docPath matches a repository path a document cites, starting at a
 	// word boundary so that the tail of a longer path is not read as a
 	// root-relative one.
-	docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:internal|cmd|examples|testdata)/[A-Za-z0-9_./*-]*)`)
+	docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:internal|cmd|examples|testdata|changes)/[A-Za-z0-9_./*-]*)`)
 	// docTest matches a cited test, fuzz target or benchmark name.
 	docTest = regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*)`)
 	// testFunc matches a test, fuzz target or benchmark declaration.
@@ -26,7 +26,9 @@ var (
 // TestDocReferences: every repository path DESIGN.md, README.md and
 // EXPERIMENTS.md cite exists, and every TestX, FuzzX or BenchmarkX they
 // cite is a prefix of a declared one (prefixes, because the documents
-// cite -run patterns).
+// cite -run patterns). CHANGES.md is history, so of its paths only the
+// changes/ records it cites must exist: the code paths it names include
+// ones that later changes deleted on purpose.
 func TestDocReferences(t *testing.T) {
 	var funcs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -75,6 +77,18 @@ func TestDocReferences(t *testing.T) {
 				if !declared(m[1]) {
 					t.Errorf("%s:%d cites %s, which no test file declares", doc, i+1, m[1])
 				}
+			}
+		}
+	}
+	src, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(src), "\n") {
+		for _, m := range docPath.FindAllStringSubmatch(line, -1) {
+			path := strings.TrimRight(m[1], ".,")
+			if _, err := os.Stat(path); strings.HasPrefix(path, "changes/") && err != nil {
+				t.Errorf("CHANGES.md:%d cites %s, which does not exist", i+1, path)
 			}
 		}
 	}

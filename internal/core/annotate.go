@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -45,9 +46,16 @@ type Annotated struct {
 }
 
 // UniqueNameFor derives the worldwide-unique service name from the
-// registered public address.
+// registered public address: "edge-" and the address's octets and port
+// joined by dashes. The name is built in one stack buffer, so the
+// string is its only allocation.
 func UniqueNameFor(addr netem.HostPort) string {
-	return "edge-" + strings.ReplaceAll(addr.IP.String(), ".", "-") + fmt.Sprintf("-%d", addr.Port)
+	b := append(make([]byte, 0, len("edge-255-255-255-255-65535")), "edge"...)
+	for _, o := range addr.IP.Octets() {
+		b = strconv.AppendUint(append(b, '-'), uint64(o), 10)
+	}
+	b = strconv.AppendUint(append(b, '-'), uint64(addr.Port), 10)
+	return string(b)
 }
 
 // Annotate completes a developer-provided service definition: it sets

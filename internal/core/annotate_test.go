@@ -30,6 +30,18 @@ func TestUniqueNameFor(t *testing.T) {
 	}
 }
 
+// TestUniqueNameForAllocs: the name is its one allocation.
+func TestUniqueNameForAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	addr := netem.ParseHostPort("203.0.113.255:65535")
+	n := testing.AllocsPerRun(100, func() { _ = UniqueNameFor(addr) })
+	if n > 1 {
+		t.Errorf("UniqueNameFor allocates %.1f times, want at most 1", n)
+	}
+}
+
 func TestAnnotateSetsAllRequiredFields(t *testing.T) {
 	a, err := Annotate(leanNginx, AnnotateOptions{UniqueName: "edge-svc-1", ServicePort: 80, SchedulerName: "my-sched"})
 	if err != nil {

@@ -10,18 +10,12 @@
 // replayable: the same seed and config produce the same schedule, byte
 // for byte, independent of what the handovers do to the network.
 //
-// Two models are provided:
-//
-//   - Waypoints: a trace-driven schedule, events supplied by the caller
-//     (e.g. parsed from a mobility trace) and validated/ordered here;
-//   - RandomWalk: a seeded generator in which clients hop between zones
-//     at jittered intervals — the steady-churn workload the mobility
-//     experiment drives.
+// The model is RandomWalk: a seeded generator in which clients hop
+// between zones at jittered intervals — the steady-churn workload the
+// mobility experiment drives.
 package mobility
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/vclock"
@@ -39,21 +33,6 @@ type Event struct {
 
 // Schedule is an ordered list of handover events (non-decreasing At).
 type Schedule []Event
-
-// Waypoints builds a trace-driven schedule from caller-supplied events.
-// Events are stably sorted by At, so same-instant events keep their
-// trace order. Negative offsets are rejected.
-func Waypoints(events []Event) (Schedule, error) {
-	s := make(Schedule, len(events))
-	copy(s, events)
-	for i, e := range s {
-		if e.At < 0 {
-			return nil, fmt.Errorf("mobility: event %d has negative offset %v", i, e.At)
-		}
-	}
-	sort.SliceStable(s, func(i, j int) bool { return s[i].At < s[j].At })
-	return s, nil
-}
 
 // WalkConfig parameterizes RandomWalk.
 type WalkConfig struct {

@@ -8,31 +8,6 @@ import (
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
-func TestWaypointsSortsAndValidates(t *testing.T) {
-	s, err := Waypoints([]Event{
-		{Client: 0, To: 1, At: 300 * time.Millisecond},
-		{Client: 1, To: 1, At: 100 * time.Millisecond},
-		{Client: 2, To: 1, At: 300 * time.Millisecond}, // ties with client 0: stable sort keeps trace order
-		{Client: 3, To: 1, At: 200 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := make([]int, len(s))
-	for i, e := range s {
-		order[i] = e.Client
-	}
-	if fmt.Sprint(order) != "[1 3 0 2]" {
-		t.Fatalf("sorted client order = %v, want [1 3 0 2]", order)
-	}
-	if s.Span() != 300*time.Millisecond {
-		t.Fatalf("Span = %v, want 300ms", s.Span())
-	}
-	if _, err := Waypoints([]Event{{At: -time.Second}}); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-}
-
 func TestRandomWalkDeterministicAndValid(t *testing.T) {
 	cfg := WalkConfig{
 		Clients:   4,
@@ -84,13 +59,13 @@ func TestRandomWalkDegenerate(t *testing.T) {
 }
 
 func TestScheduleRun(t *testing.T) {
-	s, err := Waypoints([]Event{
+	s := Schedule{
 		{Client: 0, To: 1, At: 100 * time.Millisecond},
 		{Client: 1, To: 1, At: 100 * time.Millisecond},
 		{Client: 0, To: 0, At: 450 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	if s.Span() != 450*time.Millisecond {
+		t.Fatalf("Span = %v, want 450ms", s.Span())
 	}
 	var got []string
 	clk := vclock.New()

@@ -39,14 +39,10 @@ type PhaseResult struct {
 	// Waits is the controller's wait-until-ready per deployment
 	// (Figs. 14/15).
 	Waits *metrics.Series
-	// Creates and Pulls are the respective phase durations (only
-	// populated when the phase ran).
+	// Creates is the Create phase duration of each deployment that
+	// ran it (only the create+scale-up cells do).
 	Creates *metrics.Series
-	Pulls   *metrics.Series
-	// DeploySeconds bins completed deployments per second (Fig. 10
-	// as actually executed).
-	DeploySeconds []int
-	Errors        int
+	Errors  int
 }
 
 // clusterNameFor maps a cluster kind to the testbed cluster name.
@@ -92,7 +88,6 @@ func runPhaseExperiment(serviceKey string, kind cluster.Kind, n int, seed int64,
 		Totals:      metrics.NewSeries("time_total"),
 		Waits:       metrics.NewSeries("wait"),
 		Creates:     metrics.NewSeries("create"),
-		Pulls:       metrics.NewSeries("pull"),
 	}
 	var mu sync.Mutex
 	var runErr error
@@ -100,7 +95,6 @@ func runPhaseExperiment(serviceKey string, kind cluster.Kind, n int, seed int64,
 	clk := vclock.New()
 	clk.Run(func() {
 		opts := optionsFor(kind, seed)
-		start := clk.Now()
 		opts.OnDeploy = func(tr core.DeployTrace) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -112,14 +106,6 @@ func runPhaseExperiment(serviceKey string, kind cluster.Kind, n int, seed int64,
 			if tr.Create > 0 {
 				res.Creates.Add(tr.Create)
 			}
-			if tr.Pull > 0 {
-				res.Pulls.Add(tr.Pull)
-			}
-			sec := int(clk.Since(start) / time.Second)
-			for len(res.DeploySeconds) <= sec {
-				res.DeploySeconds = append(res.DeploySeconds, 0)
-			}
-			res.DeploySeconds[sec]++
 		}
 		tb, err := New(clk, opts)
 		if err != nil {
@@ -295,12 +281,12 @@ func RunWarm(serviceKey string, kind cluster.Kind, requests int, seed int64) (*W
 	return res, nil
 }
 
-// WorkloadResult carries the Fig. 9 / Fig. 10 series, recovered from a
-// synthesized pcap capture exactly as the paper filters bigFlows.pcap.
+// WorkloadResult carries the trace behind Figs. 9 and 10, recovered
+// from a synthesized pcap capture exactly as the paper filters
+// bigFlows.pcap; its RequestsPerSecond and DeploymentsPerSecond are
+// the two figures' series.
 type WorkloadResult struct {
-	Trace             *trace.Trace
-	RequestsPerSec    []int
-	DeploymentsPerSec []int
+	Trace *trace.Trace
 }
 
 // RunWorkload builds the synthetic bigFlows capture, applies the
@@ -316,11 +302,7 @@ func RunWorkload(cfg trace.Config) (*WorkloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WorkloadResult{
-		Trace:             recovered,
-		RequestsPerSec:    recovered.RequestsPerSecond(),
-		DeploymentsPerSec: recovered.DeploymentsPerSecond(),
-	}, nil
+	return &WorkloadResult{Trace: recovered}, nil
 }
 
 // TableI renders the service catalog exactly like the paper's Table I.

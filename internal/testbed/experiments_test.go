@@ -35,7 +35,7 @@ func TestFig9And10Workload(t *testing.T) {
 		t.Errorf("services = %d, want 42", got)
 	}
 	sum := 0
-	for _, n := range res.RequestsPerSec {
+	for _, n := range res.Trace.RequestsPerSecond() {
 		sum += n
 	}
 	if sum != 1708 {
@@ -45,7 +45,7 @@ func TestFig9And10Workload(t *testing.T) {
 	// eight per second in the beginning).
 	total := 0
 	burst := 0
-	for _, n := range res.DeploymentsPerSec {
+	for _, n := range res.Trace.DeploymentsPerSecond() {
 		total += n
 		if n > burst {
 			burst = n

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -80,9 +79,6 @@ type ReplayResult struct {
 	Totals *metrics.Series
 	// Errors counts failed requests.
 	Errors int
-	// DeployTimes records when each deployment completed, for the
-	// Fig. 10 view of actual deployments.
-	DeployTimes []time.Duration
 }
 
 // ReplayFirstRequests fires the first request of every registered
@@ -92,9 +88,7 @@ type ReplayResult struct {
 // Fig. 10").
 func (tb *Testbed) ReplayFirstRequests(first []trace.Request, handles []*ServiceHandle) *ReplayResult {
 	res := &ReplayResult{Totals: metrics.NewSeries("time_total")}
-	start := tb.Clock.Now()
 	var g vclock.Group
-	var mu sync.Mutex
 	results := make([]time.Duration, len(handles))
 	errs := make([]error, len(handles))
 	for i, h := range handles {
@@ -108,9 +102,6 @@ func (tb *Testbed) ReplayFirstRequests(first []trace.Request, handles []*Service
 				return
 			}
 			results[i] = r.Total
-			mu.Lock()
-			res.DeployTimes = append(res.DeployTimes, tb.Clock.Since(start))
-			mu.Unlock()
 		})
 	}
 	g.Wait(tb.Clock)

@@ -108,14 +108,6 @@ func ServiceAddr(i int) netem.HostPort {
 	return netem.HostPort{IP: hotServiceBase + netem.IP(i) + 1, Port: 80}
 }
 
-// ServiceIndex inverts ServiceAddr; ok is false for foreign addresses.
-func ServiceIndex(hp netem.HostPort) (int, bool) {
-	if hp.Port != 80 || hp.IP <= hotServiceBase || hp.IP > hotServiceBase+255 {
-		return 0, false
-	}
-	return int(hp.IP - hotServiceBase - 1), true
-}
-
 // ClientAddr returns the address of client host i.
 func ClientAddr(i int) netem.IP { return clientBase + netem.IP(i) + 10 }
 

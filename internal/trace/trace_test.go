@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/c3lab/transparentedge/internal/netem"
 )
 
 func TestDefaultBigFlowsTotals(t *testing.T) {
@@ -96,21 +94,6 @@ func TestHistogramsConserveMass(t *testing.T) {
 	}
 	if sum != len(tr.Counts) {
 		t.Errorf("deployments histogram sums to %d, want %d", sum, len(tr.Counts))
-	}
-}
-
-func TestServiceAddrRoundTrip(t *testing.T) {
-	for i := 0; i < 42; i++ {
-		idx, ok := ServiceIndex(ServiceAddr(i))
-		if !ok || idx != i {
-			t.Fatalf("ServiceIndex(ServiceAddr(%d)) = %d,%v", i, idx, ok)
-		}
-	}
-	if _, ok := ServiceIndex(netem.ParseHostPort("10.0.0.1:80")); ok {
-		t.Error("foreign IP accepted")
-	}
-	if _, ok := ServiceIndex(netem.HostPort{IP: ServiceAddr(0).IP, Port: 443}); ok {
-		t.Error("foreign port accepted")
 	}
 }
 

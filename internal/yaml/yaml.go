@@ -380,15 +380,6 @@ func Marshal(v any) string {
 	return b.String()
 }
 
-// MarshalAll renders multiple documents separated by "---".
-func MarshalAll(docs ...any) string {
-	parts := make([]string, len(docs))
-	for i, d := range docs {
-		parts[i] = Marshal(d)
-	}
-	return strings.Join(parts, "---\n")
-}
-
 func writeValue(b *strings.Builder, v any, indent int, inSeq bool) {
 	switch val := v.(type) {
 	case map[string]any:

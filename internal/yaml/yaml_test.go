@@ -232,17 +232,6 @@ func TestMarshalQuotesAmbiguousStrings(t *testing.T) {
 	}
 }
 
-func TestMarshalAllSeparator(t *testing.T) {
-	out := MarshalAll(map[string]any{"a": int64(1)}, map[string]any{"b": int64(2)})
-	if !strings.Contains(out, "---\n") {
-		t.Errorf("missing separator:\n%s", out)
-	}
-	docs, err := UnmarshalAll(out)
-	if err != nil || len(docs) != 2 {
-		t.Errorf("round trip: %v, %d docs", err, len(docs))
-	}
-}
-
 func TestMarshalDeterministic(t *testing.T) {
 	m := map[string]any{"z": int64(1), "a": int64(2), "m": int64(3)}
 	first := Marshal(m)
