@@ -353,7 +353,8 @@ type Controller struct {
 	audit atomic.Pointer[auditBuffers]
 
 	// mu guards everything below — cold-path state only; the packet-in
-	// fast path never takes it. It is never held across a wait.
+	// fast path takes it once, to record its punt's latency. It is
+	// never held across a wait.
 	mu sync.Mutex
 	// nextCookie numbers the registrations mu serializes.
 	nextCookie uint64
@@ -369,10 +370,13 @@ type Controller struct {
 	// repair read (resync.go).
 	clean map[*openflow.Switch]cleanAudit
 	// handoverLat is the control-plane latency of each handover: from
-	// entering Handover to the old gNB's flows strict-deleted (Hist is
-	// not safe for concurrent use). It is allocated at the first
-	// handover: a Hist is 29 KiB, and most controllers never hand over.
+	// entering Handover to the old gNB's flows strict-deleted.
+	// dispatchLat is each punt's, from the switch punting the packet to
+	// the packet-out that re-injected it. Hist is not safe for
+	// concurrent use, and a Hist is 29 KiB: each is allocated at its
+	// first sample (see record).
 	handoverLat *metrics.Hist
+	dispatchLat *metrics.Hist
 }
 
 // ClientLocation is the Dispatcher's record of where a client was last
@@ -579,10 +583,10 @@ func (c *Controller) ServiceByName(name string) (*Service, bool) {
 	return svc, ok
 }
 
-// Start launches the controller's background loops: one switch-restart
-// watcher per managed switch, the instance health prober, and the
-// reconciler. Packet-ins and flow removals need no loop — the switches
-// call PacketIn and FlowRemoved inline.
+// Start launches the controller's background loops, the instance
+// health prober and the reconciler, and lets it answer switch restarts.
+// Packet-ins, flow removals and restarts need no loop — the switches
+// call PacketIn, FlowRemoved and Restarted inline.
 func (c *Controller) Start() {
 	c.mu.Lock()
 	if c.started {
@@ -591,16 +595,35 @@ func (c *Controller) Start() {
 	}
 	c.started = true
 	c.mu.Unlock()
-	for _, sw := range c.switches {
-		sw := sw
-		c.clk.Go(func() { c.watchSwitch(sw) })
-	}
 	if c.cfg.HealthProbeInterval > 0 {
 		c.clk.Go(c.healthProbeLoop)
 	}
 	if c.cfg.ResyncInterval > 0 {
 		c.clk.Go(c.resyncLoop)
 	}
+}
+
+// record adds d to the latency histogram *h, allocating it as name at
+// the first sample.
+func (c *Controller) record(h **metrics.Hist, name string, d time.Duration) {
+	c.mu.Lock()
+	if *h == nil {
+		*h = metrics.NewHist(name)
+	}
+	(*h).Record(d)
+	c.mu.Unlock()
+}
+
+// latency returns the histogram record fills, or an empty one named
+// name before its first sample. Read it only when nothing it measures
+// is in flight.
+func (c *Controller) latency(h **metrics.Hist, name string) *metrics.Hist {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if *h == nil {
+		return metrics.NewHist(name)
+	}
+	return *h
 }
 
 // FlowRemoved implements openflow.Handler. It refreshes the flow memory

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/cluster"
+	"github.com/c3lab/transparentedge/internal/metrics"
 	"github.com/c3lab/transparentedge/internal/netem"
 	"github.com/c3lab/transparentedge/internal/openflow"
 	"github.com/c3lab/transparentedge/internal/vclock"
@@ -28,10 +29,12 @@ type punt struct {
 	svc *Service
 	key flowKey
 	// specs[next:] are the redirect flow-mods still to send; actions are
-	// the packet-out's (nil: through the table).
-	specs   []openflow.FlowSpec
-	next    int
-	actions []openflow.Action
+	// the packet-out's (nil: through the table). released is whether
+	// the channel delivers the packet-out.
+	specs    []openflow.FlowSpec
+	next     int
+	actions  []openflow.Action
+	released bool
 	// done, when set, runs after the punt finished; tests wait on it.
 	done func()
 }
@@ -145,11 +148,28 @@ func puntStep(arg any) {
 		p.sw.PostInstallFlow(p.specs[p.next-1], puntStep, p)
 		return
 	}
-	p.sw.PostPacketOut(p.pin.Pkt, p.pin.InPort, p.actions, puntDone, p)
+	p.released = p.sw.PostPacketOut(p.pin.Pkt, p.pin.InPort, p.actions, puntDone, p)
 }
 
-// puntDone runs when the packet-out has crossed the channel.
-func puntDone(arg any) { arg.(*punt).finish() }
+// puntDone runs when the packet-out has crossed the channel. If the
+// channel delivered it, the switch has just re-injected the packet, and
+// the punt-to-release latency is recorded.
+func puntDone(arg any) {
+	p := arg.(*punt)
+	if p.released {
+		p.c.record(&p.c.dispatchLat, "punt-dispatch", p.c.clk.Since(p.pin.At))
+	}
+	p.finish()
+}
+
+// DispatchLatency exposes the punt-to-release latency histogram: one
+// sample per punt whose packet-out the channel delivered, from the
+// switch punting the packet to the packet-out re-injecting it. It is an
+// empty one before the first release. Read it only when no punts are in
+// flight (Hist is not safe for concurrent use).
+func (c *Controller) DispatchLatency() *metrics.Hist {
+	return c.latency(&c.dispatchLat, "punt-dispatch")
+}
 
 // finish drops the flow-key claim, if the punt holds it, and releases
 // the punted packet — the switch cloned it for the controller, and it

@@ -135,12 +135,7 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 	}
 
 	rep.Latency = c.clk.Since(start)
-	c.mu.Lock()
-	if c.handoverLat == nil {
-		c.handoverLat = metrics.NewHist("handover")
-	}
-	c.handoverLat.Record(rep.Latency)
-	c.mu.Unlock()
+	c.record(&c.handoverLat, "handover", rep.Latency)
 	return rep
 }
 
@@ -148,12 +143,7 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 // an empty one before the first handover. Read it only when no
 // handovers are in flight (Hist is not safe for concurrent use).
 func (c *Controller) HandoverLatency() *metrics.Hist {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.handoverLat == nil {
-		return metrics.NewHist("handover")
-	}
-	return c.handoverLat
+	return c.latency(&c.handoverLat, "handover")
 }
 
 // migrateAfterHandover follows the client with the service: for each

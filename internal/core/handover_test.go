@@ -21,10 +21,11 @@ type handoverRig struct {
 	svc        *Service
 }
 
-// start=false leaves the controller's event loops (packet-in, switch
-// watchers) off: handover and reconciliation are direct calls, so tests
-// that need a deterministic mid-handover switch restart can keep the
-// restart watcher from racing the handover's own bundle exchanges.
+// start=false leaves the controller unstarted: no background loops run
+// and a switch restart is not answered, so handover and reconciliation
+// are direct calls, and tests that need a deterministic mid-handover
+// switch restart keep the restart resync from racing the handover's own
+// bundle exchanges.
 func newHandoverRig(t *testing.T, clk *vclock.Virtual, start bool, mut func(*Config), stubs ...*stubCluster) *handoverRig {
 	t.Helper()
 	n := netem.NewNetwork(clk, 1)
@@ -159,7 +160,7 @@ func TestHandoverMakeBeforeBreak(t *testing.T) {
 // The strict-delete finds nothing, which is counted as exactly one
 // continuity break, and reconciliation afterwards converges AuditDiff
 // to zero on both switches without counting a second break. The rig's
-// event loops stay off so the restart watcher cannot heal the table
+// controller is not started, so its restart resync cannot heal the table
 // between the restart and the break (outside tests that race is
 // welcome; here the empty-table case must happen deterministically).
 func TestHandoverMidRestartReconciles(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/c3lab/transparentedge/internal/cluster"
 	"github.com/c3lab/transparentedge/internal/netem"
+	"github.com/c3lab/transparentedge/internal/openflow"
 	"github.com/c3lab/transparentedge/internal/vclock"
 )
 
@@ -96,4 +97,56 @@ func TestPuntsRunToCompletion(t *testing.T) {
 			t.Errorf("%d flow-key claims still held", got)
 		}
 	})
+}
+
+// TestDispatchLatency pins what the controller records as a punt's
+// punt-to-release latency: a FlowMemory hit takes four channel
+// latencies (packet-in, two flow-mods, packet-out); a punt whose
+// packet-out the channel lost and a duplicate coalesced into an earlier
+// punt of its flow release nothing, so they record nothing.
+func TestDispatchLatency(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults *openflow.ChannelFaults
+		copies int   // packets of one flow punted at one instant
+		want   int64 // samples recorded
+	}{
+		{"memory_hit", nil, 1, 1},
+		{"lost_packet_out", &openflow.ChannelFaults{Seed: 1, PacketOutLoss: 1}, 1, 0},
+		{"coalesced_duplicate", nil, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := vclock.New()
+			clk.Run(func() {
+				near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}, pulled: true, created: true}
+				rig := newResilienceRig(t, clk, nil, near)
+				inst := cluster.Instance{Addr: near.host.Addr(near.port), Cluster: near.name}
+				load := rig.net.NewHost("load", netem.ParseIP("192.168.1.10"))
+				in := rig.sw.Port(3)
+				rig.net.Connect(load.NIC(), in, netem.LinkConfig{Latency: 200 * time.Microsecond})
+
+				client := netem.ParseIP("100.64.0.1")
+				rig.ctrl.fm.Remember(client, rig.svc.Addr, rig.svc.Name, inst)
+				rig.sw.SetChannelFaults(tc.faults)
+				for i := 0; i < tc.copies; i++ {
+					pkt := netem.NewPacket()
+					pkt.Src = netem.HostPort{IP: client, Port: 40000}
+					pkt.Dst = rig.svc.Addr
+					rig.sw.HandlePacket(pkt, in)
+				}
+				clk.Sleep(100 * time.Millisecond)
+
+				if s := rig.ctrl.Stats(); s.PacketIns != int64(tc.copies) || s.MemoryHits != 1 {
+					t.Fatalf("%d packet-ins, %d memory hits; want %d, 1", s.PacketIns, s.MemoryHits, tc.copies)
+				}
+				h := rig.ctrl.DispatchLatency()
+				if h.Count() != tc.want {
+					t.Fatalf("%d samples recorded, want %d", h.Count(), tc.want)
+				}
+				if want := 4 * rig.sw.CtrlLatency; tc.want > 0 && (h.Min() != want || h.Max() != want) {
+					t.Errorf("punt-to-release latency %v..%v, want %v", h.Min(), h.Max(), want)
+				}
+			})
+		})
+	}
 }

@@ -17,8 +17,8 @@ import (
 // — the audit re-installs them. Lost FlowRemoved messages (or explicit
 // forgets that raced a fault window) leave the switch holding rules no
 // memory justifies — the audit deletes the orphans. Switch restarts
-// wipe the whole table at once — the event watcher rebuilds it with
-// one reliable ResyncFrom instead of per-rule repair.
+// wipe the whole table at once — Restarted rebuilds it with one
+// reliable ResyncFrom instead of per-rule repair.
 //
 // Detection rides the fallible channel (the flow-stats snapshot), but
 // the repairs themselves go down as one barriered ApplyBundle — the
@@ -246,19 +246,18 @@ func (c *Controller) resyncLoop() {
 	}
 }
 
-// watchSwitch reacts to switch lifecycle events: a restart wiped the
-// flow table, so the whole desired state is pushed back in one
-// reliable resync instead of waiting for per-rule audits.
-func (c *Controller) watchSwitch(sw *openflow.Switch) {
-	events := sw.Events()
-	for {
-		ev, ok := events.Recv()
-		if !ok {
-			return
-		}
-		if ev.Restarted {
-			c.resyncFromScratch(sw)
-		}
+// Restarted implements openflow.Handler: a restart wiped the switch's
+// flow table, so the whole desired state is pushed back in one reliable
+// resync instead of waiting for per-rule audits. ResyncFrom sleeps, so
+// the resync runs on its own goroutine. A controller that has not been
+// started runs no loops, and leaves a restarted switch to the calls its
+// owner makes.
+func (c *Controller) Restarted(sw *openflow.Switch) {
+	c.mu.Lock()
+	started := c.started
+	c.mu.Unlock()
+	if started {
+		c.clk.Go(func() { c.resyncFromScratch(sw) })
 	}
 }
 

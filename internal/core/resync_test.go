@@ -648,3 +648,38 @@ func TestAuditAllocations(t *testing.T) {
 		}
 	})
 }
+
+// TestRestartedResyncsOnceStarted: a started controller answers a
+// switch restart — Handler.Restarted, one channel latency after the
+// wipe — with one full resync that rebuilds the table; an unstarted
+// controller leaves the switch to the calls its owner makes.
+func TestRestartedResyncsOnceStarted(t *testing.T) {
+	for _, start := range []bool{false, true} {
+		t.Run(fmt.Sprintf("started=%v", start), func(t *testing.T) {
+			clk := vclock.New()
+			clk.Run(func() {
+				near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}}
+				rig := newHandoverRig(t, clk, start, nil, near)
+				inst, err := rig.ctrl.PreDeploy(rig.svc.Addr, "near")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rig.attach(netem.ParseIP("192.168.1.10"), inst)
+				wantFlows, wantRuns := len(rig.gnb1.Flows()), int64(1)
+				if !start {
+					wantFlows, wantRuns = 0, 0
+				}
+				runs := rig.ctrl.Stats().ResyncRuns
+
+				rig.gnb1.Restart()
+				clk.Sleep(100 * time.Millisecond)
+				if got := len(rig.gnb1.Flows()); got != wantFlows {
+					t.Errorf("%d flows after the restart, want %d", got, wantFlows)
+				}
+				if got := rig.ctrl.Stats().ResyncRuns - runs; got != wantRuns {
+					t.Errorf("%d resyncs after one restart, want %d", got, wantRuns)
+				}
+			})
+		})
+	}
+}

@@ -122,15 +122,16 @@ func flowName(pkt *netem.Packet) string {
 // ctrlMsg is one control message in flight: the operand, next to the
 // switch, of the Post2 callback that fires when it arrives. Records are
 // pooled, so sending a message allocates nothing. Which fields are set
-// depends on the message: to+pkt+inPort for a packet-in, to+removed for
-// a flow-removed, spec for a posted flow-mod, pkt+inPort+actions for a
-// posted packet-out; the posted forms also carry the sender's
+// depends on the message: to+pkt+inPort+at for a packet-in, to+removed
+// for a flow-removed, spec for a posted flow-mod, pkt+inPort+actions for
+// a posted packet-out; the posted forms also carry the sender's
 // continuation and whether the channel lost the message.
 type ctrlMsg struct {
 	to      Handler
 	spec    FlowSpec
 	pkt     *netem.Packet
 	inPort  int
+	at      time.Time
 	actions []Action
 	removed FlowRemoved
 	lost    bool
@@ -152,7 +153,7 @@ func (m *ctrlMsg) recycle() ctrlMsg {
 
 func packetInArrived(s, msg any) {
 	m := msg.(*ctrlMsg).recycle()
-	m.to.PacketIn(s.(*Switch), PacketIn{Pkt: m.pkt, InPort: m.inPort})
+	m.to.PacketIn(s.(*Switch), PacketIn{Pkt: m.pkt, InPort: m.inPort, At: m.at})
 }
 
 func flowRemovedArrived(s, msg any) {
@@ -192,14 +193,6 @@ func (c ChannelStats) Total() int64 {
 	return c.PacketInDrops + c.FlowModDrops + c.FlowRemovedDrops + c.PacketOutDrops
 }
 
-// SwitchEvent notifies the controller of a datapath lifecycle change.
-type SwitchEvent struct {
-	// Restarted reports the switch rebooted and lost its flow table.
-	Restarted bool
-	// At is the virtual instant of the event (before channel latency).
-	At time.Time
-}
-
 // SetChannelFaults installs (or, with nil, removes) the control-channel
 // fault model. Safe to call mid-run from a clock callback.
 func (s *Switch) SetChannelFaults(f *ChannelFaults) {
@@ -215,10 +208,4 @@ func (s *Switch) ChannelStats() ChannelStats {
 		PacketOutDrops:   s.pktOutDrops.Load(),
 		Delayed:          s.ctrlDelayed.Load(),
 	}
-}
-
-// Events returns the lifecycle event mailbox. The controller watches it
-// to learn about switch restarts.
-func (s *Switch) Events() *vclock.Mailbox[SwitchEvent] {
-	return s.events
 }

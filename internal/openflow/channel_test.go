@@ -76,14 +76,16 @@ func TestChannelFaultsAreSeededAndKeyed(t *testing.T) {
 }
 
 // TestRestartWipesAndNotifies reboots a connected switch: the table
-// must be empty afterwards, and the controller side must get a
-// Restarted event it can answer with ResyncFrom, which rebuilds the
-// table reliably even under a fully lossy channel.
+// must be empty afterwards, and one channel latency later the
+// controller's Handler.Restarted must be called, which it can answer
+// with ResyncFrom, rebuilding the table reliably even under a fully
+// lossy channel.
 func TestRestartWipesAndNotifies(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
 		e := newOFEnv(clk)
-		connectMailboxes(e.sw, e.clk)
+		h := newMailboxHandler(e.clk)
+		e.sw.Connect(h)
 		specs := []FlowSpec{
 			puntSpec(netem.ParseHostPort("203.0.113.1:80"), 1),
 			puntSpec(netem.ParseHostPort("203.0.113.2:80"), 2),
@@ -95,14 +97,17 @@ func TestRestartWipesAndNotifies(t *testing.T) {
 			t.Fatalf("table has %d entries before restart, want 2", got)
 		}
 
-		events := e.sw.Events()
+		restartAt := e.clk.Now()
 		e.sw.Restart()
 		if got := len(e.sw.Flows()); got != 0 {
 			t.Errorf("table has %d entries after restart, want 0", got)
 		}
-		ev, ok := events.Recv()
-		if !ok || !ev.Restarted {
-			t.Fatalf("event = %+v, %v; want a Restarted notification", ev, ok)
+		at, ok := h.restarts.Recv()
+		if want := restartAt.Add(e.sw.CtrlLatency); !ok || !at.Equal(want) {
+			t.Fatalf("Restarted called at %v (%v), want once at %v", at, ok, want)
+		}
+		if _, again := h.restarts.TryRecv(); again {
+			t.Error("Restarted called twice for one restart")
 		}
 
 		// Recovery must not depend on a working unreliable channel.

@@ -55,6 +55,7 @@ func (c clsController) PacketIn(_ *Switch, pin PacketIn) {
 }
 
 func (clsController) FlowRemoved(*Switch, FlowRemoved) {}
+func (clsController) Restarted(*Switch)                {}
 
 // clsRef is the reference classifier: the installed flows in one slice,
 // highest priority first and in install order within a priority, and

@@ -267,6 +267,9 @@ type FlowRemoved struct {
 type PacketIn struct {
 	Pkt    *netem.Packet
 	InPort int
+	// At is the instant the switch punted the packet, before the
+	// control-channel latency.
+	At time.Time
 }
 
 // FlowStats is a snapshot of one entry's counters.
@@ -328,15 +331,6 @@ type Switch struct {
 	// faults, when non-nil, injects loss/delay into the control channel
 	// (see channel.go). Atomic so the datapath checks it without mu.
 	faults atomic.Pointer[ChannelFaults]
-	// onPacketOut, when set, observes every controller PacketOut at the
-	// moment it re-enters the pipeline (after control-channel latency
-	// and loss). Nil-gated and atomic so the clean path pays one load.
-	// The load engine uses it to measure punt→packet-out dispatch
-	// latency; the observer must not retain or mutate the packet.
-	onPacketOut atomic.Pointer[func(pkt *netem.Packet, inPort int)]
-	// events carries lifecycle notifications (restarts) to the
-	// controller.
-	events *vclock.Mailbox[SwitchEvent]
 	// control-channel fault counters (see ChannelStats).
 	pktInDrops   atomic.Int64
 	flowModDrops atomic.Int64
@@ -377,7 +371,6 @@ func NewSwitch(net *netem.Network, name string, n int) *Switch {
 		sigCount:    make(map[matchSig]int),
 		micro:       make(map[microKey]microEntry),
 		microOn:     true,
-		events:      vclock.NewMailbox[SwitchEvent](net.Clock),
 	}
 	for i := 1; i <= n; i++ {
 		s.ports = append(s.ports, &netem.Port{Dev: s, ID: i})
@@ -455,21 +448,24 @@ func (s *Switch) MicroStats() (hits, misses int64) {
 	return s.microHits, s.microMisses
 }
 
-// Handler receives a switch's asynchronous control messages. Both
-// methods are called on the clock's event loop, inline from the Post
-// callback that models the message crossing the control channel, so
-// they must not block: a handler that has to wait starts its own
-// goroutine for that.
+// Handler receives a switch's asynchronous control messages; it is the
+// only way from the switch to the controller. Every method is called on
+// the clock's event loop, inline from the Post callback that models the
+// message crossing the control channel, so none may block: a handler
+// that has to wait starts its own goroutine for that.
 type Handler interface {
 	// PacketIn delivers a punted packet. The handler owns pin.Pkt and
 	// releases it when it is done with it.
 	PacketIn(sw *Switch, pin PacketIn)
 	// FlowRemoved reports an evicted entry.
 	FlowRemoved(sw *Switch, msg FlowRemoved)
+	// Restarted reports that the switch rebooted and lost its flow
+	// table.
+	Restarted(sw *Switch)
 }
 
-// Connect attaches the controller: punted packets and flow removals are
-// delivered to h after the control-channel latency.
+// Connect attaches the controller: punted packets, flow removals and
+// restarts are delivered to h after the control-channel latency.
 func (s *Switch) Connect(h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -675,7 +671,7 @@ func (s *Switch) puntToController(pkt *netem.Packet, inPort int) {
 	// The controller holds the punted copy while it deploys, so it gets
 	// its own clone; the controller releases it when done with it.
 	m := newMsg()
-	m.to, m.pkt, m.inPort = h, pkt.Clone(), inPort
+	m.to, m.pkt, m.inPort, m.at = h, pkt.Clone(), inPort, s.clk.Now()
 	s.clk.Post2(delay, packetInArrived, s, m)
 }
 
@@ -932,19 +928,16 @@ func (s *Switch) Barrier() bool {
 
 // Restart models a switch reboot: the flow table, classifier index,
 // and microflow cache are lost; static configuration (routes, port
-// wiring, controller connection) survives. The controller learns of
-// the reboot on the event mailbox after the channel latency and is
+// wiring, controller connection) survives. One channel latency later
+// the connected controller's Handler.Restarted is called; it is
 // expected to ResyncFrom its desired state.
 func (s *Switch) Restart() {
 	s.mu.Lock()
 	s.wipeTableLocked()
-	connected := s.handler != nil
+	h := s.handler
 	s.mu.Unlock()
-	if connected {
-		at := s.clk.Now()
-		s.clk.Post(s.CtrlLatency, func() {
-			s.events.Send(SwitchEvent{Restarted: true, At: at})
-		})
+	if h != nil {
+		s.clk.Post(s.CtrlLatency, func() { h.Restarted(s) })
 	}
 }
 
@@ -1076,36 +1069,26 @@ func (s *Switch) AppendTableSince(dst []FlowSpec, since func() (version uint64, 
 // means OFPP_TABLE). The message is sent now. One control-channel delay
 // later the switch re-injects a clone of pkt, unless the channel lost
 // the message, and then(arg) runs on the clock's event loop either way;
-// the caller still owns pkt and may release it in then.
-func (s *Switch) PostPacketOut(pkt *netem.Packet, inPort int, actions []Action, then func(arg any), arg any) {
+// the caller still owns pkt and may release it in then. It reports
+// whether the packet will be re-injected: false when the channel lost
+// the message.
+func (s *Switch) PostPacketOut(pkt *netem.Packet, inPort int, actions []Action, then func(arg any), arg any) (delivered bool) {
 	delay, lost := s.channel(msgPacketOut, "out/", func() string { return flowName(pkt) })
 	m := newMsg()
 	m.pkt, m.inPort, m.actions, m.lost, m.then, m.arg = pkt, inPort, actions, lost, then, arg
 	s.clk.Post2(delay, packetOutArrived, s, m)
+	return !lost
 }
 
 // packetOut re-injects a clone of pkt: the switch side of a delivered
 // PacketOut.
 func (s *Switch) packetOut(pkt *netem.Packet, inPort int, actions []Action) {
-	if h := s.onPacketOut.Load(); h != nil {
-		(*h)(pkt, inPort)
-	}
 	if len(actions) == 0 {
 		// OFPP_TABLE: run the packet through the pipeline again.
 		s.process(pkt.Clone(), inPort)
 		return
 	}
 	s.apply(pkt.Clone(), inPort, actions)
-}
-
-// SetPacketOutHook installs (or, with nil, clears) the packet-out
-// observer. See the onPacketOut field comment for the contract.
-func (s *Switch) SetPacketOutHook(h func(pkt *netem.Packet, inPort int)) {
-	if h == nil {
-		s.onPacketOut.Store(nil)
-		return
-	}
-	s.onPacketOut.Store(&h)
 }
 
 // Flows returns a snapshot of the table's counters in FlowTable's order:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/catalog"
@@ -118,8 +117,9 @@ type LoadResult struct {
 	// Flows × (1 + Revisits).
 	Arrivals int
 	// Punts counts arrivals that reached the controller (no switch flow
-	// matched) and were answered with a PacketOut; Dispatch holds their
-	// punt-to-release latencies in a streaming histogram, so the
+	// matched) and were answered with a PacketOut; Dispatch is the
+	// controller's histogram of their punt-to-release latencies
+	// (core.Controller.DispatchLatency), a streaming one, so the
 	// latency-recording memory is a fixed ~29 KiB however many arrivals
 	// the run injects (quantiles carry the histogram's documented ≤1/64
 	// relative bin error; exact Series remain the backend for the
@@ -207,7 +207,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 func newLoadResult(cfg LoadConfig) *LoadResult {
 	return &LoadResult{
 		Config:          cfg,
-		Dispatch:        metrics.NewHist("punt-dispatch"),
 		ServiceArrivals: make([]int, cfg.Services),
 	}
 }
@@ -306,21 +305,6 @@ func runLoadShard(clk *vclock.Virtual, cfg LoadConfig, shard, shards int, res *L
 	owner := shardServices(cfg.Services, cfg.ZipfS, shards)
 
 	start := clk.Now()
-	var mu sync.Mutex
-	punts := 0
-	// Arrival instants ride inside the packet: the punt clone
-	// preserves Seq/Ack, so the hook measures exactly the punted
-	// packet's hold time — no per-flow stamp to go stale when an
-	// arrival is forwarded in-switch instead.
-	sw.SetPacketOutHook(func(pkt *netem.Packet, _ int) {
-		sent := time.Duration(uint64(pkt.Seq)<<32 | uint64(pkt.Ack))
-		lat := clk.Now().Sub(start) - sent
-		mu.Lock()
-		punts++
-		res.Dispatch.Record(lat)
-		mu.Unlock()
-	})
-
 	var ms runtime.MemStats
 	sampleHeap := func() {
 		runtime.ReadMemStats(&ms)
@@ -353,13 +337,10 @@ func runLoadShard(clk *vclock.Virtual, cfg LoadConfig, shard, shards int, res *L
 			clk.Sleep(d)
 		}
 		res.ServiceArrivals[si]++
-		ns := uint64(clk.Now().Sub(start))
 		pkt := netem.NewPacket()
 		pkt.Src = netem.HostPort{IP: loadFlowBase + netem.IP(flow), Port: 40000}
 		pkt.Dst = handles[si].Addr
 		pkt.ConnID = uint64(flow) + 1
-		pkt.Seq = uint32(ns >> 32)
-		pkt.Ack = uint32(ns)
 		sw.HandlePacket(pkt, inPort)
 		if k%loadHeapSampleEvery == 0 {
 			sampleHeap()
@@ -383,10 +364,8 @@ func runLoadShard(clk *vclock.Virtual, cfg LoadConfig, shard, shards int, res *L
 	// interval) would otherwise report only what the k=0 sample saw,
 	// before the run allocated anything.
 	sampleHeap()
-	sw.SetPacketOutHook(nil)
-	mu.Lock()
-	res.Punts = punts
-	mu.Unlock()
+	res.Dispatch = tb.Controller.DispatchLatency()
+	res.Punts = int(res.Dispatch.Count())
 	res.Stats = tb.Controller.Stats()
 	res.DroppedReplies = tb.Client(0).Dropped()
 	return nil

@@ -6,30 +6,6 @@ import (
 	"time"
 )
 
-// loadFingerprint reduces a LoadResult to its deterministic fields —
-// everything except wall time.
-func loadFingerprint(t *testing.T, res *LoadResult) []int64 {
-	t.Helper()
-	fp := []int64{
-		int64(res.Arrivals),
-		int64(res.Punts),
-		res.Dispatch.Count(),
-		int64(res.Dispatch.Median()),
-		int64(res.Dispatch.Percentile(99)),
-		int64(res.VirtualDuration),
-		res.Stats.PacketIns,
-		res.Stats.MemoryHits,
-		res.Stats.ScheduleCalls,
-		res.Stats.FlowsInstalled,
-		res.Stats.CloudForwards,
-		res.DroppedReplies,
-	}
-	for _, n := range res.ServiceArrivals {
-		fp = append(fp, int64(n))
-	}
-	return fp
-}
-
 // TestLoadDeterminism runs the same config twice: every deterministic
 // field must be identical (wall time is the only run-dependent output).
 func TestLoadDeterminism(t *testing.T) {
@@ -42,11 +18,13 @@ func TestLoadDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, fb := loadFingerprint(t, a), loadFingerprint(t, b)
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("fingerprint[%d] differs across identical runs: %d vs %d\n%v\n%v", i, fa[i], fb[i], fa, fb)
+	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+		show := func(r *LoadResult) string {
+			return fmt.Sprintf("punts %d, dispatch min/p50/p99/max/mean %v/%v/%v/%v/%v, span %v, stats %+v, dropped replies %d, service arrivals %v",
+				r.Punts, r.Dispatch.Min(), r.Dispatch.Median(), r.Dispatch.Percentile(99), r.Dispatch.Max(), r.Dispatch.Mean(),
+				r.VirtualDuration, r.Stats, r.DroppedReplies, r.ServiceArrivals)
 		}
+		t.Fatalf("fingerprint differs across identical runs: %s vs %s\n%s\n%s", fa, fb, show(a), show(b))
 	}
 }
 
