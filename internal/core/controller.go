@@ -194,6 +194,9 @@ type Service struct {
 	Annotated *Annotated
 	// cookie tags this service's switch flows.
 	cookie uint64
+	// reverse is the action list of every reverse redirect flow: the
+	// source rewritten back to Addr. Nothing writes to it.
+	reverse []openflow.Action
 }
 
 // DeployTrace reports the duration of each deployment phase (Fig. 4)
@@ -352,6 +355,12 @@ type Controller struct {
 	// audit keeps the reconciler's buffers between audits (resync.go).
 	audit atomic.Pointer[auditBuffers]
 
+	// forwards holds, per instance address ever redirected to, the
+	// action list of every forward redirect flow toward it (see
+	// forwardActions); fwdMu guards it and nothing else.
+	fwdMu    sync.Mutex
+	forwards map[netem.HostPort][]openflow.Action
+
 	// mu guards everything below — cold-path state only; the packet-in
 	// fast path takes it once, to record its punt's latency. It is
 	// never held across a wait.
@@ -430,6 +439,7 @@ func New(clk *vclock.Virtual, cfg Config) (*Controller, error) {
 		fm:          NewFlowMemory(clk, cfg.MemoryIdle),
 		clients:     newClientTable(),
 		cands:       newCandCache(cfg.CandidateTTL),
+		forwards:    make(map[netem.HostPort][]openflow.Action),
 		deployments: make(map[deployKey]*deployState),
 		breakers:    make(map[string]*breakerState),
 		clean:       make(map[*openflow.Switch]cleanAudit),
@@ -494,6 +504,7 @@ func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*S
 		Definition: definition,
 		Annotated:  annotated,
 		cookie:     c.nextCookie,
+		reverse:    []openflow.Action{openflow.SetSrcIP{IP: addr.IP}, openflow.SetSrcPort{Port: addr.Port}, openflow.OutputNormal{}},
 	}
 	next := &svcTables{
 		services: make(map[netem.HostPort]*Service, len(old.services)+1),

@@ -245,6 +245,23 @@ func TestProximitySchedulerNoWaitViaFartherInstance(t *testing.T) {
 	}
 }
 
+// TestProximitySchedulerTieGoesToFirst: of two hosting candidates at
+// equal latency, the first in input order is the optimal edge, and the
+// first one's instance serves when both run one.
+func TestProximitySchedulerTieGoesToFirst(t *testing.T) {
+	s := &ProximityScheduler{Config: SchedulerConfig{Wait: WaitAlways}}
+	a, b := fake("a", time.Millisecond), fake("b", time.Millisecond)
+	if d := s.Schedule(&Service{Name: "svc"}, 0, candidates(b, a)); d.Fast != b || d.Best != nil {
+		t.Errorf("decision = %+v, want wait at b, the first of equals", d)
+	}
+	instA, instB := instanceAt("10.0.0.2:20000", "a"), instanceAt("10.0.1.2:20000", "b")
+	a.inst, b.inst = []cluster.Instance{instA}, []cluster.Instance{instB}
+	d := s.Schedule(&Service{Name: "svc"}, 0, candidates(a, b))
+	if d.Fast != a || d.FastInstance == nil || *d.FastInstance != instA || d.Best != nil {
+		t.Errorf("decision = %+v, want a's instance, nothing to deploy", d)
+	}
+}
+
 func TestProximitySchedulerNeverWaitFallsBackToCloud(t *testing.T) {
 	s := &ProximityScheduler{Config: SchedulerConfig{Wait: WaitNever}}
 	near := fake("near", time.Millisecond)

@@ -28,10 +28,11 @@ type punt struct {
 	// no flow key is claimed).
 	svc *Service
 	key flowKey
-	// specs[next:] are the redirect flow-mods still to send; actions are
-	// the packet-out's (nil: through the table). released is whether
-	// the channel delivers the packet-out.
+	// specs[next:] are the redirect flow-mods still to send, held in
+	// specBuf; actions are the packet-out's (nil: through the table).
+	// released is whether the channel delivers the packet-out.
 	specs    []openflow.FlowSpec
+	specBuf  [2]openflow.FlowSpec
 	next     int
 	actions  []openflow.Action
 	released bool
@@ -41,7 +42,9 @@ type punt struct {
 
 var puntPool = sync.Pool{New: func() any { return new(punt) }}
 
-// forwardNormal is the packet-out action list for unregistered traffic.
+// forwardNormal is the packet-out action list for unregistered traffic
+// and the action list of a flow forwarded to the cloud origin; nothing
+// writes to it.
 var forwardNormal = []openflow.Action{openflow.OutputNormal{}}
 
 // PacketIn implements openflow.Handler: the dispatching algorithm of
@@ -131,7 +134,7 @@ func (p *punt) serve(inst cluster.Instance, ok bool) {
 // and releases the held packet through the new flows.
 func (p *punt) redirect(inst cluster.Instance) {
 	atomic.AddInt64(&p.c.stats.FlowsInstalled, 1)
-	p.specs = p.c.redirectSpecs(p.key.client, p.svc, inst)
+	p.specs = p.c.appendRedirectSpecs(p.specBuf[:0], p.key.client, p.svc, inst)
 	puntStep(p)
 }
 
@@ -592,50 +595,46 @@ func (c *Controller) probePort(addr netem.HostPort) bool {
 	return true
 }
 
-// redirectSpecs builds the flow entries that realize (client, service,
-// instance): a rewrite pair for an edge instance, or a plain forward
-// rule when the instance is the cloud origin itself. Both the live
-// install path and the reconciler's desired-state computation derive
-// from this one function, so they can never disagree on what a
-// mapping's flows look like.
-func (c *Controller) redirectSpecs(client netem.IP, svc *Service, inst cluster.Instance) []openflow.FlowSpec {
+// appendRedirectSpecs appends to dst the flow entries that realize
+// (client, service, instance): a rewrite pair for an edge instance, or a
+// plain forward rule when the instance is the cloud origin itself. The
+// live install path, a handover and the reconciler's desired state all
+// derive from this one function, so they can never disagree on what a
+// mapping's flows look like. The action lists are shared by every flow
+// of their kind, so nothing may write to them.
+func (c *Controller) appendRedirectSpecs(dst []openflow.FlowSpec, client netem.IP, svc *Service, inst cluster.Instance) []openflow.FlowSpec {
+	forward := openflow.FlowSpec{
+		Priority:    redirectPriority,
+		Match:       openflow.Match{SrcIP: client, DstIP: svc.Addr.IP, DstPort: svc.Addr.Port},
+		Actions:     forwardNormal,
+		IdleTimeout: c.cfg.SwitchFlowIdle,
+		Cookie:      svc.cookie,
+	}
 	if inst.Addr == svc.Addr {
 		// Served by the origin: skip the controller for future packets.
-		return []openflow.FlowSpec{{
-			Priority:    redirectPriority,
-			Match:       openflow.Match{SrcIP: client, DstIP: svc.Addr.IP, DstPort: svc.Addr.Port},
-			Actions:     []openflow.Action{openflow.OutputNormal{}},
-			IdleTimeout: c.cfg.SwitchFlowIdle,
-			Cookie:      svc.cookie,
-		}}
+		return append(dst, forward)
 	}
-	return []openflow.FlowSpec{
-		// Forward: client → registered address, rewritten to the instance.
-		{
-			Priority: redirectPriority,
-			Match:    openflow.Match{SrcIP: client, DstIP: svc.Addr.IP, DstPort: svc.Addr.Port},
-			Actions: []openflow.Action{
-				openflow.SetDstIP{IP: inst.Addr.IP},
-				openflow.SetDstPort{Port: inst.Addr.Port},
-				openflow.OutputNormal{},
-			},
-			IdleTimeout: c.cfg.SwitchFlowIdle,
-			Cookie:      svc.cookie,
-		},
-		// Reverse: instance → client, rewritten back to the registered
-		// address so the exchange still looks like a cloud access.
-		{
-			Priority: redirectPriority,
-			Match:    openflow.Match{SrcIP: inst.Addr.IP, SrcPort: inst.Addr.Port, DstIP: client},
-			Actions: []openflow.Action{
-				openflow.SetSrcIP{IP: svc.Addr.IP},
-				openflow.SetSrcPort{Port: svc.Addr.Port},
-				openflow.OutputNormal{},
-			},
-			IdleTimeout: c.cfg.SwitchFlowIdle,
-			Cookie:      svc.cookie,
-		},
+	// Forward: client → registered address, rewritten to the instance.
+	forward.Actions = c.forwardActions(inst.Addr)
+	// Reverse: instance → client, rewritten back to the registered
+	// address so the exchange still looks like a cloud access.
+	reverse := forward
+	reverse.Match = openflow.Match{SrcIP: inst.Addr.IP, SrcPort: inst.Addr.Port, DstIP: client}
+	reverse.Actions = svc.reverse
+	return append(dst, forward, reverse)
+}
+
+// forwardActions returns the forward redirect's action list toward addr,
+// built at its first use and shared from then on.
+func (c *Controller) forwardActions(addr netem.HostPort) []openflow.Action {
+	c.fwdMu.Lock()
+	defer c.fwdMu.Unlock()
+	actions, ok := c.forwards[addr]
+	if !ok {
+		actions = []openflow.Action{openflow.SetDstIP{IP: addr.IP}, openflow.SetDstPort{Port: addr.Port}, openflow.OutputNormal{}}
+		c.forwards[addr] = actions
 	}
+	return actions
 }
 
 // PreDeploy proactively deploys a service on a named cluster (the

@@ -96,7 +96,7 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 		if !ok {
 			continue
 		}
-		specs = append(specs, c.redirectSpecs(client, svc, e.Instance)...)
+		specs = c.appendRedirectSpecs(specs, client, svc, e.Instance)
 		mappings++
 	}
 

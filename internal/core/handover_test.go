@@ -83,7 +83,7 @@ func (rig *handoverRig) attach(client netem.IP, inst cluster.Instance) {
 		Switch: rig.gnb1.DeviceName(), InPort: 9, LastSeen: rig.ctrl.clk.Now(),
 	})
 	atomic.AddInt64(&rig.ctrl.stats.FlowsInstalled, 1)
-	for _, spec := range rig.ctrl.redirectSpecs(client, rig.svc, inst) {
+	for _, spec := range rig.ctrl.appendRedirectSpecs(nil, client, rig.svc, inst) {
 		rig.gnb1.InstallFlow(spec)
 	}
 }

@@ -68,7 +68,7 @@ func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []open
 				continue
 			}
 			if svc, ok := tables.services[e.Service]; ok {
-				buf.desired = append(buf.desired, c.redirectSpecs(e.Client, svc, e.Instance)...)
+				buf.desired = c.appendRedirectSpecs(buf.desired, e.Client, svc, e.Instance)
 			}
 		}
 	}

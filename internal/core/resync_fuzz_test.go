@@ -102,7 +102,7 @@ func checkAuditSkipProgram(t *testing.T, data []byte) (skips int, err error) {
 				at := home()
 				c.fm.Remember(client, svc.Addr, svc.Name, inst)
 				if op == 1 {
-					for _, spec := range c.redirectSpecs(client, svc, inst) {
+					for _, spec := range c.appendRedirectSpecs(nil, client, svc, inst) {
 						at.InstallFlow(spec)
 					}
 				}
@@ -111,7 +111,7 @@ func checkAuditSkipProgram(t *testing.T, data []byte) (skips int, err error) {
 			case 4:
 				clk.Sleep(time.Duration(arg%8) * auditStep)
 			case 5:
-				for _, spec := range c.redirectSpecs(auditBase+64+netem.IP(arg%4), svc, inst) {
+				for _, spec := range c.appendRedirectSpecs(nil, auditBase+64+netem.IP(arg%4), svc, inst) {
 					sw.InstallFlow(spec)
 				}
 			case 6:

@@ -54,7 +54,7 @@ func newAuditRig(t testing.TB, clk *vclock.Virtual, flows int, mut func(*Config)
 		rig.clients = append(rig.clients, client)
 		rig.ctrl.fm.Remember(client, rig.svc.Addr, rig.svc.Name, rig.inst)
 		rig.ctrl.clients.track(client, ClientLocation{Switch: rig.sw.DeviceName(), InPort: 3, LastSeen: clk.Now()})
-		specs = append(specs, rig.ctrl.redirectSpecs(client, rig.svc, rig.inst)...)
+		specs = rig.ctrl.appendRedirectSpecs(specs, client, rig.svc, rig.inst)
 	}
 	rig.sw.ApplyBundle(nil, specs)
 	rig.touch()
@@ -74,9 +74,9 @@ func (rig *auditRig) diverge(round int) (missing, orphans int) {
 	var lost, stray []openflow.FlowSpec
 	for i := 0; i < pairs; i++ {
 		victim := rig.clients[(round*pairs+i)*7919%len(rig.clients)]
-		lost = append(lost, rig.ctrl.redirectSpecs(victim, rig.svc, rig.inst)...)
+		lost = rig.ctrl.appendRedirectSpecs(lost, victim, rig.svc, rig.inst)
 		ghost := auditBase + netem.IP(len(rig.clients)+i)
-		stray = append(stray, rig.ctrl.redirectSpecs(ghost, rig.svc, rig.inst)...)
+		stray = rig.ctrl.appendRedirectSpecs(stray, ghost, rig.svc, rig.inst)
 	}
 	missing = rig.sw.ApplyBundle(lost, nil)
 	rig.sw.ApplyBundle(nil, stray)
@@ -180,7 +180,7 @@ func oracleDiff(actual, desired []openflow.FlowSpec) (orphans, missing []openflo
 }
 
 // constructorSpecs collects flow specs from every place the controller
-// builds them: punt rules, both shapes of redirectSpecs (rewrite pair
+// builds them: punt rules, both shapes of appendRedirectSpecs (rewrite pair
 // and origin forward), and what a handover re-steers onto the new
 // switch. Every combination appears at least twice, built separately.
 func constructorSpecs(t *testing.T) []openflow.FlowSpec {
@@ -211,7 +211,7 @@ func constructorSpecs(t *testing.T) []openflow.FlowSpec {
 				}
 				for _, client := range clients {
 					for _, inst := range insts {
-						specs = append(specs, rig.ctrl.redirectSpecs(client, svc, inst)...)
+						specs = rig.ctrl.appendRedirectSpecs(specs, client, svc, inst)
 					}
 				}
 			}
@@ -387,7 +387,7 @@ func TestDiffFlowsMatchesStringOracle(t *testing.T) {
 		origin := cluster.Instance{Addr: rig.svc.Addr, Cluster: "cloud"}
 		punt := rig.ctrl.desiredFlows(rig.sw, new(auditBuffers))
 		pair := func(client int, inst cluster.Instance) []openflow.FlowSpec {
-			return rig.ctrl.redirectSpecs(auditBase+netem.IP(client), rig.svc, inst)
+			return rig.ctrl.appendRedirectSpecs(nil, auditBase+netem.IP(client), rig.svc, inst)
 		}
 		rng := rand.New(rand.NewSource(1))
 		want := map[openflow.FlowID]bool{} // one scratch map for all rounds, as the controller keeps one for all audits
@@ -482,7 +482,7 @@ func TestAuditMatchesStringOracle(t *testing.T) {
 			rig := newAuditRig(t, clk, 64, func(cfg *Config) { cfg.DisableFlowMemory = disableMemory })
 			other := cluster.Instance{Addr: netem.ParseHostPort("10.0.9.2:20000"), Cluster: "far"}
 			pair := func(client netem.IP, inst cluster.Instance) []openflow.FlowSpec {
-				return rig.ctrl.redirectSpecs(client, rig.svc, inst)
+				return rig.ctrl.appendRedirectSpecs(nil, client, rig.svc, inst)
 			}
 			var gone, extra []openflow.FlowSpec
 			gone = append(gone, rig.ctrl.desiredFlows(rig.sw, new(auditBuffers))[0]) // the punt rule
@@ -569,63 +569,53 @@ func TestOverlappingAuditsShareNoBuffers(t *testing.T) {
 	})
 }
 
-// TestAuditAllocations pins what an audit of a converged table costs in
-// allocations: measured 3.0 and 134 bytes per flow — the desired specs
-// (a rewrite pair is one spec slice, two action lists and three boxed
-// set-fields), nothing per flow in the snapshot, the identity or the
-// diff, whose buffers the controller keeps from the audit before. The
-// string identity took 155 allocations; fresh buffers every audit, 3.0
-// as well but 480 bytes, which is what the byte ceiling is for. Each
-// converged round bumps the table version first (touch), or the audit
-// would skip the diff. An audit of an untouched table after a clean one
-// does skip it, and allocates nothing. An audit of a table 1 % wrong,
-// which also builds and applies the repair bundle, is held to 3.32 per
-// flow, the ceiling BenchmarkAudit had at 1 k, 10 k and 100 k flows.
+// TestAuditAllocations pins what an audit costs in allocations. An
+// audit of a converged table allocates nothing: the desired specs share
+// their action lists, and the snapshot, the identity and the diff work
+// in the buffers the controller keeps from the audit before. Each
+// converged round bumps the table version first (touch), or
+// the audit would skip the diff. An audit of an untouched table after a
+// clean one does skip it, and allocates nothing either. An audit of a
+// table 1 % wrong, which also builds and applies the repair bundle, is
+// held to its measured 33.5 allocations, + 10 %.
 func TestAuditAllocations(t *testing.T) {
 	const (
 		flows            = 4096
-		ceiling          = 13500  // measured 12 288, + 10 %
-		bytesCeiling     = 604000 // measured 548 864, + 10 %
-		divergentCeiling = 3.32 * flows
+		divergentCeiling = 36.9
 		divergentRounds  = 10
-		unchangedRounds  = 10
+		convergedRounds  = 10
 	)
 	clk := vclock.New()
 	clk.Run(func() {
 		rig := newAuditRig(t, clk, flows, nil)
-		before := rig.ctrl.Stats()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
 		var m0, m1 runtime.MemStats
-		var bytes uint64
-		got := testing.AllocsPerRun(10, func() {
-			rig.touch()
+		// audits runs rounds audits, touching the table before each when
+		// touch is set, and reports how many times they allocated.
+		audits := func(rounds int, touch bool) uint64 {
+			before := rig.ctrl.Stats()
 			runtime.ReadMemStats(&m0)
-			rig.ctrl.auditSwitch(rig.sw)
+			for i := 0; i < rounds; i++ {
+				if touch {
+					rig.touch()
+				}
+				rig.ctrl.auditSwitch(rig.sw)
+			}
 			runtime.ReadMemStats(&m1)
-			bytes = m1.TotalAlloc - m0.TotalAlloc // the last run's: the first fills the buffers
-		})
-		after := rig.ctrl.Stats()
-		if after.ResyncRuns-before.ResyncRuns != 11 || after.ReinstalledFlows != before.ReinstalledFlows || after.OrphanFlowsRemoved != before.OrphanFlowsRemoved {
-			t.Errorf("audits of a converged table repaired something: %+v → %+v", before, after)
-		}
-		t.Logf("%.0f allocs, %d bytes per audit of %d flows (%.2f, %.0f per flow)", got, bytes, flows, got/flows, float64(bytes)/flows)
-		if (got > ceiling || bytes > bytesCeiling) && !raceEnabled {
-			t.Errorf("%.0f allocs, %d bytes per audit of %d flows, ceilings %d, %d", got, bytes, flows, ceiling, bytesCeiling)
+			after := rig.ctrl.Stats()
+			if after.ResyncRuns-before.ResyncRuns != int64(rounds) || after.ReinstalledFlows != before.ReinstalledFlows || after.OrphanFlowsRemoved != before.OrphanFlowsRemoved {
+				t.Errorf("%d audits of a converged table (touched: %v) repaired something: %+v → %+v", rounds, touch, before, after)
+			}
+			return m1.Mallocs - m0.Mallocs
 		}
 
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
-		before = rig.ctrl.Stats()
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < unchangedRounds; i++ {
-			rig.ctrl.auditSwitch(rig.sw)
-		}
-		runtime.ReadMemStats(&m1)
-		after = rig.ctrl.Stats()
-		if after.ResyncRuns-before.ResyncRuns != unchangedRounds || after.ReinstalledFlows != before.ReinstalledFlows || after.OrphanFlowsRemoved != before.OrphanFlowsRemoved {
-			t.Errorf("%d audits of an unchanged table: %+v → %+v", unchangedRounds, before, after)
-		}
-		t.Logf("%d allocs in %d audits of an unchanged table of %d flows", m1.Mallocs-m0.Mallocs, unchangedRounds, flows)
-		if m1.Mallocs != m0.Mallocs && !raceEnabled {
-			t.Errorf("%d audits of an unchanged table of %d flows allocated %d times, want 0", unchangedRounds, flows, m1.Mallocs-m0.Mallocs)
+		audits(1, true) // the first audit fills the buffers
+		for _, touch := range []bool{true, false} {
+			got := audits(convergedRounds, touch)
+			t.Logf("%d allocs in %d audits of a converged table of %d flows (touched: %v)", got, convergedRounds, flows, touch)
+			if got != 0 && !raceEnabled {
+				t.Errorf("%d audits of a converged table of %d flows (touched: %v) allocated %d times, want 0", convergedRounds, flows, touch, got)
+			}
 		}
 
 		var mallocs uint64
@@ -642,9 +632,9 @@ func TestAuditAllocations(t *testing.T) {
 			}
 		}
 		perAudit := float64(mallocs) / divergentRounds
-		t.Logf("%.0f allocs per audit of %d flows 1 %% wrong (%.2f per flow)", perAudit, flows, perAudit/flows)
+		t.Logf("%.1f allocs per audit of %d flows 1 %% wrong (%.4f per flow)", perAudit, flows, perAudit/flows)
 		if perAudit > divergentCeiling && !raceEnabled {
-			t.Errorf("%.0f allocs per audit of %d flows 1 %% wrong, ceiling %.0f", perAudit, flows, float64(divergentCeiling))
+			t.Errorf("%.1f allocs per audit of %d flows 1 %% wrong, ceiling %.1f", perAudit, flows, divergentCeiling)
 		}
 	})
 }

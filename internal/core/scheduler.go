@@ -42,7 +42,8 @@ type Decision struct {
 	// "forward toward the cloud".
 	Fast cluster.Cluster
 	// FastInstance, when non-nil, is an already-running instance in
-	// Fast, so the request needs no deployment at all.
+	// Fast, so the request needs no deployment at all. It may point into
+	// the candidates the scheduler was given: read it, never write it.
 	FastInstance *cluster.Instance
 	// Best, when non-nil and different from Fast, is deployed in the
 	// background — on-demand deployment *without* waiting.
@@ -163,43 +164,37 @@ type ProximityScheduler struct {
 
 // Schedule implements GlobalScheduler.
 func (p *ProximityScheduler) Schedule(service *Service, client netem.IP, candidates []Candidate) Decision {
-	sorted := byLatency(candidates)
-
-	// The optimal edge: nearest cluster able to host this service.
-	var best *Candidate
-	for i := range sorted {
-		if sorted[i].CanHost {
-			best = &sorted[i]
-			break
+	// One scan finds the optimal edge — the nearest cluster able to host
+	// this service — and the nearest running *edge* instance. The cloud
+	// origin always exists but is the explicit fallback ("If FAST is
+	// empty, the request is forwarded toward the cloud"), not a FAST
+	// candidate — and it is recognizable by CanHost being false while
+	// still having instances. Strict < keeps the first of equals in input
+	// order, as a stable sort by latency would.
+	var best, running *Candidate
+	for i := range candidates {
+		c := &candidates[i]
+		if !c.CanHost {
+			continue
 		}
-	}
-	// Nearest running *edge* instance. The cloud origin always exists
-	// but is the explicit fallback ("If FAST is empty, the request is
-	// forwarded toward the cloud"), not a FAST candidate — and it is
-	// recognizable by CanHost being false while still having instances.
-	var running *Candidate
-	for i := range sorted {
-		if sorted[i].CanHost && len(sorted[i].Instances) > 0 {
-			running = &sorted[i]
-			break
+		if best == nil || c.Latency < best.Latency {
+			best = c
+		}
+		if len(c.Instances) > 0 && (running == nil || c.Latency < running.Latency) {
+			running = c
 		}
 	}
 
 	switch {
-	case best == nil && running == nil:
-		return Decision{} // nothing anywhere: toward the cloud
 	case best == nil:
-		inst := running.Instances[0]
-		return Decision{Fast: running.Cluster, FastInstance: &inst}
+		return Decision{} // nothing anywhere: toward the cloud
 	case running != nil && running.Cluster == best.Cluster:
 		// Optimal edge already serves: FAST = BEST, nothing to deploy.
-		inst := running.Instances[0]
-		return Decision{Fast: best.Cluster, FastInstance: &inst}
+		return Decision{Fast: best.Cluster, FastInstance: &running.Instances[0]}
 	case running != nil:
 		// A farther instance serves the first request while the optimal
 		// edge deploys in the background (deployment without waiting).
-		inst := running.Instances[0]
-		return Decision{Fast: running.Cluster, FastInstance: &inst, Best: best.Cluster}
+		return Decision{Fast: running.Cluster, FastInstance: &running.Instances[0], Best: best.Cluster}
 	}
 
 	// No instance anywhere: wait or fall back to the cloud.
@@ -214,7 +209,7 @@ func (p *ProximityScheduler) Schedule(service *Service, client netem.IP, candida
 		}
 	}
 	if wait {
-		return Decision{Fast: best.Cluster, Fallbacks: fallbacksAfter(sorted, best.Cluster)}
+		return Decision{Fast: best.Cluster, Fallbacks: fallbacksAfter(byLatency(candidates), best.Cluster)}
 	}
 	// Serve from the cloud, deploy at the optimal edge in parallel.
 	return Decision{Best: best.Cluster}
@@ -281,11 +276,9 @@ func (h *HybridScheduler) Schedule(service *Service, client netem.IP, candidates
 	case running != nil && kubeC != nil && running.Cluster != kubeC.Cluster && len(kubeC.Instances) == 0:
 		// Docker (or another edge) answers now; Kubernetes takes over
 		// for future requests once its instance runs.
-		inst := running.Instances[0]
-		return Decision{Fast: running.Cluster, FastInstance: &inst, Best: kubeC.Cluster}
+		return Decision{Fast: running.Cluster, FastInstance: &running.Instances[0], Best: kubeC.Cluster}
 	case running != nil:
-		inst := running.Instances[0]
-		return Decision{Fast: running.Cluster, FastInstance: &inst}
+		return Decision{Fast: running.Cluster, FastInstance: &running.Instances[0]}
 	case dockerC != nil && kubeC != nil:
 		// Nothing runs yet: hold the request for the fast Docker launch
 		// and deploy to Kubernetes in the background.

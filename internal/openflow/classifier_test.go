@@ -86,6 +86,17 @@ func (r *clsRef) delete(cookie uint64) {
 	r.flows = kept
 }
 
+// deleteExact removes the oldest flow with exactly this match and
+// priority, as a strict delete does.
+func (r *clsRef) deleteExact(m Match, priority int) {
+	for i, f := range r.flows {
+		if f.Match == m && f.Priority == priority {
+			r.flows = append(r.flows[:i], r.flows[i+1:]...)
+			return
+		}
+	}
+}
+
 // covers is the match test written out field by field.
 func clsCovers(m Match, src, dst netem.HostPort, in int) bool {
 	return (m.InPort == 0 || m.InPort == in) &&
@@ -195,6 +206,51 @@ func (r *clsReader) flowSpec() FlowSpec {
 	return f
 }
 
+// clsHarness is a switch whose ports all end in sinks and whose punts
+// are recorded, beside the reference it is checked against.
+type clsHarness struct {
+	clk *vclock.Virtual
+	sw  *Switch
+	ref *clsRef
+	got []clsOutcome
+}
+
+func newClsHarness(clk *vclock.Virtual) *clsHarness {
+	h := &clsHarness{clk: clk, ref: &clsRef{routes: make(map[netem.IP]int), def: -1}}
+	n := netem.NewNetwork(clk, 1)
+	h.sw = NewSwitch(n, "sw", clsPorts)
+	h.sw.CtrlLatency = 0
+	for p := 1; p <= clsPorts; p++ {
+		n.Connect(&netem.Port{Dev: &clsSink{port: p, got: &h.got}}, h.sw.Port(p), netem.LinkConfig{})
+	}
+	h.sw.Connect(clsController{got: &h.got})
+	return h
+}
+
+// send injects packets back to back, drains the deliveries and compares
+// them with the reference in order.
+func (h *clsHarness) send(t testing.TB, in int, srcs, dsts []netem.HostPort) {
+	t.Helper()
+	var want []clsOutcome
+	for i := range srcs {
+		want = append(want, h.ref.classify(srcs[i], dsts[i], in)...)
+		pkt := netem.NewPacket()
+		pkt.Src, pkt.Dst = srcs[i], dsts[i]
+		h.sw.HandlePacket(pkt, h.sw.Port(in))
+	}
+	h.clk.Sleep(time.Microsecond)
+	if len(h.got) != len(want) {
+		t.Fatalf("in-port %d, %v>%v: switch gave %d outcomes %v, reference %d %v",
+			in, srcs[0], dsts[0], len(h.got), h.got, len(want), want)
+	}
+	for i := range want {
+		if h.got[i] != want[i] {
+			t.Fatalf("in-port %d, packet %d: switch %+v, reference %+v", in, i, h.got[i], want[i])
+		}
+	}
+	h.got = h.got[:0]
+}
+
 // FuzzClassifier is the classifier oracle. Input bytes, in order: an
 // opcode, then its operands.
 //
@@ -213,38 +269,8 @@ func FuzzClassifier(f *testing.F) {
 		r := clsReader(data)
 		clk := vclock.New()
 		clk.Run(func() {
-			n := netem.NewNetwork(clk, 1)
-			sw := NewSwitch(n, "sw", clsPorts)
-			sw.CtrlLatency = 0
-			var got []clsOutcome
-			for p := 1; p <= clsPorts; p++ {
-				n.Connect(&netem.Port{Dev: &clsSink{port: p, got: &got}}, sw.Port(p), netem.LinkConfig{})
-			}
-			sw.Connect(clsController{got: &got})
-			ref := &clsRef{routes: make(map[netem.IP]int), def: -1}
-
-			// send injects packets back to back, drains the deliveries
-			// and compares them with the reference in order.
-			send := func(in int, srcs, dsts []netem.HostPort) {
-				var want []clsOutcome
-				for i := range srcs {
-					want = append(want, ref.classify(srcs[i], dsts[i], in)...)
-					pkt := netem.NewPacket()
-					pkt.Src, pkt.Dst = srcs[i], dsts[i]
-					sw.HandlePacket(pkt, sw.Port(in))
-				}
-				clk.Sleep(time.Microsecond)
-				if len(got) != len(want) {
-					t.Fatalf("in-port %d, %v>%v: switch gave %d outcomes %v, reference %d %v",
-						in, srcs[0], dsts[0], len(got), got, len(want), want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("in-port %d, packet %d: switch %+v, reference %+v", in, i, got[i], want[i])
-					}
-				}
-				got = got[:0]
-			}
+			h := newClsHarness(clk)
+			sw, ref := h.sw, h.ref
 
 			flooded := false
 			for len(r) > 0 {
@@ -270,7 +296,7 @@ func FuzzClassifier(f *testing.F) {
 				case 4:
 					in := 1 + r.next(clsPorts)
 					src := r.hostPort()
-					send(in, []netem.HostPort{src}, []netem.HostPort{r.hostPort()})
+					h.send(t, in, []netem.HostPort{src}, []netem.HostPort{r.hostPort()})
 				case 5:
 					if flooded {
 						continue
@@ -283,9 +309,73 @@ func FuzzClassifier(f *testing.F) {
 						srcs[i] = netem.HostPort{IP: clsIPs[1], Port: uint16(10000 + i)}
 						dsts[i] = dst
 					}
-					send(1, srcs, dsts)
+					h.send(t, 1, srcs, dsts)
 				}
 			}
 		})
 	})
+}
+
+// TestChainRemovalMatchesReference installs k flows on one Match at
+// mixed priorities, two of them tied, and removes them in every order —
+// by cookie, and by strict delete — checking the switch against the
+// linear reference after each step: unlinking the head, the middle or
+// the tail of a Match's index chain must leave the rest of it in force.
+func TestChainRemovalMatchesReference(t *testing.T) {
+	m := Match{DstIP: clsIPs[1], DstPort: clsL4[1]}
+	priorities := []int{1, 2, 2, 3}
+	specs := make([]FlowSpec, len(priorities))
+	for i, p := range priorities {
+		specs[i] = FlowSpec{
+			Priority: p,
+			Match:    m,
+			// Each flow leaves its own mark on the packet.
+			Actions: []Action{SetSrcPort{uint16(1000 + i)}, Output{1 + i%clsPorts}},
+			Cookie:  uint64(i + 1),
+		}
+	}
+	src, dst := []netem.HostPort{{IP: clsIPs[2], Port: clsL4[2]}}, []netem.HostPort{{IP: m.DstIP, Port: m.DstPort}}
+	for _, strict := range []bool{false, true} {
+		for _, order := range permutations(len(specs)) {
+			clk := vclock.New()
+			clk.Run(func() {
+				h := newClsHarness(clk)
+				h.sw.SetDefaultRoute(2)
+				h.ref.def = 2
+				for _, spec := range specs {
+					h.sw.InstallFlow(spec)
+					h.ref.install(spec)
+				}
+				h.send(t, 1, src, dst)
+				for _, i := range order {
+					if strict {
+						h.sw.DeleteExact(m, specs[i].Priority)
+						h.ref.deleteExact(m, specs[i].Priority)
+					} else {
+						h.sw.DeleteFlows(specs[i].Cookie)
+						h.ref.delete(specs[i].Cookie)
+					}
+					if got := len(h.sw.FlowTable()); got != len(h.ref.flows) {
+						t.Fatalf("strict %v, order %v: %d flows left, reference %d", strict, order, got, len(h.ref.flows))
+					}
+					h.send(t, 1, src, dst)
+				}
+			})
+		}
+	}
+}
+
+// permutations lists every order of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append(make([]int, 0, n), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
 }

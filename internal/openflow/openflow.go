@@ -242,6 +242,11 @@ func (f FlowSpec) ID() FlowID {
 	}
 }
 
+// flowEntry is one installed flow. Entries come from per-switch chunks
+// (entryChunk) and a slot is never handed out twice: timers, the
+// microflow cache and table snapshots may still hold an entry after it
+// is evicted, and must find it marked removed, not replaced by another
+// flow. A chunk is garbage once none of its entries is referenced.
 type flowEntry struct {
 	FlowSpec
 	seq      uint64
@@ -249,7 +254,13 @@ type flowEntry struct {
 	packets  int64
 	bytes    int64
 	removed  bool
+	// next chains the live entries that share this entry's Match, in
+	// install order (see Switch.index).
+	next *flowEntry
 }
+
+// entryChunk is how many flow entries one allocation provides.
+const entryChunk = 64
 
 // FlowRemoved notifies the controller of an evicted entry.
 type FlowRemoved struct {
@@ -301,12 +312,15 @@ type Switch struct {
 	// removedCount tracks lazily evicted entries still occupying table
 	// slots, for amortized compaction (see compactLocked).
 	removedCount int
-	// index groups live flows by their exact Match; sigCount tracks how
-	// many live flows carry each field signature. Together they make
+	// index chains live flows by their exact Match: it holds the oldest
+	// entry, and next links the rest in install order. sigCount tracks
+	// how many live flows carry each field signature. Together they make
 	// packet classification O(#signatures) map probes (tuple-space
 	// search) instead of a linear table scan.
-	index    map[Match][]*flowEntry
+	index    map[Match]*flowEntry
 	sigCount map[matchSig]int
+	// chunk holds the entries not yet installed of the current chunk.
+	chunk []flowEntry
 
 	// micro is the exact-match microflow cache in front of the
 	// tuple-space classifier: one probe memoizes the winning entry (or
@@ -367,7 +381,7 @@ func NewSwitch(net *netem.Network, name string, n int) *Switch {
 		CtrlLatency: 2 * time.Millisecond,
 		routes:      make(map[netem.IP]int),
 		defRoute:    -1,
-		index:       make(map[Match][]*flowEntry),
+		index:       make(map[Match]*flowEntry),
 		sigCount:    make(map[matchSig]int),
 		micro:       make(map[microKey]microEntry),
 		microOn:     true,
@@ -495,10 +509,7 @@ func (s *Switch) process(pkt *netem.Packet, inPort int) {
 		s.microHits++
 	} else {
 		for sig := range s.sigCount {
-			for _, e := range s.index[sig.project(pkt, inPort)] {
-				if e.removed {
-					continue
-				}
+			for e := s.index[sig.project(pkt, inPort)]; e != nil; e = e.next {
 				if best == nil || e.Priority > best.Priority ||
 					(e.Priority == best.Priority && e.seq < best.seq) {
 					best = e
@@ -707,13 +718,26 @@ func (s *Switch) install(spec FlowSpec) {
 	s.armTimers(e)
 }
 
-// installLocked appends one entry to the table and classifier index.
-// Callers hold s.mu and arm the entry's timers after unlocking.
+// installLocked takes the next entry of the current chunk and appends
+// it to the table and to the end of its Match's index chain. Callers
+// hold s.mu and arm the entry's timers after unlocking.
 func (s *Switch) installLocked(spec FlowSpec) *flowEntry {
 	s.seq++
-	e := &flowEntry{FlowSpec: spec, seq: s.seq, lastUsed: s.clk.Now()}
+	if len(s.chunk) == 0 {
+		s.chunk = make([]flowEntry, entryChunk)
+	}
+	e := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	*e = flowEntry{FlowSpec: spec, seq: s.seq, lastUsed: s.clk.Now()}
 	s.table = append(s.table, e)
-	s.index[spec.Match] = append(s.index[spec.Match], e)
+	if head := s.index[spec.Match]; head == nil {
+		s.index[spec.Match] = e
+	} else {
+		for head.next != nil {
+			head = head.next
+		}
+		head.next = e
+	}
 	s.sigCount[spec.Match.signature()]++
 	s.epoch++
 	return e
@@ -810,25 +834,23 @@ func (s *Switch) DeleteFlows(cookie uint64) int {
 	return removed
 }
 
-// dropIndexLocked unlinks an evicted entry from the classifier index.
-// The per-Match bucket is tiny (re-installs of one flow), so the swap
-// removal is O(1) in practice; selection among bucket entries compares
-// priority and sequence, so bucket order is irrelevant.
+// dropIndexLocked unlinks an evicted entry from its Match's chain in
+// the classifier index. A chain is tiny (re-installs of one flow), so
+// the walk is O(1) in practice.
 func (s *Switch) dropIndexLocked(e *flowEntry) {
-	idx := s.index[e.Match]
-	for i, cur := range idx {
-		if cur == e {
-			idx[i] = idx[len(idx)-1]
-			idx[len(idx)-1] = nil
-			idx = idx[:len(idx)-1]
-			break
+	if head := s.index[e.Match]; head == e {
+		if e.next == nil {
+			delete(s.index, e.Match)
+		} else {
+			s.index[e.Match] = e.next
 		}
-	}
-	if len(idx) == 0 {
-		delete(s.index, e.Match)
 	} else {
-		s.index[e.Match] = idx
+		for head.next != e {
+			head = head.next
+		}
+		head.next = e.next
 	}
+	e.next = nil
 	sig := e.Match.signature()
 	if s.sigCount[sig]--; s.sigCount[sig] == 0 {
 		delete(s.sigCount, sig)
@@ -871,11 +893,11 @@ func (s *Switch) DeleteExact(m Match, priority int) bool {
 	return s.deleteExactLocked(m, priority)
 }
 
-// deleteExactLocked removes the first live entry with the exact match
+// deleteExactLocked removes the oldest live entry with the exact match
 // and priority. Callers hold s.mu.
 func (s *Switch) deleteExactLocked(m Match, priority int) bool {
-	for _, e := range s.index[m] {
-		if !e.removed && e.Priority == priority {
+	for e := s.index[m]; e != nil; e = e.next {
+		if e.Priority == priority {
 			e.removed = true
 			s.removedCount++
 			s.dropIndexLocked(e)
@@ -946,7 +968,7 @@ func (s *Switch) Restart() {
 // Callers hold s.mu.
 func (s *Switch) wipeTableLocked() {
 	for i, e := range s.table {
-		e.removed = true
+		e.removed, e.next = true, nil
 		s.table[i] = nil
 	}
 	s.table = s.table[:0]

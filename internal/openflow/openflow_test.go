@@ -255,6 +255,62 @@ func TestIdleTimeoutEvictsAndNotifies(t *testing.T) {
 	})
 }
 
+// removalRecorder is a Handler that records flow removals.
+type removalRecorder struct{ removed *[]FlowRemoved }
+
+func (removalRecorder) PacketIn(_ *Switch, pin PacketIn) { pin.Pkt.Release() }
+func (r removalRecorder) FlowRemoved(_ *Switch, msg FlowRemoved) {
+	*r.removed = append(*r.removed, msg)
+}
+func (removalRecorder) Restarted(*Switch) {}
+
+// TestReinstallOutlivesOldTimers removes an entry — by strict delete,
+// by idle eviction, by restart — while its hard timer is pending, and
+// installs a new entry on the same Match. When the old timer fires, the
+// new entry must survive it, appear once in the table and get no
+// FlowRemoved: the old entry's storage is never the new entry's.
+func TestReinstallOutlivesOldTimers(t *testing.T) {
+	m := Match{SrcIP: netem.ParseIP("192.168.1.10"), DstIP: netem.ParseIP("203.0.113.1"), DstPort: 80}
+	old := FlowSpec{Priority: 20, Match: m, Actions: []Action{Output{2}}, IdleTimeout: time.Second, HardTimeout: 5 * time.Second, Cookie: 1}
+	fresh := FlowSpec{Priority: 20, Match: m, Actions: []Action{Output{3}}, IdleTimeout: time.Minute, Cookie: 2}
+	for _, tc := range []struct {
+		name   string
+		remove func(sw *Switch, clk *vclock.Virtual)
+		idle   int // FlowRemoved messages the removal itself sends
+	}{
+		{"delete_exact", func(sw *Switch, _ *vclock.Virtual) { sw.DeleteExact(m, old.Priority) }, 0},
+		{"idle_eviction", func(_ *Switch, clk *vclock.Virtual) { clk.Sleep(2 * old.IdleTimeout) }, 1},
+		{"restart", func(sw *Switch, _ *vclock.Virtual) { sw.Restart() }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := vclock.New()
+			clk.Run(func() {
+				e := newOFEnv(clk)
+				var removed []FlowRemoved
+				e.sw.Connect(removalRecorder{&removed})
+				e.sw.InstallFlow(old)
+				tc.remove(e.sw, clk)
+				if got := len(e.sw.FlowTable()); got != 0 {
+					t.Fatalf("%d flows left after the removal", got)
+				}
+				e.sw.InstallFlow(fresh)
+				clk.Sleep(2 * old.HardTimeout) // the old timers fire, the new entry idles on
+				if table := e.sw.FlowTable(); len(table) != 1 || table[0].Cookie != fresh.Cookie {
+					t.Errorf("table after the old timers fired: %+v, want the new entry alone", table)
+				}
+				if len(removed) != tc.idle {
+					t.Errorf("FlowRemoved messages %+v, want %d", removed, tc.idle)
+				}
+				for _, msg := range removed {
+					if msg.Cookie != old.Cookie || !msg.IdleTimeout {
+						t.Errorf("FlowRemoved %+v: only the old entry idles out", msg)
+					}
+				}
+			})
+		})
+	}
+}
+
 func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {

@@ -91,16 +91,15 @@ func TestLoadRegimes(t *testing.T) {
 }
 
 // TestRunLoadAllocsPerArrival holds the open-loop load engine, end to
-// end, to 13.52 allocations per arrival — sequential and across four
-// shards. The ceiling is the one the 250 k-flow run had (6.76 M per
-// 500 k arrivals); this run is 5 000 flows at the same rate and, after
-// AllocsPerRun's warm-up run, measures 10.7–10.9 sequential and
-// 11.8–12.2 sharded.
+// end, to 3.66 allocations per arrival — sequential and across four
+// shards. This run is 5 000 flows at 100 k arrivals per second and,
+// after AllocsPerRun's warm-up run, measures 2.97–3.15 sequential and
+// 3.19–3.33 sharded (20 runs each); the ceiling is the highest, + 10 %.
 func TestRunLoadAllocsPerArrival(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply under -race")
 	}
-	const ceiling = 13.52
+	const ceiling = 3.66
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var res *LoadResult

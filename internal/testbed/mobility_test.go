@@ -93,7 +93,7 @@ func TestMobilityMigration(t *testing.T) {
 }
 
 // TestHandoverAllocs holds one complete handover to 64 allocations
-// (measured 22): one mobile client with a live session ping-pongs
+// (measured 12): one mobile client with a live session ping-pongs
 // between the two gNBs, and each op is a re-home (link move,
 // make-before-break re-steer, route convergence) followed by a verified
 // request/response round on the surviving connection, so a handover
