@@ -126,20 +126,18 @@ func BenchmarkAblationProbeInterval(b *testing.B) {
 		b.Run(fmt.Sprintf("%v", probe), func(b *testing.B) {
 			var med time.Duration
 			for i := 0; i < b.N; i++ {
-				var waits []time.Duration
+				var ctrl *core.Controller
 				clk := vclock.New()
 				clk.Run(func() {
 					tb, err := testbed.New(clk, testbed.Options{
 						WithDocker:    true,
 						ProbeInterval: probe,
 						Seed:          int64(i + 1),
-						OnDeploy: func(tr core.DeployTrace) {
-							waits = append(waits, tr.Wait)
-						},
 					})
 					if err != nil {
 						b.Fatal(err)
 					}
+					ctrl = tb.Controller
 					nginx, _ := catalog.ByKey("nginx")
 					h, err := tb.RegisterCatalogService(nginx, trace.ServiceAddr(0))
 					if err != nil {
@@ -150,8 +148,8 @@ func BenchmarkAblationProbeInterval(b *testing.B) {
 						b.Fatal(err)
 					}
 				})
-				if len(waits) > 0 {
-					med = waits[0]
+				if deployed := ctrl.Deployments(); len(deployed) > 0 {
+					med = deployed[0].Wait
 				}
 			}
 			b.ReportMetric(simMS(med), "sim-ms-wait")

@@ -104,10 +104,6 @@ type Config struct {
 	SwitchFlowIdle time.Duration
 	// MemoryIdle is the (higher) idle timeout of memorized flows.
 	MemoryIdle time.Duration
-	// OnDeploy, when set, receives per-phase timings of every
-	// deployment the controller performs — the instrumentation behind
-	// the Fig. 12/14/15 measurements.
-	OnDeploy func(DeployTrace)
 	// ScaleDownIdle scales a service down when its last memorized flow
 	// expires.
 	ScaleDownIdle bool
@@ -128,10 +124,6 @@ type Config struct {
 	// DisableFlowMemory turns the FlowMemory off (ablation): every
 	// packet-in goes through the full dispatch pipeline.
 	DisableFlowMemory bool
-	// ProactiveDeploy deploys every service to its optimal edge at
-	// registration time — the "deployed proactively" arrow of Fig. 1.
-	// The first request then finds a running instance immediately.
-	ProactiveDeploy bool
 	// MigrateOnHandover lets the handover manager follow the client with
 	// the service: when a handover lands a client in a zone whose
 	// scheduler-ranked optimal edge differs from where its instance
@@ -319,17 +311,6 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
-// svcTables is the read-mostly service registry. Lookups on the
-// packet-in hot path load an immutable snapshot through an atomic
-// pointer; registration (rare) builds a fresh copy under mu and swaps
-// the pointer. Whole-table readers — the reconciler, a handover — work
-// on one consistent snapshot without holding a lock across their waits.
-type svcTables struct {
-	services map[netem.HostPort]*Service
-	byCookie map[uint64]*Service
-	byName   map[string]*Service
-}
-
 // Controller is the SDN controller: the paper's contribution.
 type Controller struct {
 	// stats holds the counters (see Stats). It comes first so that its
@@ -343,8 +324,15 @@ type Controller struct {
 
 	switches []*openflow.Switch
 
-	// svc is the copy-on-write service registry (see svcTables).
-	svc atomic.Pointer[svcTables]
+	// regMu guards the service registry: services in registration
+	// order, a service's cookie being its index + 1, and the two
+	// indexes. The registry is append-only — a registered service is
+	// never replaced or removed — so a lookup's answer stays true across
+	// any wait, and the services a reader saw stay a prefix of services.
+	regMu    sync.RWMutex
+	services []*Service
+	byAddr   map[netem.HostPort]*Service
+	byName   map[string]*Service
 
 	// clients tracks client locations and deduplicates packet-ins.
 	clients *clientTable
@@ -365,8 +353,6 @@ type Controller struct {
 	// fast path takes it once, to record its punt's latency. It is
 	// never held across a wait.
 	mu sync.Mutex
-	// nextCookie numbers the registrations mu serializes.
-	nextCookie uint64
 	// templates holds one registration template per definition and
 	// service port; a nil entry marks a definition annotated in full
 	// every time (see annotate).
@@ -386,6 +372,9 @@ type Controller struct {
 	// first sample (see record).
 	handoverLat *metrics.Hist
 	dispatchLat *metrics.Hist
+	// deployed holds the phase timings of every finished deployment, in
+	// completion order (see Deployments).
+	deployed []DeployTrace
 }
 
 // ClientLocation is the Dispatcher's record of where a client was last
@@ -439,16 +428,13 @@ func New(clk *vclock.Virtual, cfg Config) (*Controller, error) {
 		fm:          NewFlowMemory(clk, cfg.MemoryIdle),
 		clients:     newClientTable(),
 		cands:       newCandCache(cfg.CandidateTTL),
+		byAddr:      make(map[netem.HostPort]*Service),
+		byName:      make(map[string]*Service),
 		forwards:    make(map[netem.HostPort][]openflow.Action),
 		deployments: make(map[deployKey]*deployState),
 		breakers:    make(map[string]*breakerState),
 		clean:       make(map[*openflow.Switch]cleanAudit),
 	}
-	c.svc.Store(&svcTables{
-		services: make(map[netem.HostPort]*Service),
-		byCookie: make(map[uint64]*Service),
-		byName:   make(map[string]*Service),
-	})
 	c.switches = append([]*openflow.Switch{cfg.Switch}, cfg.ExtraSwitches...)
 	for _, sw := range c.switches {
 		sw.Connect(c)
@@ -484,74 +470,34 @@ func (c *Controller) Stats() Stats {
 // RegisterService registers a service by its public address and lean
 // YAML definition: the definition is annotated, the derived spec
 // stored, and the intercept (punt) rule installed in the switch.
-// The service tables are copy-on-write: registration clones them and
-// swaps one atomic pointer, so packet-in lookups never block on it.
 func (c *Controller) RegisterService(addr netem.HostPort, definition string) (*Service, error) {
 	annotated, err := c.annotate(addr, definition)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	old := c.svc.Load()
-	if _, dup := old.services[addr]; dup {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("core: service %s already registered", addr)
-	}
-	c.nextCookie++
 	svc := &Service{
 		Name:       annotated.Spec.Name,
 		Addr:       addr,
 		Definition: definition,
 		Annotated:  annotated,
-		cookie:     c.nextCookie,
 		reverse:    []openflow.Action{openflow.SetSrcIP{IP: addr.IP}, openflow.SetSrcPort{Port: addr.Port}, openflow.OutputNormal{}},
 	}
-	next := &svcTables{
-		services: make(map[netem.HostPort]*Service, len(old.services)+1),
-		byCookie: make(map[uint64]*Service, len(old.byCookie)+1),
-		byName:   make(map[string]*Service, len(old.byName)+1),
+	c.regMu.Lock()
+	if _, dup := c.byAddr[addr]; dup {
+		c.regMu.Unlock()
+		return nil, fmt.Errorf("core: service %s already registered", addr)
 	}
-	for k, v := range old.services {
-		next.services[k] = v
-	}
-	for k, v := range old.byCookie {
-		next.byCookie[k] = v
-	}
-	for k, v := range old.byName {
-		next.byName[k] = v
-	}
-	next.services[addr] = svc
-	next.byCookie[svc.cookie] = svc
-	next.byName[svc.Name] = svc
-	c.svc.Store(next)
-	c.mu.Unlock()
+	svc.cookie = uint64(len(c.services)) + 1
+	c.services = append(c.services, svc)
+	c.byAddr[addr] = svc
+	c.byName[svc.Name] = svc
+	c.regMu.Unlock()
 	c.cands.bump()
 
 	// Intercept requests for the registered address (Fig. 2) on every
 	// managed ingress switch.
 	for _, sw := range c.switches {
 		sw.InstallFlow(puntSpec(svc))
-	}
-	if c.cfg.ProactiveDeploy {
-		// Proactive deployment (Fig. 1): bring the service up at the
-		// nearest hosting cluster in the background.
-		var best cluster.Cluster
-		for _, cl := range c.cfg.Clusters {
-			if !cl.CanHost(c.specFor(svc, cl)) {
-				continue
-			}
-			if best == nil || cl.Location().Latency < best.Location().Latency {
-				best = cl
-			}
-		}
-		if best != nil {
-			target := best
-			c.clk.Go(func() {
-				if _, err := c.deploy(svc, target); err != nil {
-					atomic.AddInt64(&c.stats.DeployFailures, 1)
-				}
-			})
-		}
 	}
 	return svc, nil
 }
@@ -584,14 +530,27 @@ func (c *Controller) annotate(addr netem.HostPort, definition string) (*Annotate
 
 // ServiceByAddr returns the service registered at addr.
 func (c *Controller) ServiceByAddr(addr netem.HostPort) (*Service, bool) {
-	svc, ok := c.svc.Load().services[addr]
+	c.regMu.RLock()
+	svc, ok := c.byAddr[addr]
+	c.regMu.RUnlock()
 	return svc, ok
 }
 
 // ServiceByName returns the service with the given unique name.
 func (c *Controller) ServiceByName(name string) (*Service, bool) {
-	svc, ok := c.svc.Load().byName[name]
+	c.regMu.RLock()
+	svc, ok := c.byName[name]
+	c.regMu.RUnlock()
 	return svc, ok
+}
+
+// registered returns the services registered so far, in registration
+// order. Registration only appends past the returned length, so the
+// slice can be read without the lock.
+func (c *Controller) registered() []*Service {
+	c.regMu.RLock()
+	defer c.regMu.RUnlock()
+	return c.services
 }
 
 // Start launches the controller's background loops, the instance
@@ -639,13 +598,16 @@ func (c *Controller) latency(h **metrics.Hist, name string) *metrics.Hist {
 
 // FlowRemoved implements openflow.Handler. It refreshes the flow memory
 // when switch flows expire: the removal implies traffic existed until a
-// moment ago, so the memorized mapping stays warm a while longer.
+// moment ago, so the memorized mapping stays warm a while longer. A
+// cookie that numbers no registered service — 0, or past the last — is
+// not one of ours.
 func (c *Controller) FlowRemoved(_ *openflow.Switch, msg openflow.FlowRemoved) {
 	atomic.AddInt64(&c.stats.FlowRemovedMsgs, 1)
-	svc, ok := c.svc.Load().byCookie[msg.Cookie]
-	if !ok || !msg.IdleTimeout {
+	services := c.registered()
+	if msg.Cookie == 0 || msg.Cookie > uint64(len(services)) || !msg.IdleTimeout {
 		return
 	}
+	svc := services[msg.Cookie-1]
 	var client netem.IP
 	if msg.Match.DstIP == svc.Addr.IP && msg.Match.DstPort == svc.Addr.Port {
 		client = msg.Match.SrcIP // forward rule
@@ -658,7 +620,7 @@ func (c *Controller) FlowRemoved(_ *openflow.Switch, msg openflow.FlowRemoved) {
 // onServiceIdle is the scale-down hook: the last memorized flow of the
 // service expired.
 func (c *Controller) onServiceIdle(svcName string) {
-	if _, ok := c.svc.Load().byName[svcName]; !ok {
+	if _, ok := c.ServiceByName(svcName); !ok {
 		return
 	}
 	c.mu.Lock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,7 @@ func (c *Controller) PacketIn(sw *openflow.Switch, pin openflow.PacketIn) {
 // The prologue takes two locks, one after the other: the client table's
 // (trackAndClaim — client tracking and SYN-retransmit dedup in one
 // critical section) and the FlowMemory's. The packet-in count is one
-// atomic add and the service lookup reads an immutable snapshot.
+// atomic add and the service lookup a read lock on the registry.
 func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done func()) {
 	atomic.AddInt64(&c.stats.PacketIns, 1)
 	p := puntPool.Get().(*punt)
@@ -433,23 +434,32 @@ func (c *Controller) deploy(svc *Service, cl cluster.Cluster) (cluster.Instance,
 	}
 }
 
-// runPhases executes Pull → Create → Scale Up → wait-for-port,
-// reporting per-phase durations through the OnDeploy hook. The
-// DeployTimeout deadline starts here and bounds the deployment end to
-// end — phases, their retries, and the readiness wait all share it.
-// The report is made after the phases return, not in a deferred call: a
-// deployment the end of the run cuts short at a park never finished and
-// reports nothing.
+// runPhases executes Pull → Create → Scale Up → wait-for-port and logs
+// the per-phase durations (see Deployments). The DeployTimeout deadline
+// starts here and bounds the deployment end to end — phases, their
+// retries, and the readiness wait all share it. The log entry is made
+// after the phases return, not in a deferred call: a deployment the end
+// of the run cuts short at a park never finished and reports nothing.
 func (c *Controller) runPhases(svc *Service, cl cluster.Cluster) (cluster.Instance, error) {
 	tr := DeployTrace{Service: svc.Name, Cluster: cl.Name()}
 	start := c.clk.Now()
 	inst, err := c.timePhases(svc, cl, start.Add(c.cfg.DeployTimeout), &tr)
 	tr.Total = c.clk.Since(start)
 	tr.Err = err
-	if c.cfg.OnDeploy != nil {
-		c.cfg.OnDeploy(tr)
-	}
+	c.mu.Lock()
+	c.deployed = append(c.deployed, tr)
+	c.mu.Unlock()
 	return inst, err
+}
+
+// Deployments returns the per-phase timings of every deployment that
+// has finished, failed ones included, in completion order — the
+// instrumentation behind the Fig. 12/14/15 measurements. A deployment
+// still running is not in it: read it once the clock's Run returned.
+func (c *Controller) Deployments() []DeployTrace {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.deployed)
 }
 
 // timePhases runs the phases that are still needed and fills in tr's

@@ -88,11 +88,10 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 	// The client's live mappings, in deterministic service order, with
 	// the exact specs the dispatcher would install for them.
 	entries := c.fm.EntriesFor(client)
-	tables := c.svc.Load()
 	var specs []openflow.FlowSpec
 	mappings := 0
 	for _, e := range entries {
-		svc, ok := tables.byName[e.SvcName]
+		svc, ok := c.ServiceByName(e.SvcName)
 		if !ok {
 			continue
 		}
@@ -131,7 +130,7 @@ func (c *Controller) Handover(client netem.IP, to *openflow.Switch, inPort int) 
 	atomic.AddInt64(&c.stats.ReSteeredFlows, int64(mappings))
 
 	if c.cfg.MigrateOnHandover {
-		rep.Migrated = c.migrateAfterHandover(client, to, entries, tables)
+		rep.Migrated = c.migrateAfterHandover(client, to, entries)
 	}
 
 	rep.Latency = c.clk.Since(start)
@@ -158,7 +157,7 @@ func (c *Controller) HandoverLatency() *metrics.Hist {
 // would reset the very sessions the handover preserved. New flows find
 // the migrated instance through the normal dispatch path, and the old
 // deployment drains through idle scale-down once its last flow expires.
-func (c *Controller) migrateAfterHandover(client netem.IP, to *openflow.Switch, entries []Entry, tables *svcTables) int {
+func (c *Controller) migrateAfterHandover(client netem.IP, to *openflow.Switch, entries []Entry) int {
 	migrated := 0
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
@@ -166,7 +165,7 @@ func (c *Controller) migrateAfterHandover(client netem.IP, to *openflow.Switch, 
 			continue
 		}
 		seen[e.SvcName] = true
-		svc, ok := tables.byName[e.SvcName]
+		svc, ok := c.ServiceByName(e.SvcName)
 		if !ok {
 			continue
 		}

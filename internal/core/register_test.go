@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/c3lab/transparentedge/internal/catalog"
 	"github.com/c3lab/transparentedge/internal/cluster"
@@ -153,6 +156,160 @@ func TestRegisterConcurrentSameDefinition(t *testing.T) {
 			if !reflect.DeepEqual(svc.Annotated, want) {
 				t.Errorf("writer %d: annotation differs from Annotate's", i)
 			}
+		}
+	})
+}
+
+// TestRegisterCostFlatInRegistrySize: the registry is append-only, so a
+// registration costs the same with a thousand services registered as
+// with none — no copy of the tables that grows with their size.
+func TestRegisterCostFlatInRegistrySize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	clk := vclock.New()
+	clk.Run(func() {
+		ctrl := newRegisterController(t, clk)
+		def := catalog.Services()[0].Definition
+		ip := netem.ParseIP("203.0.113.1")
+		// bytesPer registers n services and returns the bytes allocated
+		// per registration. The windows are long enough to amortise the
+		// registry's own growth, which doubles.
+		bytesPer := func(n int) float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range n {
+				ip++
+				if _, err := ctrl.RegisterService(netem.HostPort{IP: ip, Port: 80}, def); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		}
+		bytesPer(1) // builds the definition's template
+		empty := bytesPer(200)
+		bytesPer(1000 - 201)
+		full := bytesPer(200)
+		t.Logf("%.0f B per registration from 1 service, %.0f B from 1000", empty, full)
+		if full > 1.5*empty {
+			t.Errorf("a registration allocates %.0f B with 1000 services registered, %.0f B with none: want at most 1.5 times", full, empty)
+		}
+	})
+}
+
+// TestRegisterRacesRegistryReaders registers services on clock
+// goroutines while others read the registry (run it with -race at
+// several Ps): packet-ins for the addresses being registered,
+// FlowRemoved messages carrying the cookies being handed out, a resync
+// and a handover. Clock goroutines run in parallel until they park.
+// Afterwards each service's cookie is its position in registration
+// order, every switch holds every punt rule, and the audits find
+// nothing to repair. A FlowRemoved whose cookie numbers no service —
+// 0, or one past the last — is ignored.
+func TestRegisterRacesRegistryReaders(t *testing.T) {
+	clk := vclock.New()
+	clk.Run(func() {
+		near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}}
+		rig := newHandoverRig(t, clk, false, func(cfg *Config) {
+			cfg.SwitchFlowIdle = time.Hour
+			cfg.MemoryIdle = time.Hour
+		}, near)
+		ctrl := rig.ctrl
+		inst, err := ctrl.PreDeploy(rig.svc.Addr, "near")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mobile := netem.ParseIP("192.168.1.10")
+		rig.attach(mobile, inst)
+		rig.attach(netem.ParseIP("192.168.1.11"), inst)
+
+		const writers, perWriter = 4, 8
+		addrOf := func(w, k int) netem.HostPort {
+			return netem.HostPort{IP: netem.ParseIP("203.0.113.100") + netem.IP(w*perWriter+k), Port: 80}
+		}
+		var g vclock.Group
+		for w := range writers {
+			g.Go(clk, func() {
+				for k := range perWriter {
+					if _, err := ctrl.RegisterService(addrOf(w, k), leanNginx); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			g.Go(clk, func() {
+				client := netem.ParseIP("192.168.2.1") + netem.IP(w)
+				for k := range perWriter {
+					addr := addrOf(w, k)
+					ctrl.handlePacketIn(rig.gnb1, openflow.PacketIn{
+						Pkt:    &netem.Packet{Src: netem.HostPort{IP: client, Port: 43000}, Dst: addr, Flags: netem.FlagSYN},
+						InPort: 2,
+					})
+					ctrl.FlowRemoved(rig.gnb1, openflow.FlowRemoved{
+						Match:       openflow.Match{SrcIP: client, DstIP: addr.IP, DstPort: addr.Port},
+						Cookie:      uint64(2 + w*perWriter + k),
+						IdleTimeout: true,
+					})
+				}
+			})
+		}
+		g.Go(clk, ctrl.ResyncNow)
+		g.Go(clk, func() { ctrl.Handover(mobile, rig.gnb2, 3) })
+		g.Wait(clk)
+
+		services := ctrl.registered()
+		if len(services) != 1+writers*perWriter {
+			t.Fatalf("%d services registered, want %d", len(services), 1+writers*perWriter)
+		}
+		for i, svc := range services {
+			if svc.cookie != uint64(i+1) {
+				t.Errorf("service %d (%s) has cookie %d, want %d", i, svc.Name, svc.cookie, i+1)
+			}
+			if got, ok := ctrl.ServiceByAddr(svc.Addr); !ok || got != svc {
+				t.Errorf("ServiceByAddr(%s) = %v, %v; want service %d", svc.Addr, got, ok, i)
+			}
+			if got, ok := ctrl.ServiceByName(svc.Name); !ok || got != svc {
+				t.Errorf("ServiceByName(%s) = %v, %v; want service %d", svc.Name, got, ok, i)
+			}
+		}
+		for _, sw := range []*openflow.Switch{rig.gnb1, rig.gnb2} {
+			held := make(map[openflow.FlowID]bool)
+			for _, f := range sw.FlowTable() {
+				held[f.ID()] = true
+			}
+			for _, svc := range services {
+				if !held[puntSpec(svc).ID()] {
+					t.Errorf("%s lacks the punt rule of %s", sw.DeviceName(), svc.Name)
+				}
+			}
+			if d := ctrl.AuditDiff(sw); d != 0 {
+				t.Errorf("AuditDiff(%s) = %d after the race, want 0", sw.DeviceName(), d)
+			}
+		}
+
+		// The least recently used mapping is the mobile client's, on the
+		// service with cookie 1: a FlowRemoved that touches it moves it
+		// to the back. One whose cookie numbers no service must not.
+		entries := ctrl.fm.Entries()
+		if entries[0].Client != mobile {
+			t.Fatalf("memory holds %v, want the mobile client's mapping first", entries)
+		}
+		removed := func(cookie uint64) {
+			ctrl.FlowRemoved(rig.gnb2, openflow.FlowRemoved{
+				Match:       openflow.Match{SrcIP: mobile, DstIP: rig.svc.Addr.IP, DstPort: rig.svc.Addr.Port},
+				Cookie:      cookie,
+				IdleTimeout: true,
+			})
+		}
+		for _, cookie := range []uint64{0, uint64(len(services)) + 1} {
+			removed(cookie)
+			if got := ctrl.fm.Entries(); !slices.Equal(got, entries) {
+				t.Errorf("FlowRemoved with cookie %d touched the memory: mapping order\n%v\nwas\n%v", cookie, got, entries)
+			}
+		}
+		removed(rig.svc.cookie)
+		if got := ctrl.fm.Entries(); got[len(got)-1].Client != mobile {
+			t.Errorf("FlowRemoved with cookie %d left the mobile client's mapping unused: %v", rig.svc.cookie, got)
 		}
 	})
 }

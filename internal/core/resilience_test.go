@@ -538,24 +538,22 @@ func (s slowScaleCluster) ScaleUp(name string) error {
 
 // TestDeployCutShortReportsNothing: a deployment still in a phase when
 // the run ends is released at its park and unwinds through runPhases. It
-// never finished, so the OnDeploy hook must not see it (a report made in
-// a deferred call would, with a nil Err and a zero Wait).
+// never finished, so the deployment log must not hold it (an entry made
+// in a deferred call would, with a nil Err and a zero Wait).
 func TestDeployCutShortReportsNothing(t *testing.T) {
 	clk := vclock.New()
 	var ctrl *Controller
-	reports := 0
 	clk.Run(func() {
 		near := &stubCluster{name: "near", loc: cluster.Location{Latency: time.Millisecond}}
 		rig := newResilienceRig(t, clk, func(cfg *Config) {
 			cfg.Clusters[0] = slowScaleCluster{near}
-			cfg.OnDeploy = func(DeployTrace) { reports++ }
 		}, near)
 		ctrl = rig.ctrl
 		clk.Go(func() { rig.ctrl.PreDeploy(rig.svc.Addr, "near") })
 		clk.Sleep(time.Second)
 	})
-	if reports != 0 {
-		t.Errorf("OnDeploy called %d times for a deployment that never finished", reports)
+	if got := ctrl.Deployments(); len(got) != 0 {
+		t.Errorf("deployment log holds %d entries for a deployment that never finished: %+v", len(got), got)
 	}
 	if n := ctrl.Stats().ScaleUps; n != 0 {
 		t.Errorf("ScaleUps = %d, want 0", n)

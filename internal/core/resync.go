@@ -33,7 +33,6 @@ import (
 // out-allocate the rest of the controller, all of it live to a GC cycle
 // that overlaps them. It stays as large as the largest table audited.
 type auditBuffers struct {
-	svcs            []*Service
 	entries         []Entry
 	actual, desired []openflow.FlowSpec
 	want            map[openflow.FlowID]bool // diffFlows' scratch
@@ -41,19 +40,13 @@ type auditBuffers struct {
 
 // desiredFlows computes, into buf.desired, the complete flow table
 // switch sw should hold, in deterministic order: punt rules for every
-// registered service (cookie order), then redirect pairs for every
+// registered service (registration order), then redirect pairs for every
 // memorized flow whose client last entered through sw (flow-key order).
 // With the FlowMemory disabled, redirects are not derivable and only
 // punt rules are reconciled.
 func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []openflow.FlowSpec {
-	tables := c.svc.Load()
-	buf.svcs = buf.svcs[:0]
-	for _, svc := range tables.byCookie {
-		buf.svcs = append(buf.svcs, svc)
-	}
-	slices.SortFunc(buf.svcs, func(a, b *Service) int { return cmp.Compare(a.cookie, b.cookie) })
 	buf.desired = buf.desired[:0]
-	for _, svc := range buf.svcs {
+	for _, svc := range c.registered() {
 		buf.desired = append(buf.desired, puntSpec(svc))
 	}
 	if !c.cfg.DisableFlowMemory {
@@ -67,7 +60,7 @@ func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []open
 			if loc, ok := c.clients.location(e.Client); !ok || loc.Switch != swName {
 				continue
 			}
-			if svc, ok := tables.services[e.Service]; ok {
+			if svc, ok := c.ServiceByAddr(e.Service); ok {
 				buf.desired = c.appendRedirectSpecs(buf.desired, e.Client, svc, e.Instance)
 			}
 		}
@@ -76,17 +69,17 @@ func (c *Controller) desiredFlows(sw *openflow.Switch, buf *auditBuffers) []open
 }
 
 // desiredGen versions what desiredFlows reads: the service registry
-// (copy-on-write, so its pointer is its version), the FlowMemory's set
-// of mappings, and which switch each client is behind. Nothing else it
+// (append-only, so its length is its version), the FlowMemory's set of
+// mappings, and which switch each client is behind. Nothing else it
 // reads can change.
 type desiredGen struct {
-	tables *svcTables
-	memory uint64
-	moves  uint64
+	services int
+	memory   uint64
+	moves    uint64
 }
 
 func (c *Controller) desiredGen() desiredGen {
-	return desiredGen{tables: c.svc.Load(), memory: c.fm.generation(), moves: c.clients.moveCount()}
+	return desiredGen{services: len(c.registered()), memory: c.fm.generation(), moves: c.clients.moveCount()}
 }
 
 // cleanAudit is what a switch's last audit that found nothing to

@@ -20,7 +20,7 @@ import (
 // with a service registration landing mid-storm. Every client, duplicate
 // and reader is a clock goroutine, and Go starts them in parallel until
 // they park, so their packet-ins race through the pending-claim table,
-// the FlowMemory and the copy-on-write service tables. Afterwards the
+// the FlowMemory and the service registry. Afterwards the
 // stats must be internally consistent, no pending claim may leak, and
 // every non-duplicate packet-in must have released its held packet
 // through a redirect flow.
@@ -130,7 +130,7 @@ func packetInStorm(t *testing.T, clk *vclock.Virtual) {
 		}
 	}
 
-	// A registration lands mid-storm: the copy-on-write service tables
+	// A registration lands mid-storm: the append-only service registry
 	// and the punt-rule installs race the packet-in fast path.
 	var regErr error
 	storm.Go(clk, func() {

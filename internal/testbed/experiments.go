@@ -3,7 +3,6 @@ package testbed
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/c3lab/transparentedge/internal/catalog"
@@ -89,29 +88,17 @@ func runPhaseExperiment(serviceKey string, kind cluster.Kind, n int, seed int64,
 		Waits:       metrics.NewSeries("wait"),
 		Creates:     metrics.NewSeries("create"),
 	}
-	var mu sync.Mutex
+	var ctrl *core.Controller
 	var runErr error
 
 	clk := vclock.New()
 	clk.Run(func() {
-		opts := optionsFor(kind, seed)
-		opts.OnDeploy = func(tr core.DeployTrace) {
-			mu.Lock()
-			defer mu.Unlock()
-			if tr.Err != nil {
-				res.Errors++
-				return
-			}
-			res.Waits.Add(tr.Wait)
-			if tr.Create > 0 {
-				res.Creates.Add(tr.Create)
-			}
-		}
-		tb, err := New(clk, opts)
+		tb, err := New(clk, optionsFor(kind, seed))
 		if err != nil {
 			runErr = err
 			return
 		}
+		ctrl = tb.Controller
 		handles, err := tb.RegisterMany(svc, n)
 		if err != nil {
 			runErr = err
@@ -143,6 +130,18 @@ func runPhaseExperiment(serviceKey string, kind cluster.Kind, n int, seed int64,
 	})
 	if runErr != nil {
 		return nil, runErr
+	}
+	// A deployment can finish after fn returns, up to the moment Run
+	// does: the log is complete only now.
+	for _, tr := range ctrl.Deployments() {
+		if tr.Err != nil {
+			res.Errors++
+			continue
+		}
+		res.Waits.Add(tr.Wait)
+		if tr.Create > 0 {
+			res.Creates.Add(tr.Create)
+		}
 	}
 	return res, nil
 }

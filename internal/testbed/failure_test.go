@@ -343,23 +343,23 @@ func TestConcurrentMixedServices(t *testing.T) {
 }
 
 // TestProactiveDeployAtRegistration verifies the Fig. 1 proactive path:
-// with ProactiveDeploy, the instance is already running when the first
-// request arrives, so even the first client sees warm-path latency.
+// a service deployed with PreDeploy right after registration is already
+// running when the first request arrives, so even the first client sees
+// warm-path latency.
 func TestProactiveDeployAtRegistration(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
-		tb := build(t, clk, Options{WithDocker: true, ProactiveDeploy: true, Seed: 70})
+		tb := build(t, clk, Options{WithDocker: true, Seed: 70})
 		h, err := tb.RegisterCatalogService(mustService(t, "nginx"), trace.ServiceAddr(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Give the background deployment (incl. pull) time to finish.
-		deadline := clk.Now().Add(time.Minute)
-		for len(tb.Docker.Instances(h.Svc.Name)) == 0 {
-			if clk.Now().After(deadline) {
-				t.Fatal("proactive deployment never happened")
-			}
-			clk.Sleep(200 * time.Millisecond)
+		inst, err := tb.Controller.PreDeploy(h.Addr, "edge-docker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tb.Docker.Instances(h.Svc.Name); len(got) != 1 || got[0] != inst {
+			t.Fatalf("instances after PreDeploy = %v, want [%v]", got, inst)
 		}
 		res, err := tb.Request(0, h)
 		if err != nil {

@@ -117,9 +117,13 @@ type LoadResult struct {
 	// Flows × (1 + Revisits).
 	Arrivals int
 	// Punts counts arrivals that reached the controller (no switch flow
-	// matched) and were answered with a PacketOut; Dispatch is the
-	// controller's histogram of their punt-to-release latencies
-	// (core.Controller.DispatchLatency), a streaming one, so the
+	// matched) and were answered with a delivered PacketOut. It is
+	// counted apart from Dispatch so that each checks the other:
+	// Stats.MemoryHits + Stats.ScheduleCalls less the switch's
+	// ChannelStats.PacketOutDrops (ScheduleCalls also counts handover
+	// migration checks; a load run makes none). Dispatch is the
+	// controller's histogram of the punt-to-release latencies it
+	// recorded (core.Controller.DispatchLatency), a streaming one, so the
 	// latency-recording memory is a fixed ~29 KiB however many arrivals
 	// the run injects (quantiles carry the histogram's documented ≤1/64
 	// relative bin error; exact Series remain the backend for the
@@ -365,8 +369,8 @@ func runLoadShard(clk *vclock.Virtual, cfg LoadConfig, shard, shards int, res *L
 	// before the run allocated anything.
 	sampleHeap()
 	res.Dispatch = tb.Controller.DispatchLatency()
-	res.Punts = int(res.Dispatch.Count())
 	res.Stats = tb.Controller.Stats()
+	res.Punts = int(res.Stats.MemoryHits + res.Stats.ScheduleCalls - tb.Switch.ChannelStats().PacketOutDrops)
 	res.DroppedReplies = tb.Client(0).Dropped()
 	return nil
 }

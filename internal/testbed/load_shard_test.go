@@ -110,6 +110,32 @@ func TestShardMergeInvariants(t *testing.T) {
 	}
 }
 
+// TestPuntsMatchDispatchSamples crosses two independent counts of the
+// answered punts: the controller's memory hits and dispatches less the
+// switch's dropped packet-outs (Punts), and the samples of the
+// punt-to-release histogram (Dispatch). A punt recorded twice, or
+// answered but never recorded, makes them differ — sequential and after
+// the shard merge.
+func TestPuntsMatchDispatchSamples(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, shards := range []int{1, 4} {
+			res, err := RunLoad(LoadConfig{
+				Flows: 1500, Rate: 3000, Shards: shards, Seed: seed,
+				SwitchFlowIdle: 300 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.MemoryHits == 0 {
+				t.Errorf("seed=%d shards=%d: no memory hits, only one kind of punt crossed", seed, shards)
+			}
+			if got := res.Dispatch.Count(); got != int64(res.Punts) {
+				t.Errorf("seed=%d shards=%d: %d dispatch samples for %d answered punts", seed, shards, got, res.Punts)
+			}
+		}
+	}
+}
+
 // TestShardRaceStress is the -race exercise: a small sharded run with
 // every shard's replica, clock, and merge running concurrently. The
 // assertions are minimal — the value of the test is the race detector

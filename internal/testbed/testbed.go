@@ -81,8 +81,6 @@ type Options struct {
 	// ScaleDownIdle / RemoveOnIdle enable automatic teardown.
 	ScaleDownIdle bool
 	RemoveOnIdle  bool
-	// ProactiveDeploy brings services up at registration time (Fig. 1).
-	ProactiveDeploy bool
 	// MigrateOnHandover lets the controller follow mobile clients with
 	// their services: after a handover, deploy at the new zone's optimal
 	// edge when it differs (live sessions stay on their old instance).
@@ -92,8 +90,6 @@ type Options struct {
 	// KubeSchedulers registers custom Local Schedulers (by name) inside
 	// the Kubernetes cluster.
 	KubeSchedulers map[string]kube.NodePicker
-	// OnDeploy taps the controller's per-phase deployment timings.
-	OnDeploy func(core.DeployTrace)
 	// Faults, when set, wraps every edge cluster and the image registry
 	// in a seeded fault-injection plan (the cloud origin stays
 	// fault-free: it is the guaranteed fallback).
@@ -454,9 +450,7 @@ func New(clk *vclock.Virtual, opts Options) (*Testbed, error) {
 		ScaleDownIdle:       opts.ScaleDownIdle,
 		RemoveOnIdle:        opts.RemoveOnIdle,
 		DisableFlowMemory:   opts.DisableFlowMemory,
-		ProactiveDeploy:     opts.ProactiveDeploy,
 		MigrateOnHandover:   opts.MigrateOnHandover,
-		OnDeploy:            opts.OnDeploy,
 		Seed:                opts.Seed + 40,
 	})
 	if err != nil {

@@ -427,22 +427,21 @@ func TestCloudOnlySchedulerBaseline(t *testing.T) {
 func TestDeployTraceHookReportsPhases(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {
-		var traces []core.DeployTrace
-		tb := build(t, clk, Options{
-			WithDocker: true,
-			OnDeploy:   func(tr core.DeployTrace) { traces = append(traces, tr) },
-			Seed:       18,
-		})
+		tb := build(t, clk, Options{WithDocker: true, Seed: 18})
 		h, _ := tb.RegisterCatalogService(mustService(t, "nginx"), trace.ServiceAddr(0))
 		if _, err := tb.Request(0, h); err != nil {
 			t.Fatal(err)
 		}
+		traces := tb.Controller.Deployments()
 		if len(traces) != 1 {
 			t.Fatalf("deploy traces = %d, want 1", len(traces))
 		}
 		tr := traces[0]
 		if tr.Err != nil {
 			t.Fatalf("deploy failed: %v", tr.Err)
+		}
+		if tr.Service != h.Svc.Name || tr.Cluster != "edge-docker" {
+			t.Errorf("trace of %s on %s, want %s on edge-docker", tr.Service, tr.Cluster, h.Svc.Name)
 		}
 		if tr.Pull <= 0 || tr.Create <= 0 || tr.Wait <= 0 {
 			t.Errorf("phase durations = %+v, want all positive on cold path", tr)

@@ -49,15 +49,15 @@ func (r *released) check(t *testing.T, name string) {
 
 // checkNoneLeft fails the test if more goroutines exist than the before
 // that was read ahead of Run. Run returns when the last tracked goroutine
-// has called exit, a few instructions before the runtime stops counting
-// it, so the reading is given a bounded number of yields and no sleep.
-// (Fewer than before is no leak: an earlier test's goroutine finished
-// dying.)
+// has called exit, some time before the runtime stops counting it — a
+// lag no number of yields bounds — so the count is polled every
+// millisecond until it drops to before or 5 s have passed. (Fewer than
+// before is no leak: an earlier test's goroutine finished dying.)
 func checkNoneLeft(t *testing.T, before int, after string) {
 	t.Helper()
 	n := runtime.NumGoroutine()
-	for i := 0; i < 1000 && n > before; i++ {
-		runtime.Gosched()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 		n = runtime.NumGoroutine()
 	}
 	if n > before {
