@@ -43,7 +43,9 @@ bench-quick:
 #     2, 4 and 8 shards (wall clock and heap go to stderr by design).
 # The canonical suite (-exp all -n 5 -seed 1) against its golden file is
 # not here: TestOutputMatchesGolden in cmd/edgesim checks the same bytes
-# at the same GOMAXPROCS=1 on every `go test ./...`.
+# at the same GOMAXPROCS=1 on every `go test ./...`. That test also pins
+# -exp mobility -seed 1 at the default -parallel to its golden file;
+# the comparison across -parallel values stays here.
 # Binary and transcripts live in a temporary directory removed on exit.
 same-output:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

@@ -19,7 +19,9 @@ import (
 //     section is exact at any P;
 //   - the open-loop load run (-exp load -flows 20000 -seed 1) at two Ps,
 //     where the controller answers punts from more than one goroutine;
-//     its punt count, dispatch quantiles and fingerprint hold at any P.
+//     its punt count, dispatch quantiles and fingerprint hold at any P;
+//   - the mobility experiment (-exp mobility -seed 1) at two Ps, session
+//     checksum included.
 //
 // main defines its flags, so each run gets a fresh flag set and a
 // command line without the test binary's flags; -count=2 shows that
@@ -28,6 +30,7 @@ import (
 //
 //	GOMAXPROCS=1 go run ./cmd/edgesim -exp all -n 5 -seed 1 > testdata/golden/exp_all_n5_seed1.txt
 //	GOMAXPROCS=2 go run ./cmd/edgesim -exp load -flows 20000 -seed 1 > testdata/golden/exp_load_20k_seed1.txt
+//	GOMAXPROCS=2 go run ./cmd/edgesim -exp mobility -seed 1 > testdata/golden/exp_mobility_seed1.txt
 func TestOutputMatchesGolden(t *testing.T) {
 	if raceEnabled {
 		// The race runtime randomises goroutine order even at one P: a
@@ -47,6 +50,7 @@ func TestOutputMatchesGolden(t *testing.T) {
 		{"exp_all_n5_seed1", "exp_all_n5_seed1", 1, all, ""},
 		{"exp_all_n5_seed1_two_Ps", "exp_all_n5_seed1", 2, all, "Fault injection"},
 		{"exp_load_20k_seed1", "exp_load_20k_seed1", 2, []string{"-exp", "load", "-flows", "20000", "-seed", "1"}, ""},
+		{"exp_mobility_seed1", "exp_mobility_seed1", 2, []string{"-exp", "mobility", "-seed", "1"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))

@@ -118,7 +118,7 @@ type Cluster interface {
 	CanHost(spec Spec) bool
 
 	// HasImages reports whether every image of the spec is cached
-	// locally (Pull phase already done).
+	// locally (Pull phase already done). It takes no virtual time.
 	HasImages(spec Spec) bool
 	// Pull fetches the spec's images from the cluster's upstream
 	// registry (Pull phase).
@@ -140,6 +140,9 @@ type Cluster interface {
 	// DeleteImages drops the spec's images from the local cache
 	// (Delete phase).
 	DeleteImages(spec Spec) error
-	// Instances lists the ready instances of a service.
+	// Instances lists the ready instances of a service. The list may be
+	// shared with other callers and with later calls: the caller must
+	// not write to it, and the cluster never writes into a list it
+	// returned, so an earlier answer stays what it was.
 	Instances(name string) []Instance
 }

@@ -193,6 +193,65 @@ func TestPhasesOnBothKinds(t *testing.T) {
 	})
 }
 
+// TestInstancesAnswersStayPut: Instances hands out shared lists, so a
+// cluster must never write into one it returned. An answer taken before
+// the service moved — SetInstance on a static cluster, a redeployment
+// on a new host port on a Docker cluster — still holds the old
+// instance afterwards, and an unchanged Docker answer is the same list
+// again rather than a copy.
+func TestInstancesAnswersStayPut(t *testing.T) {
+	s := NewStaticCluster("cloud", Location{Tier: 9})
+	s.SetInstance("svc", netem.ParseHostPort("203.0.113.1:80"))
+	before := s.Instances("svc")
+	s.SetInstance("svc", netem.ParseHostPort("203.0.113.2:80"))
+	if got := before[0].Addr.String(); got != "203.0.113.1:80" {
+		t.Errorf("static: earlier answer rewritten to %s", got)
+	}
+	if got := s.Instances("svc")[0].Addr.String(); got != "203.0.113.2:80" {
+		t.Errorf("static: answer after SetInstance is %s", got)
+	}
+
+	clk := vclock.New()
+	clk.Run(func() {
+		d, _, _ := both(t, clk)
+		spec := webSpec("svc")
+		deploy := func() []Instance {
+			t.Helper()
+			if err := d.Create(spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ScaleUp(spec.Name); err != nil {
+				t.Fatal(err)
+			}
+			for len(d.Instances(spec.Name)) == 0 {
+				clk.Sleep(50 * time.Millisecond)
+			}
+			return d.Instances(spec.Name)
+		}
+		if err := d.Pull(spec); err != nil {
+			t.Fatal(err)
+		}
+		first := deploy()
+		old := first[0]
+		if again := d.Instances(spec.Name); len(again) != 1 || &again[0] != &first[0] {
+			t.Errorf("docker: an unchanged answer was not handed out again")
+		}
+		if err := d.ScaleDown(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Remove(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+		second := deploy()
+		if second[0].Addr == old.Addr {
+			t.Fatalf("docker: redeployment kept %s; the test needs a new host port", old.Addr)
+		}
+		if first[0] != old {
+			t.Errorf("docker: earlier answer rewritten from %+v to %+v", old, first[0])
+		}
+	})
+}
+
 func TestDockerScaleUpFasterThanKube(t *testing.T) {
 	clk := vclock.New()
 	clk.Run(func() {

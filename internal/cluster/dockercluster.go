@@ -19,6 +19,9 @@ type DockerCluster struct {
 
 	mu    sync.Mutex
 	specs map[string]Spec
+	// answers holds each service's last non-empty Instances answer,
+	// handed out again while it still holds.
+	answers map[string][]Instance
 }
 
 // NewDockerCluster wraps engine as a cluster pulling from upstream.
@@ -29,6 +32,7 @@ func NewDockerCluster(name string, engine *docker.Engine, upstream registry.Remo
 		upstream: upstream,
 		location: loc,
 		specs:    make(map[string]Spec),
+		answers:  make(map[string][]Instance),
 	}
 }
 
@@ -47,10 +51,11 @@ func (d *DockerCluster) CanHost(Spec) bool { return true }
 // Engine exposes the wrapped Docker engine.
 func (d *DockerCluster) Engine() *docker.Engine { return d.engine }
 
-// HasImages implements Cluster.
+// HasImages implements Cluster. A store lookup takes no virtual time,
+// so an image two containers share is simply looked up twice.
 func (d *DockerCluster) HasImages(spec Spec) bool {
-	for _, ref := range spec.Images() {
-		if !d.engine.Runtime().Store().HasImage(ref) {
+	for _, c := range spec.Containers {
+		if !d.engine.Runtime().Store().HasImage(c.Image) {
 			return false
 		}
 	}
@@ -182,7 +187,8 @@ func (d *DockerCluster) DeleteImages(spec Spec) error {
 }
 
 // Instances implements Cluster: one instance when every container runs
-// and the serving container is ready.
+// and the serving container is ready. The one-element list is the
+// service's previous answer while that still holds.
 func (d *DockerCluster) Instances(name string) []Instance {
 	d.mu.Lock()
 	spec, ok := d.specs[name]
@@ -206,7 +212,15 @@ func (d *DockerCluster) Instances(name string) []Instance {
 	if serving == nil {
 		return nil
 	}
-	return []Instance{{Addr: serving.Addr(), Cluster: d.name}}
+	inst := Instance{Addr: serving.Addr(), Cluster: d.name}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if last := d.answers[name]; len(last) == 1 && last[0] == inst {
+		return last
+	}
+	answer := []Instance{inst}
+	d.answers[name] = answer
+	return answer
 }
 
 func (d *DockerCluster) spec(name string) (Spec, error) {

@@ -44,11 +44,13 @@ func (k *KubeCluster) CanHost(Spec) bool { return true }
 // Kube exposes the wrapped control plane.
 func (k *KubeCluster) Kube() *kube.Cluster { return k.cluster }
 
-// HasImages implements Cluster: every node must have every image.
+// HasImages implements Cluster: every node must have every image. A
+// store lookup takes no virtual time, so an image two containers share
+// is simply looked up twice.
 func (k *KubeCluster) HasImages(spec Spec) bool {
 	for _, rt := range k.runtimes {
-		for _, ref := range spec.Images() {
-			if !rt.Store().HasImage(ref) {
+		for _, c := range spec.Containers {
+			if !rt.Store().HasImage(c.Image) {
 				return false
 			}
 		}

@@ -29,6 +29,8 @@ func NewStaticCluster(name string, loc Location) *StaticCluster {
 }
 
 // SetInstance registers the permanently running instance of a service.
+// It replaces the stored list and never writes into it, so a list
+// Instances returned earlier keeps its contents.
 func (s *StaticCluster) SetInstance(service string, addr netem.HostPort) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,9 +82,9 @@ func (s *StaticCluster) Remove(name string) error {
 // DeleteImages implements Cluster as a no-op.
 func (s *StaticCluster) DeleteImages(Spec) error { return nil }
 
-// Instances implements Cluster.
+// Instances implements Cluster: the stored list itself.
 func (s *StaticCluster) Instances(name string) []Instance {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Instance(nil), s.instances[name]...)
+	return s.instances[name]
 }

@@ -18,11 +18,12 @@ func (c *Controller) handlePacketIn(sw *openflow.Switch, pin openflow.PacketIn) 
 
 // dispatchWait runs one dispatch to its end on the calling goroutine.
 func (c *Controller) dispatchWait(sw *openflow.Switch, svc *Service, client netem.IP) (cluster.Instance, bool) {
-	inst, ok, wait := c.dispatch(sw, svc, client)
-	if wait != nil {
-		return wait()
+	zone := sw.DeviceName()
+	inst, ready, decision := c.dispatch(svc, client, zone)
+	if ready {
+		return inst, true
 	}
-	return inst, ok
+	return c.finishDispatch(svc, client, zone, decision)
 }
 
 // pendingClaims counts the flow keys still claimed by in-flight punts.

@@ -29,7 +29,7 @@ type candCache struct {
 	epoch atomic.Uint64
 
 	mu sync.Mutex
-	m  map[candKey]*candEntry
+	m  map[candKey]candEntry
 }
 
 type candKey struct {
@@ -46,7 +46,7 @@ type candEntry struct {
 // newCandCache returns a cache with the given TTL; a non-positive TTL
 // disables caching entirely (every get misses).
 func newCandCache(ttl time.Duration) *candCache {
-	return &candCache{ttl: ttl, m: make(map[candKey]*candEntry)}
+	return &candCache{ttl: ttl, m: make(map[candKey]candEntry)}
 }
 
 // bump invalidates every cached snapshot: cluster state changed.
@@ -77,7 +77,7 @@ func (c *candCache) put(service, zone string, now time.Time, cands []Candidate) 
 		return
 	}
 	c.mu.Lock()
-	c.m[candKey{service: service, zone: zone}] = &candEntry{
+	c.m[candKey{service: service, zone: zone}] = candEntry{
 		epoch:      c.epoch.Load(),
 		expires:    now.Add(c.ttl),
 		candidates: cands,

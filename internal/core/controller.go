@@ -349,6 +349,11 @@ type Controller struct {
 	fwdMu    sync.Mutex
 	forwards map[netem.HostPort][]openflow.Action
 
+	// puntFree is the freelist of punt records, linked through
+	// punt.free; puntMu guards it and nothing else.
+	puntMu   sync.Mutex
+	puntFree *punt
+
 	// mu guards everything below — cold-path state only; the packet-in
 	// fast path takes it once, to record its punt's latency. It is
 	// never held across a wait.

@@ -185,6 +185,41 @@ func instanceAt(addr string, cl string) cluster.Instance {
 	return cluster.Instance{Addr: netem.ParseHostPort(addr), Cluster: cl}
 }
 
+// TestRememberFromChunks: the memory entries of new keys come from
+// chunks, so remembering n new keys costs at most n/32 allocations on
+// top of what the same n inserts cost a map of the memory's key type.
+func TestRememberFromChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply under -race")
+	}
+	const n = 4096
+	svc := netem.ParseHostPort("203.0.113.1:80")
+	inst := cluster.Instance{Addr: netem.ParseHostPort("10.0.0.2:20000"), Cluster: "edge-docker"}
+	clk := vclock.New()
+	clk.Run(func() {
+		ref := make(map[flowKey]*memEntry)
+		refNext := 0
+		growth := testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				ref[flowKey{client: netem.IP(refNext), service: svc}] = nil
+				refNext++
+			}
+		})
+		fm := NewFlowMemory(clk, time.Hour)
+		next := 0
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				fm.Remember(netem.IP(next), svc, "svc", inst)
+				next++
+			}
+		})
+		t.Logf("%v allocs for %d new keys, %v of them the map's", allocs, n, growth)
+		if allocs > n/32+growth {
+			t.Errorf("remembering %d new keys: %v allocs, ceiling %v", n, allocs, n/32+growth)
+		}
+	})
+}
+
 func TestProximitySchedulerWaits(t *testing.T) {
 	s := &ProximityScheduler{Config: SchedulerConfig{Wait: WaitAlways}}
 	near := fake("near", time.Millisecond)

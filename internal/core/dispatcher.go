@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +18,8 @@ import (
 // Fig. 7, from the claim of its flow key to the release of the held
 // packet. It is the operand of the continuations that carry the punt
 // from one control message to the next, where a handler goroutine would
-// keep the same state on its stack across sleeps. Records are pooled.
+// keep the same state on its stack across sleeps. Records belong to
+// one controller and circulate through its freelist (getPunt, finish).
 type punt struct {
 	c   *Controller
 	sw  *openflow.Switch // ingress switch the packet entered through
@@ -29,6 +29,10 @@ type punt struct {
 	// no flow key is claimed).
 	svc *Service
 	key flowKey
+	// decision is the Global Scheduler's verdict when a dispatch on a
+	// cached snapshot has to deploy FAST, and zero when the snapshot
+	// missed (see finishDispatch).
+	decision Decision
 	// specs[next:] are the redirect flow-mods still to send, held in
 	// specBuf; actions are the packet-out's (nil: through the table).
 	// released is whether the channel delivers the packet-out.
@@ -39,9 +43,28 @@ type punt struct {
 	released bool
 	// done, when set, runs after the punt finished; tests wait on it.
 	done func()
+	// hold is p.holdDispatch, bound once when the record was made: the
+	// body of the goroutine a dispatch that has to wait runs on. A reset
+	// keeps it.
+	hold func()
+	// free links the record into the controller's freelist.
+	free *punt
 }
 
-var puntPool = sync.Pool{New: func() any { return new(punt) }}
+// getPunt takes a record from the controller's freelist, or makes one.
+func (c *Controller) getPunt() *punt {
+	c.puntMu.Lock()
+	p := c.puntFree
+	if p != nil {
+		c.puntFree, p.free = p.free, nil
+	}
+	c.puntMu.Unlock()
+	if p == nil {
+		p = &punt{c: c}
+		p.hold = p.holdDispatch
+	}
+	return p
+}
 
 // forwardNormal is the packet-out action list for unregistered traffic
 // and the action list of a flow forwarded to the cloud origin; nothing
@@ -71,8 +94,8 @@ func (c *Controller) PacketIn(sw *openflow.Switch, pin openflow.PacketIn) {
 // atomic add and the service lookup a read lock on the registry.
 func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done func()) {
 	atomic.AddInt64(&c.stats.PacketIns, 1)
-	p := puntPool.Get().(*punt)
-	p.c, p.sw, p.pin, p.done = c, sw, pin, done
+	p := c.getPunt()
+	p.sw, p.pin, p.done = sw, pin, done
 	svc, ok := c.ServiceByAddr(pin.Pkt.Dst)
 	if !ok {
 		// Not a registered service: behave like a plain switch.
@@ -106,12 +129,20 @@ func (c *Controller) packetIn(sw *openflow.Switch, pin openflow.PacketIn, done f
 		}
 	}
 
-	inst, ok, wait := c.dispatch(sw, svc, client)
-	if wait == nil {
-		p.serve(inst, ok)
+	inst, ready, decision := c.dispatch(svc, client, sw.DeviceName())
+	if ready {
+		p.serve(inst, true)
 		return
 	}
-	c.clk.Go(func() { p.serve(c.holdBounded(svc, client, wait)) })
+	p.decision = decision
+	c.clk.Go(p.hold)
+}
+
+// holdDispatch is the body of the goroutine a dispatch that has to wait
+// runs on: it finishes the dispatch, within HoldTimeout when one is
+// set, and serves the result.
+func (p *punt) holdDispatch() {
+	p.serve(p.c.holdBounded(p.svc, p.key.client, p.sw.DeviceName(), p.decision))
 }
 
 // serve ends a punt's dispatch — on the event loop or on the goroutine
@@ -179,34 +210,39 @@ func (c *Controller) DispatchLatency() *metrics.Hist {
 // the punted packet — the switch cloned it for the controller, and it
 // re-injected its own clone on packet-out — exactly once.
 func (p *punt) finish() {
+	c := p.c
 	if p.svc != nil {
-		p.c.clients.release(p.key)
+		c.clients.release(p.key)
 	}
 	p.pin.Pkt.Release()
 	done := p.done
-	*p = punt{}
-	puntPool.Put(p)
+	*p = punt{c: c, hold: p.hold}
+	c.puntMu.Lock()
+	p.free, c.puntFree = c.puntFree, p
+	c.puntMu.Unlock()
 	if done != nil {
 		done()
 	}
 }
 
-// holdBounded runs wait — the remainder of a dispatch that has to wait
-// — bounding the time the held packet may wait when HoldTimeout is set.
-// On timeout the request degrades to the cloud origin — the client gets
-// an answer instead of an indefinitely held packet during a partition —
-// while the dispatch keeps running in the background; once it lands on
-// an edge instance, the degraded memory entry is dropped so the next
-// packet-in re-dispatches there.
-func (c *Controller) holdBounded(svc *Service, client netem.IP, wait func() (cluster.Instance, bool)) (cluster.Instance, bool) {
+// holdBounded runs finishDispatch — the remainder of a dispatch that
+// has to wait — bounding the time the held packet may wait when
+// HoldTimeout is set. On timeout the request degrades to the cloud
+// origin — the client gets an answer instead of an indefinitely held
+// packet during a partition — while the dispatch keeps running in the
+// background; once it lands on an edge instance, the degraded memory
+// entry is dropped so the next packet-in re-dispatches there. The
+// background dispatch outlives the punt, so it works on its own copies
+// of the arguments.
+func (c *Controller) holdBounded(svc *Service, client netem.IP, zone string, decision Decision) (cluster.Instance, bool) {
 	if c.cfg.HoldTimeout <= 0 {
-		return wait()
+		return c.finishDispatch(svc, client, zone, decision)
 	}
 	var inst cluster.Instance
 	var ok bool
 	done := vclock.NewGate()
 	c.clk.Go(func() {
-		inst, ok = wait()
+		inst, ok = c.finishDispatch(svc, client, zone, decision)
 		done.Open()
 	})
 	if done.WaitTimeout(c.clk, c.cfg.HoldTimeout) {
@@ -231,36 +267,60 @@ func (c *Controller) holdBounded(svc *Service, client netem.IP, wait func() (clu
 //
 // dispatch itself never waits, so the packet-in path can call it on the
 // event loop. With the candidate snapshot cached and an instance already
-// running (or nothing deployable: toward the cloud) it returns the
-// result and a nil wait. Otherwise it returns wait, the remainder that
-// takes virtual time — interrogating the clusters, or the on-demand
-// deployment the request is held for — for the caller to run on a
-// goroutine; wait's results are the dispatch's.
+// running (or nothing deployable: toward the cloud) it returns that
+// instance and ready. Otherwise the remainder takes virtual time —
+// interrogating the clusters, or the on-demand deployment the request
+// is held for — and the caller runs finishDispatch with the returned
+// decision on a goroutine; its results are the dispatch's.
 //
 // Candidate gathering is memoized per (service, zone) for a short TTL:
 // under a packet-in storm the cluster answers are identical, so one
 // snapshot serves every miss in the window instead of four virtual
 // calls per cluster per request. Any deployment, scale-down, breaker
 // transition, health eviction, or registration invalidates the cache.
-func (c *Controller) dispatch(sw *openflow.Switch, svc *Service, client netem.IP) (inst cluster.Instance, ok bool, wait func() (cluster.Instance, bool)) {
+func (c *Controller) dispatch(svc *Service, client netem.IP, zone string) (inst cluster.Instance, ready bool, decision Decision) {
 	atomic.AddInt64(&c.stats.ScheduleCalls, 1)
-	zone := sw.DeviceName()
 	candidates, cached := c.cachedCandidates(svc, zone)
 	if !cached {
-		return cluster.Instance{}, false, func() (cluster.Instance, bool) {
-			inst, ok, wait := c.decide(svc, client, c.gatherCandidates(svc, zone))
-			if wait != nil {
-				return wait()
-			}
-			return inst, ok
+		return cluster.Instance{}, false, Decision{}
+	}
+	decision = c.decide(svc, client, candidates)
+	inst, ready = decision.served(svc)
+	return inst, ready, decision
+}
+
+// finishDispatch is the part of a dispatch that takes virtual time.
+// With a zero decision — the candidate snapshot missed — it gathers the
+// candidates and decides on them; then, if FAST has to be deployed, it
+// deploys it.
+func (c *Controller) finishDispatch(svc *Service, client netem.IP, zone string, decision Decision) (cluster.Instance, bool) {
+	if decision.Fast == nil {
+		decision = c.decide(svc, client, c.gatherCandidates(svc, zone))
+		if inst, ready := decision.served(svc); ready {
+			return inst, true
 		}
 	}
-	return c.decide(svc, client, candidates)
+	return c.deployFast(svc, decision)
+}
+
+// served returns the instance that serves a request under d without a
+// deployment — FAST's running instance, or the cloud origin when there
+// is no FAST choice — and false when FAST has to be deployed first.
+func (d *Decision) served(svc *Service) (cluster.Instance, bool) {
+	switch {
+	case d.FastInstance != nil:
+		return *d.FastInstance, true
+	case d.Fast != nil:
+		return cluster.Instance{}, false
+	default:
+		return cluster.Instance{Addr: svc.Addr, Cluster: "origin"}, true
+	}
 }
 
 // decide is the second half of dispatch: the Global Scheduler's verdict
-// on a candidate snapshot and what it sets in motion.
-func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidate) (inst cluster.Instance, ok bool, wait func() (cluster.Instance, bool)) {
+// on a candidate snapshot and the background deployment it may set in
+// motion.
+func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidate) Decision {
 	decision := c.sched.Schedule(svc, client, candidates)
 
 	// BEST ≠ FAST: deploy the optimal edge in the background and switch
@@ -281,16 +341,11 @@ func (c *Controller) decide(svc *Service, client netem.IP, candidates []Candidat
 		})
 	}
 
-	switch {
-	case decision.FastInstance != nil:
-		return *decision.FastInstance, true, nil
-	case decision.Fast != nil:
-		return cluster.Instance{}, false, func() (cluster.Instance, bool) { return c.deployFast(svc, decision) }
-	default:
+	if decision.FastInstance == nil && decision.Fast == nil {
 		// Forward toward the cloud.
 		atomic.AddInt64(&c.stats.CloudForwards, 1)
-		return cluster.Instance{Addr: svc.Addr, Cluster: "origin"}, true, nil
 	}
+	return decision
 }
 
 // deployFast is on-demand deployment with waiting: the client's request

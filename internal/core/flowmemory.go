@@ -40,6 +40,11 @@ type FlowMemory struct {
 	// lru is the list's sentinel: lru.next is the least recently used
 	// entry, lru.prev the most recently used one.
 	lru memEntry
+	// chunk holds the newest chunk's entries not yet handed out; a new
+	// key's entry is its first. Entries are never reused: a dropped
+	// entry stays as it was for whoever still reads it, and its chunk is
+	// freed once none of its entries is referenced.
+	chunk []memEntry
 	// sweepArmed reports whether the expiry timer is pending. Deadlines
 	// only move later, so a pending timer is never late for the head.
 	sweepArmed bool
@@ -61,6 +66,9 @@ type memEntry struct {
 	lastUsed   time.Time
 	prev, next *memEntry
 }
+
+// memEntryChunk is how many entries FlowMemory allocates at once.
+const memEntryChunk = 64
 
 // NewFlowMemory returns an empty memory with the given idle timeout.
 func NewFlowMemory(clk *vclock.Virtual, idle time.Duration) *FlowMemory {
@@ -89,6 +97,9 @@ func (fm *FlowMemory) drop(e *memEntry) (idle bool) {
 	fm.gen++
 	delete(fm.entries, e.key)
 	e.prev.next, e.next.prev = e.next, e.prev
+	// Unlinked, e must not keep its neighbours' chunks alive beside its
+	// own.
+	e.prev, e.next = nil, nil
 	return fm.dropCount(e.svcName)
 }
 
@@ -128,7 +139,12 @@ func (fm *FlowMemory) Remember(client netem.IP, service netem.HostPort, svcName 
 	if ok {
 		fm.dropCount(e.svcName)
 	} else {
-		e = &memEntry{key: key}
+		if len(fm.chunk) == 0 {
+			fm.chunk = make([]memEntry, memEntryChunk)
+		}
+		e = &fm.chunk[0]
+		fm.chunk = fm.chunk[1:]
+		e.key = key
 		fm.entries[key] = e
 	}
 	fm.counts[svcName]++

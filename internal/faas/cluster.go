@@ -65,8 +65,8 @@ func (c *Cluster) Runtime() *Runtime { return c.rt }
 
 // HasImages implements cluster.Cluster (modules play the image role).
 func (c *Cluster) HasImages(spec cluster.Spec) bool {
-	for _, ref := range spec.Images() {
-		if !c.rt.HasModule(ref) {
+	for _, ctr := range spec.Containers {
+		if !c.rt.HasModule(ctr.Image) {
 			return false
 		}
 	}

@@ -20,7 +20,9 @@ import (
 // The engine is allocation-free on its steady-state paths: event structs
 // and waiters (with their park/unpark channels) are recycled through
 // freelists the clock owns, and Post/Post2 callbacks run inline on the
-// advancing goroutine instead of spawning a goroutine per firing.
+// advancing goroutine instead of spawning a goroutine per firing. When
+// the freelist is empty an event comes from a chunk of eventChunk, so
+// even a growing number of pending events allocates rarely.
 type Virtual struct {
 	mu      sync.Mutex
 	seq     uint64
@@ -29,6 +31,7 @@ type Virtual struct {
 	spawned int64 // goroutines started via Go, guarded by mu
 	stopped bool
 	free    []*event // event freelist, guarded by mu
+	chunk   []event  // the newest chunk's events never handed out, guarded by mu
 	wfree   *waiter  // waiter freelist through waiter.next, guarded by mu
 
 	// What Run's stop releases: the waiters whose goroutines are parked
@@ -294,6 +297,11 @@ func (v *Virtual) getEventLocked(d time.Duration, kind eventKind) *event {
 	return v.getEventAbsLocked(atNS, kind)
 }
 
+// eventChunk is how many events the clock allocates at once when its
+// freelist is empty. A chunk is never given back: its events circulate
+// through the freelist for the clock's life.
+const eventChunk = 64
+
 // getEventAbsLocked is getEventLocked for an absolute firing instant
 // (nanoseconds since base) — the form the queue oracle stamps in.
 func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
@@ -303,7 +311,11 @@ func (v *Virtual) getEventAbsLocked(atNS int64, kind eventKind) *event {
 		v.free[n-1] = nil
 		v.free = v.free[:n-1]
 	} else {
-		ev = &event{}
+		if len(v.chunk) == 0 {
+			v.chunk = make([]event, eventChunk)
+		}
+		ev = &v.chunk[0]
+		v.chunk = v.chunk[1:]
 	}
 	v.seq++
 	ev.atNS = atNS

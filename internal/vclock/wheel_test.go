@@ -385,3 +385,22 @@ func TestQueueAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestPendingEventsFromChunks: while timers are only posted, none fires
+// and none is recycled, so each event is a new one. They come from
+// chunks: posting n of them, on top of n already pending, costs at most
+// n/32 allocations (the chunks, and the wheel's and near heap's growth).
+func TestPendingEventsFromChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply under -race")
+	}
+	const n = 4096
+	v := New()
+	v.Run(func() {
+		allocs := testing.AllocsPerRun(1, func() { postBallast(v, n) })
+		t.Logf("%v allocs for %d pending events", allocs, n)
+		if allocs > n/32 {
+			t.Errorf("posting %d pending events: %v allocs, ceiling %d", n, allocs, n/32)
+		}
+	})
+}
